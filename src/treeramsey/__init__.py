@@ -54,7 +54,6 @@ from .stabilize import (
 from .transfinite import (
     Budget,
     ContractionSpec,
-    LazySubtree,
     assemble_union,
     audit_alignment,
     audit_contraction,
@@ -95,7 +94,7 @@ __all__ = [
     "ramsey_reduce_levels", "select_leafset", "select_levels",
     "stabilize_leaf_chains", "stabilize_levels", "stabilize_pairs_by_level",
     "RuleColoring", "parse_rule",
-    "Budget", "ContractionSpec", "LazySubtree", "assemble_union",
+    "Budget", "ContractionSpec", "assemble_union",
     "audit_alignment", "audit_contraction", "audit_declared_rank",
     "block_reduce", "contract", "pick_graded_roots", "proto_align",
     "stabilize_transfinite",

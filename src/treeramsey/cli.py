@@ -160,6 +160,7 @@ def _cmd_canon(args) -> int:
 def _cmd_stab(args) -> int:
     tree = FiniteTree.load(args.tree)
     coloring = Coloring.load(args.coloring)
+    _check_coverage(tree, coloring)
     if args.mode == "levels":
         result = stabilize.stabilize_levels(tree, coloring)
     elif args.mode == "pairs":
@@ -178,12 +179,29 @@ def _cmd_stab(args) -> int:
     return 0 if result.certificate.ok else 2
 
 
+def _check_coverage(tree: FiniteTree, coloring: Coloring) -> None:
+    """A node coloring must color every node, a pair coloring every pair
+    (s, t) with s an ancestor of t."""
+    if coloring.arity == "nodes":
+        keys = iter(tree.ids)
+    elif coloring.arity == "pairs":
+        keys = ((s, t) for t, above in zip(tree.ids, tree.anc) for s in sorted(above))
+    else:
+        return
+    missing = next((key for key in keys if key not in coloring.table), None)
+    if missing is not None:
+        raise StabilizeError(f"coloring assigns no color to {missing}")
+
+
 def _cmd_transfinite(args) -> int:
     tree = _parse_canonical(args.tree)
     budget = Budget.parse(args.budget)
     if args.contract is not None:
         layer_text = args.contract.removeprefix("A=")
-        layer_set = {int(x) for x in layer_text.split(",") if x != ""}
+        try:
+            layer_set = {int(x) for x in layer_text.split(",") if x != ""}
+        except ValueError:
+            raise TransfiniteError(f"layers must be integers like A=0,1: {args.contract!r}")
         spec = ContractionSpec.of(rank_symbolic(tree), layer_set)
         sub = transfinite.contract(tree, spec)
         report = transfinite.audit_contraction(tree, spec, sub, budget)

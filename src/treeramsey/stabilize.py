@@ -79,18 +79,19 @@ class Coloring:
 
     @staticmethod
     def from_json(data: dict) -> "Coloring":
-        k = int(data.get("k", 0))
+        """Read a coloring document; ``k`` is inferred when absent."""
+        k = None if data.get("k") is None else int(data["k"])
         arity = data.get("arity")
         if arity in (1, "1", "nodes") or "nodes" in data:
             table = {int(t): int(c) for t, c in data["nodes"]}
-            return Coloring("nodes", k, table)
+            return Coloring("nodes", _palette(table.values(), k), table)
         if arity in (2, "2", "pairs") or "pairs" in data:
             table = {(int(s), int(t)): int(c) for s, t, c in data["pairs"]}
-            return Coloring("pairs", k, table)
+            return Coloring("pairs", _palette(table.values(), k), table)
         if arity == "chains" or "chains" in data:
             n = int(data["n"])
             table = {tuple(int(x) for x in row[:-1]): int(row[-1]) for row in data["chains"]}
-            return Coloring("chains", k, table, n=n)
+            return Coloring("chains", _palette(table.values(), k), table, n=n)
         raise StabilizeError(f"unrecognized coloring document: {data.keys()}")
 
     @staticmethod
@@ -100,7 +101,10 @@ class Coloring:
 
 
 def _palette(values: Iterable[int], k: int | None) -> int:
-    top = max(values, default=0)
+    values = list(values)
+    low, top = min(values, default=0), max(values, default=0)
+    if low < 0:
+        raise StabilizeError(f"color {low} is negative")
     if k is None:
         return top
     if top > k:

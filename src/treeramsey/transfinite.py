@@ -2,18 +2,22 @@
 
 Infinite subtrees are handled as lazy pieces: generators that answer
 membership, enumerate sampled children, and carry a declared symbolic rank
-plus a declared position function.  Declared data are claims, not proofs;
-every public construction is paired with an audit that materializes a
-finite window at the given budget and rechecks the claims pair by pair,
-comparing window ranks against equal-budget windows of reference trees.
-An operation either returns with an all-pass audit or fails naming the
-step that could not be certified.
+plus a declared position function.  Every construction returns its piece,
+and ``piece.window(depth, width)`` materializes the sampled finite window.
+A contraction is the one-block (zeta = 1) case of the blockwise alignment.
+
+Declared data are claims, not proofs; every public construction is paired
+with an audit that materializes a finite window at the given budget, reads
+each window node's declared position once, and rechecks the claims pair by
+pair, comparing window ranks against equal-budget windows of reference
+trees.  An operation either returns with an all-pass audit or fails naming
+the step that could not be certified.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from dataclasses import InitVar, dataclass, field
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .canonical import (
     CanonicalNode,
@@ -72,7 +76,10 @@ class Budget:
 
     @staticmethod
     def parse(text: str) -> "Budget":
-        parts = [int(x) for x in text.split(",")]
+        try:
+            parts = [int(x) for x in text.split(",")]
+        except ValueError:
+            parts = []
         if len(parts) != 3 or min(parts) < 1:
             raise TransfiniteError(f"budget must be depth,width,cap with positive entries: {text!r}")
         return Budget(*parts)
@@ -133,10 +140,6 @@ class EntryMap:
         return EntryMap(size, lambda y: y, lambda x: x if compare(x, size) < 0 else None)
 
 
-def _prefix_products(fact: IndecomposableFactorization) -> list[Ordinal]:
-    return list(fact.factors)
-
-
 def _mixed_digits(x: Ordinal, prods: Sequence[Ordinal]) -> list[Ordinal] | None:
     """Digits of x in the mixed radix given by prefix products, low to high."""
     if not prods:
@@ -166,10 +169,10 @@ def digit_embedding(fact: IndecomposableFactorization, keep: Sequence[int]) -> E
     keep = tuple(sorted(keep))
     if any(i < 0 or i >= fact.lam for i in keep):
         raise TransfiniteError(f"layers {keep} outside 0..{fact.lam - 1}")
-    full = _prefix_products(fact)
+    full = fact.factors
     sub_fact = IndecomposableFactorization(
         _subproduct(fact, keep), tuple(fact.epsilons[i] for i in keep))
-    sub = _prefix_products(sub_fact)
+    sub = sub_fact.factors
 
     def apply(y: Ordinal) -> Ordinal:
         ys = _mixed_digits(y, sub)
@@ -188,7 +191,7 @@ def digit_embedding(fact: IndecomposableFactorization, keep: Sequence[int]) -> E
             return None
         return _mixed_value([digits[i] for i in keep], sub)
 
-    return EntryMap(sub_fact.gamma if keep else ONE, apply, unapply)
+    return EntryMap(sub_fact.gamma, apply, unapply)
 
 
 def _subproduct(fact: IndecomposableFactorization, keep: Sequence[int]) -> Ordinal:
@@ -207,7 +210,6 @@ def _subproduct(fact: IndecomposableFactorization, keep: Sequence[int]) -> Ordin
 
 class Piece:
     declared_rank: Ordinal
-    label: str = "piece"
 
     def roots(self, width: int) -> list[CanonicalNode]:
         raise NotImplementedError
@@ -221,6 +223,9 @@ class Piece:
     def tau_declared(self, node: CanonicalNode) -> Ordinal:
         raise NotImplementedError
 
+    def window(self, depth: int, width: int) -> tuple[FiniteTree, dict[int, CanonicalNode]]:
+        return piece_window(self, depth, width)
+
 
 @dataclass(frozen=True)
 class EntryPiece(Piece):
@@ -228,7 +233,6 @@ class EntryPiece(Piece):
 
     base: Ordinal
     emap: EntryMap
-    label: str = "entries"
 
     @property
     def declared_rank(self) -> Ordinal:
@@ -272,7 +276,6 @@ class UnionPiece(Piece):
 
     parts: tuple[tuple[CanonicalNode, Piece], ...]
     rank: Ordinal
-    label: str = "union"
 
     @property
     def declared_rank(self) -> Ordinal:
@@ -316,7 +319,6 @@ class StackPiece(Piece):
 
     bands: tuple[tuple[Ordinal, Piece], ...]  # (entry range base, piece), low to high
     band_rank: Ordinal
-    label: str = "stack"
 
     @property
     def declared_rank(self) -> Ordinal:
@@ -359,11 +361,14 @@ class StackPiece(Piece):
     def roots(self, width: int) -> list[CanonicalNode]:
         return list(self.bands[-1][1].roots(width))
 
-    def children(self, node: CanonicalNode, width: int) -> list[CanonicalNode]:
+    def _last_segment(self, node: CanonicalNode) -> tuple[int, CanonicalNode]:
         segs = self._split(node)
         if segs is None:
             raise TransfiniteError("node is not a member of the stack")
-        b, seg = segs[-1]
+        return segs[-1]
+
+    def children(self, node: CanonicalNode, width: int) -> list[CanonicalNode]:
+        b, seg = self._last_segment(node)
         piece = self.bands[b][1]
         if piece.tau_declared(seg).is_zero:
             if b == 0:
@@ -375,11 +380,12 @@ class StackPiece(Piece):
         return self._split(node) is not None
 
     def tau_declared(self, node: CanonicalNode) -> Ordinal:
-        segs = self._split(node)
-        if segs is None:
-            raise TransfiniteError("node is not a member of the stack")
-        b, seg = segs[-1]
+        b, seg = self._last_segment(node)
         return add(mul(self.band_rank, b), self.bands[b][1].tau_declared(seg))
+
+
+# nodes a filtered piece may walk through while looking for the covers of one node
+FRONTIER_CAP = 96
 
 
 @dataclass(frozen=True)
@@ -388,38 +394,25 @@ class FilteredPiece(Piece):
     layers; covers are found by a bounded walk through dropped nodes."""
 
     inner: Piece
-    fact: IndecomposableFactorization
-    keep: tuple[int, ...]
-    expand_cap: int = 96
-    label: str = "contracted"
+    fact: InitVar[IndecomposableFactorization]
+    keep: InitVar[tuple[int, ...]]
+    emap: EntryMap = field(init=False)
+
+    def __post_init__(self, fact: IndecomposableFactorization, keep: tuple[int, ...]) -> None:
+        object.__setattr__(self, "emap", digit_embedding(fact, keep))
 
     @property
     def declared_rank(self) -> Ordinal:
-        return _subproduct(self.fact, self.keep)
-
-    @property
-    def _prods(self) -> list[Ordinal]:
-        return _prefix_products(self.fact)
-
-    @property
-    def _sub_prods(self) -> list[Ordinal]:
-        sub_fact = IndecomposableFactorization(
-            self.declared_rank, tuple(self.fact.epsilons[i] for i in self.keep))
-        return _prefix_products(sub_fact)
+        return self.emap.size
 
     def _position(self, node: CanonicalNode) -> Ordinal | None:
-        digits = _mixed_digits(self.inner.tau_declared(node), self._prods)
-        if digits is None:
-            return None
-        if any(not digits[i].is_zero for i in range(self.fact.lam) if i not in self.keep):
-            return None
-        return _mixed_value([digits[i] for i in self.keep], self._sub_prods)
+        return self.emap.unapply(self.inner.tau_declared(node))
 
     def _frontier(self, seeds: Iterable[CanonicalNode], width: int) -> list[CanonicalNode]:
         out: list[CanonicalNode] = []
         queue = list(seeds)
         spent = 0
-        while queue and spent < self.expand_cap:
+        while queue and spent < FRONTIER_CAP:
             node = queue.pop(0)
             spent += 1
             if self._position(node) is not None:
@@ -442,35 +435,6 @@ class FilteredPiece(Piece):
         if pos is None:
             raise TransfiniteError("node is not a member of the contracted piece")
         return pos
-
-
-@dataclass(frozen=True)
-class LazySubtree:
-    """Public face of a constructed subtree: the ambient tree, the piece
-    generators, and the declared symbolic rank."""
-
-    ambient: CanonicalTree
-    piece: Piece
-    label: str
-
-    @property
-    def declared_rank(self) -> Ordinal:
-        return self.piece.declared_rank
-
-    def contains(self, node: CanonicalNode) -> bool:
-        return self.piece.contains(node)
-
-    def roots(self, width: int) -> list[CanonicalNode]:
-        return self.piece.roots(width)
-
-    def children(self, node: CanonicalNode, width: int) -> list[CanonicalNode]:
-        return self.piece.children(node, width)
-
-    def tau_declared(self, node: CanonicalNode) -> Ordinal:
-        return self.piece.tau_declared(node)
-
-    def window(self, depth: int, width: int) -> tuple[FiniteTree, dict[int, CanonicalNode]]:
-        return piece_window(self.piece, depth, width)
 
 
 def piece_window(piece: Piece, depth: int, width: int) -> tuple[FiniteTree, dict[int, CanonicalNode]]:
@@ -503,6 +467,16 @@ def piece_window(piece: Piece, depth: int, width: int) -> tuple[FiniteTree, dict
     return FiniteTree.from_parents(parents), mapping
 
 
+_Positioned = dict[int, tuple[CanonicalNode, Ordinal]]
+
+
+def _window_positions(piece: Piece, budget: Budget) -> tuple[FiniteTree, _Positioned]:
+    """The sampled window, with each node's declared position read once:
+    window id -> (node, declared position)."""
+    window, mapping = piece_window(piece, budget.depth, budget.width)
+    return window, {i: (node, piece.tau_declared(node)) for i, node in mapping.items()}
+
+
 def reference_window_rank(rank: Ordinal, budget: Budget) -> int:
     """Window rank of the canonical tree of the given rank at this budget."""
     if rank.is_zero:
@@ -510,18 +484,24 @@ def reference_window_rank(rank: Ordinal, budget: Budget) -> int:
     return truncate(CanonicalTree.of(0, rank), budget.depth, budget.width).tree.rank()
 
 
-def audit_declared_rank(sub: "LazySubtree", budget: Budget) -> AuditReport:
+def _audit_window(construction: str, piece: Piece,
+                  budget: Budget) -> tuple[AuditReport, FiniteTree, _Positioned]:
+    """Open a report with the window-rank check; every audit starts here."""
+    report = AuditReport(construction, budget, piece.declared_rank)
+    window, at = _window_positions(piece, budget)
+    ref = reference_window_rank(piece.declared_rank, budget)
+    report.add("window-rank-matches-declared", window.rank() == ref,
+               f"window rank {window.rank()} vs reference {ref}")
+    return report, window, at
+
+
+def audit_declared_rank(piece: Piece, budget: Budget) -> AuditReport:
     """Check a declared rank against its equal-budget reference window.
 
     A declared rank is a claim, so shallow budgets may fail to separate
     close claims; growing the budget only sharpens the comparison.
     """
-    report = AuditReport("declared-rank", budget, sub.declared_rank)
-    window, _ = sub.window(budget.depth, budget.width)
-    ref = reference_window_rank(sub.declared_rank, budget)
-    report.add("window-rank-matches-declared", window.rank() == ref,
-               f"window rank {window.rank()} vs reference {ref}")
-    return report
+    return _audit_window("declared-rank", piece, budget)[0]
 
 
 # -- contractions -------------------------------------------------------------------
@@ -551,67 +531,33 @@ class ContractionSpec:
     def target(self) -> Ordinal:
         return _subproduct(self.fact, self.enumeration)
 
-    def validate(self) -> None:
-        lam = self.fact.lam
-        bad = [i for i in self.layers if not 0 <= i < lam]
-        if bad:
-            raise TransfiniteError(f"layers {sorted(bad)} outside 0..{lam - 1}")
 
-
-def contract(tree: CanonicalTree, spec: ContractionSpec) -> LazySubtree:
+def contract(tree: CanonicalTree, spec: ContractionSpec) -> EntryPiece:
     """The subtree whose entries use only digits on the chosen layers; its
-    separation values enumerate back into the ambient ones."""
-    if not tree.alpha.is_zero:
-        raise TransfiniteError("contraction is defined on trees with alpha = 0")
-    if rank_symbolic(tree) != spec.gamma:
-        raise TransfiniteError(
-            f"tree rank {rank_symbolic(tree)} differs from the declared {spec.gamma}")
-    spec.validate()
-    emap = digit_embedding(spec.fact, spec.enumeration)
-    return LazySubtree(tree, EntryPiece(ZERO, emap), label="contraction")
+    separation values enumerate back into the ambient ones.  This is the
+    one-block alignment, ``proto_align`` at zeta = 1."""
+    return proto_align(tree, spec.gamma, spec.layers, ONE)
 
 
 def audit_contraction(tree: CanonicalTree, spec: ContractionSpec,
-                      sub: LazySubtree, budget: Budget) -> AuditReport:
-    report = AuditReport("contraction", budget, sub.declared_rank)
-    window, mapping = sub.window(budget.depth, budget.width)
-    ref = reference_window_rank(sub.declared_rank, budget)
-    report.add("window-rank-matches-declared", window.rank() == ref,
-               f"window rank {window.rank()} vs reference {ref}")
-    enum = spec.enumeration
-    ctx_p = SeparationContext(spec.gamma)
-    ctx_q = SeparationContext(sub.declared_rank) if enum else None
-    checked = 0
-    ok = True
-    detail = ""
-    for i_s, i_t in window.ordered_pairs():
-        s, t = mapping[i_s], mapping[i_t]
-        sp = ctx_p.of_taus(node_tau(tree, s), node_tau(tree, t))
-        sq = ctx_q.of_taus(sub.tau_declared(s), sub.tau_declared(t))
-        checked += 1
-        if enum[sq] != sp:
-            ok = False
-            detail = f"pair ({s},{t}): ambient {sp} != mapped {enum[sq]}"
-            break
-    report.add("separation-enumerates", ok, detail or f"{checked} pairs checked")
+                      sub: Piece, budget: Budget) -> AuditReport:
+    report, window, at = _audit_window("contraction", sub, budget)
+    report.add("separation-enumerates", *_in_block_separation(tree, spec, window, at, "ambient"))
     return report
 
 
 def proto_align(tree: CanonicalTree, gamma: "Ordinal | int", layers: Iterable[int],
-                zeta: "Ordinal | int") -> LazySubtree:
+                zeta: "Ordinal | int") -> EntryPiece:
     """Blockwise contraction of a tree of rank gamma*zeta: each gamma-block
     is contracted to the chosen layers, preserving the block grid."""
     gamma, zeta = ordinal(gamma), ordinal(zeta)
     if not tree.alpha.is_zero:
-        raise TransfiniteError("alignment is defined on trees with alpha = 0")
+        raise TransfiniteError("contraction and alignment are defined on trees with alpha = 0")
     if rank_symbolic(tree) != mul(gamma, zeta):
-        raise TransfiniteError(
-            f"tree rank {rank_symbolic(tree)} is not {gamma} * {zeta}")
+        raise TransfiniteError(f"tree rank {rank_symbolic(tree)} is not {mul(gamma, zeta)}")
     spec = ContractionSpec.of(gamma, layers)
-    spec.validate()
-    beta = spec.target
     inner = digit_embedding(spec.fact, spec.enumeration)
-    size = mul(beta, zeta)
+    beta = inner.size
 
     def apply(z: Ordinal) -> Ordinal:
         q, y = left_divide(beta, z)
@@ -624,59 +570,52 @@ def proto_align(tree: CanonicalTree, gamma: "Ordinal | int", layers: Iterable[in
             return None
         return add(mul(beta, q), y)
 
-    return LazySubtree(tree, EntryPiece(ZERO, EntryMap(size, apply, unapply)),
-                       label="block-alignment")
+    return EntryPiece(ZERO, EntryMap(mul(beta, zeta), apply, unapply))
 
 
 def audit_alignment(tree: CanonicalTree, gamma: "Ordinal | int", layers: Iterable[int],
-                    zeta: "Ordinal | int", sub: LazySubtree, budget: Budget) -> AuditReport:
-    gamma, zeta = ordinal(gamma), ordinal(zeta)
+                    zeta: "Ordinal | int", sub: Piece, budget: Budget) -> AuditReport:
     spec = ContractionSpec.of(gamma, layers)
-    beta = spec.target
-    enum = spec.enumeration
-    report = AuditReport("block-alignment", budget, sub.declared_rank)
-    window, mapping = sub.window(budget.depth, budget.width)
-    ref = reference_window_rank(sub.declared_rank, budget)
-    report.add("window-rank-matches-declared", window.rank() == ref,
-               f"window rank {window.rank()} vs reference {ref}")
-    grid_ok, dichotomy_ok = True, True
-    detail_grid, detail_pair = "", ""
-    ctx_g = SeparationContext(gamma)
-    ctx_b = SeparationContext(beta) if enum else None
-    for i, node in mapping.items():
-        q_r = left_divide(beta, sub.tau_declared(node))[0]
+    gamma, beta = spec.gamma, spec.target
+    report, window, at = _audit_window("block-alignment", sub, budget)
+    grid_ok, detail = True, ""
+    for node, pos in at.values():
+        q_r = left_divide(beta, pos)[0]
         q_p = left_divide(gamma, node_tau(tree, node))[0]
         if q_r != q_p:
             grid_ok = False
-            detail_grid = f"node {node}: block {q_r} vs ambient block {q_p}"
+            detail = f"node {node}: block {q_r} vs ambient block {q_p}"
             break
+    report.add("block-grid-preserved", grid_ok, detail)
+    report.add("in-block-separation-enumerates",
+               *_in_block_separation(tree, spec, window, at, "block separation"))
+    return report
+
+
+def _in_block_separation(tree: CanonicalTree, spec: ContractionSpec, window: FiniteTree,
+                         at: _Positioned, what: str) -> tuple[bool, str]:
+    """Blocks of rank spec.target stay in order, and inside one block the
+    declared separation enumerates into the ambient gamma-block separation."""
+    gamma, beta, enum = spec.gamma, spec.target, spec.enumeration
+    ctx_g = SeparationContext(gamma)
+    ctx_b = SeparationContext(beta) if enum else None
     pairs = 0
     for i_s, i_t in window.ordered_pairs():
-        s, t = mapping[i_s], mapping[i_t]
-        qs = left_divide(beta, sub.tau_declared(s))[0]
-        qt = left_divide(beta, sub.tau_declared(t))[0]
+        (s, pos_s), (t, pos_t) = at[i_s], at[i_t]
+        qs = left_divide(beta, pos_s)[0]
+        qt = left_divide(beta, pos_t)[0]
         pairs += 1
         if compare(qt, qs) < 0:
             continue  # blocks strictly ordered: nothing more to check
         if qs != qt:
-            dichotomy_ok = False
-            detail_pair = f"pair ({s},{t}): block order inverted"
-            break
-        eta = qs
-        loc_r_s = left_subtract(mul(beta, eta), sub.tau_declared(s))
-        loc_r_t = left_subtract(mul(beta, eta), sub.tau_declared(t))
-        loc_p_s = left_subtract(mul(gamma, eta), node_tau(tree, s))
-        loc_p_t = left_subtract(mul(gamma, eta), node_tau(tree, t))
-        sq = ctx_b.of_taus(loc_r_s, loc_r_t)
-        sp = ctx_g.of_taus(loc_p_s, loc_p_t)
+            return False, f"pair ({s},{t}): block order inverted"
+        base_r, base_p = mul(beta, qs), mul(gamma, qs)
+        sq = ctx_b.of_taus(left_subtract(base_r, pos_s), left_subtract(base_r, pos_t))
+        sp = ctx_g.of_taus(left_subtract(base_p, node_tau(tree, s)),
+                           left_subtract(base_p, node_tau(tree, t)))
         if enum[sq] != sp:
-            dichotomy_ok = False
-            detail_pair = f"pair ({s},{t}): block separation {sp} != mapped {enum[sq]}"
-            break
-    report.add("block-grid-preserved", grid_ok, detail_grid)
-    report.add("in-block-separation-enumerates", dichotomy_ok,
-               detail_pair or f"{pairs} pairs checked")
-    return report
+            return False, f"pair ({s},{t}): {what} {sp} != mapped {enum[sq]}"
+    return True, f"{pairs} pairs checked"
 
 
 # -- graded roots and unions ------------------------------------------------------
@@ -689,6 +628,16 @@ class GradedRoot:
     anchor: CanonicalNode
 
 
+def _grade(eps: Ordinal, q: int) -> Ordinal:
+    """The q-th grade below a top layer w^(w^eps): q when eps = 0,
+    w^(w^d * q) when eps = d + 1, and w^(w^eps[q]) when eps is a limit."""
+    if eps.is_zero:
+        return ordinal(q)
+    if eps.is_successor:
+        return omega_pow(mul(omega_pow(eps.predecessor()), q))
+    return omega_pow(omega_pow(fundamental_sequence(eps, q)))
+
+
 def pick_graded_roots(tree: CanonicalTree, gamma: "Ordinal | int", count: int) -> list[GradedRoot]:
     """Roots of strictly increasing grade below a tree of rank gamma * w^(w^e),
     each with an anchor sitting exactly at the graded depth."""
@@ -699,12 +648,7 @@ def pick_graded_roots(tree: CanonicalTree, gamma: "Ordinal | int", count: int) -
     eps = _split_top_factor(rho, gamma)
     out: list[GradedRoot] = []
     for q in range(1, count + 1):
-        if eps.is_zero:
-            eta = ordinal(q)
-        elif eps.is_successor:
-            eta = omega_pow(mul(omega_pow(eps.predecessor()), q))
-        else:
-            eta = omega_pow(omega_pow(fundamental_sequence(eps, q)))
+        eta = _grade(eps, q)
         entry = mul(gamma, eta)
         if compare(entry, rho) >= 0:  # pragma: no cover - grades stay below the rank
             break
@@ -730,8 +674,8 @@ def _split_top_factor(rho: Ordinal, gamma: Ordinal) -> Ordinal:
     return diff.leading_exponent
 
 
-def assemble_union(tree: CanonicalTree, parts: Sequence[tuple[CanonicalNode, LazySubtree]],
-                   declared_rank: "Ordinal | None" = None) -> LazySubtree:
+def assemble_union(parts: Sequence[tuple[CanonicalNode, Piece]],
+                   declared_rank: "Ordinal | None" = None) -> UnionPiece:
     """Incomparable union of pieces below distinct anchors.  The declared
     rank defaults to the largest part rank; pass the intended limit when the
     parts form a cofinal family."""
@@ -741,24 +685,19 @@ def assemble_union(tree: CanonicalTree, parts: Sequence[tuple[CanonicalNode, Laz
             la = min(len(a), len(b))
             if a[:la] == b[:la]:
                 raise TransfiniteError(f"anchors {a} and {b} are comparable")
-    wrapped = tuple((tuple(a), sub.piece) for a, sub in parts)
     if declared_rank is None:
         declared_rank = ZERO
-        for _, sub in parts:
-            if compare(declared_rank, sub.declared_rank) < 0:
-                declared_rank = sub.declared_rank
-    return LazySubtree(tree, UnionPiece(wrapped, ordinal(declared_rank)), label="union")
+        for _, piece in parts:
+            if compare(declared_rank, piece.declared_rank) < 0:
+                declared_rank = piece.declared_rank
+    return UnionPiece(tuple((tuple(a), piece) for a, piece in parts), ordinal(declared_rank))
 
 
 # -- block reduction ----------------------------------------------------------------
 
 
-SegmentStabilizer = Callable[[Ordinal, CanonicalNode, Ordinal], tuple[Piece, tuple[int, ...]]]
-
-
-def block_reduce(tree: CanonicalTree, n: int, rule: RuleColoring, budget: Budget,
-                 inner: SegmentStabilizer | None = None,
-                 ) -> tuple[LazySubtree, tuple[int, ...], AuditReport]:
+def block_reduce(tree: CanonicalTree, n: int, rule: RuleColoring,
+                 budget: Budget) -> tuple[StackPiece, tuple[int, ...], AuditReport]:
     """Stabilize every block of a tree of rank gamma*(N+1), pigeonhole the
     per-block tables, and keep n+1 agreeing blocks stacked in order."""
     if not tree.alpha.is_zero:
@@ -773,15 +712,12 @@ def block_reduce(tree: CanonicalTree, n: int, rule: RuleColoring, budget: Budget
         raise TransfiniteError(
             f"need more than {n_blocks_needed + 1} blocks for n={n}, k={rule.k}; "
             f"tree has {blocks}")
-    if inner is None:
-        def inner(base: Ordinal, prefix: CanonicalNode, seg: Ordinal):
-            return _stabilize_segment(tree, base, prefix, seg, rule, budget, budget.cap)
     tables: dict[tuple[int, ...], list[int]] = {}
-    pieces: list[Piece] = []
+    bands: list[tuple[Ordinal, Piece]] = []
     chosen: tuple[int, ...] | None = None
-    for delta in range(blocks):
-        piece, table = inner(mul(gamma, delta), (), gamma)
-        pieces.append(piece)
+    stabilized = _stabilize_blocks(tree, ZERO, (), gamma, blocks, rule, budget, budget.cap)
+    for delta, (b_base, piece, table) in enumerate(stabilized):
+        bands.append((b_base, piece))
         hits = tables.setdefault(tuple(table), [])
         hits.append(delta)
         if len(hits) == n + 1 and chosen is None:
@@ -790,23 +726,18 @@ def block_reduce(tree: CanonicalTree, n: int, rule: RuleColoring, budget: Budget
         raise BudgetExhausted("block-table-pigeonhole",
                               f"no table repeated {n + 1} times across {blocks} blocks")
     picked = tuple(tables[chosen][: n + 1])
-    bands = tuple((mul(gamma, d), pieces[d]) for d in picked)
-    sub = LazySubtree(tree, StackPiece(bands, gamma), label="block-reduction")
+    sub = StackPiece(tuple(bands[d] for d in picked), gamma)
     report = _audit_block_reduction(tree, sub, gamma, picked, chosen, rule, budget)
     return sub, chosen, report.require()
 
 
-def _audit_block_reduction(tree: CanonicalTree, sub: LazySubtree, gamma: Ordinal,
+def _audit_block_reduction(tree: CanonicalTree, sub: StackPiece, gamma: Ordinal,
                            picked: tuple[int, ...], table: tuple[int, ...],
                            rule: RuleColoring, budget: Budget) -> AuditReport:
-    report = AuditReport("block-reduction", budget, sub.declared_rank)
-    window, mapping = sub.window(budget.depth, budget.width)
-    ref = reference_window_rank(sub.declared_rank, budget)
-    report.add("window-rank-matches-declared", window.rank() == ref,
-               f"window rank {window.rank()} vs reference {ref}")
+    report, window, at = _audit_window("block-reduction", sub, budget)
     grid_ok, detail = True, ""
-    for node in mapping.values():
-        mine = left_divide(gamma, sub.tau_declared(node))[0].as_int()
+    for node, pos in at.values():
+        mine = left_divide(gamma, pos)[0].as_int()
         ambient = left_divide(gamma, node_tau(tree, node))[0].as_int()
         if picked[mine] != ambient:
             grid_ok = False
@@ -816,10 +747,8 @@ def _audit_block_reduction(tree: CanonicalTree, sub: LazySubtree, gamma: Ordinal
     ctx = SeparationContext(gamma) if factorize(gamma).lam else None
     colors_ok, detail_c, pairs = True, "", 0
     for i_s, i_t in window.ordered_pairs():
-        s, t = mapping[i_s], mapping[i_t]
-        qs = left_divide(gamma, sub.tau_declared(s))[0]
-        qt = left_divide(gamma, sub.tau_declared(t))[0]
-        if qs != qt:
+        (s, pos_s), (t, pos_t) = at[i_s], at[i_t]
+        if left_divide(gamma, pos_s)[0] != left_divide(gamma, pos_t)[0]:
             continue  # cross-block colors are not constrained here
         eta = left_divide(gamma, node_tau(tree, s))[0]
         loc_s = left_subtract(mul(gamma, eta), node_tau(tree, s))
@@ -840,7 +769,7 @@ def _audit_block_reduction(tree: CanonicalTree, sub: LazySubtree, gamma: Ordinal
 
 @dataclass
 class TransfiniteResult:
-    subtree: LazySubtree
+    subtree: Piece
     table: tuple[int, ...]
     report: AuditReport
 
@@ -875,19 +804,14 @@ def stabilize_transfinite(tree: CanonicalTree, rule: RuleColoring,
         table = (0,) * lam
     else:
         piece, table = _stabilize_segment(tree, ZERO, (), rho, rule, budget, budget.cap)
-    sub = LazySubtree(tree, piece, label="stabilized")
-    report = _audit_stabilization(tree, sub, table, rule, budget)
-    return TransfiniteResult(sub, table, report.require())
+    report = _audit_stabilization(tree, piece, table, rule, budget)
+    return TransfiniteResult(piece, table, report.require())
 
 
-def _audit_stabilization(tree: CanonicalTree, sub: LazySubtree, table: tuple[int, ...],
+def _audit_stabilization(tree: CanonicalTree, sub: Piece, table: tuple[int, ...],
                          rule: RuleColoring, budget: Budget) -> AuditReport:
-    report = AuditReport("stabilization", budget, sub.declared_rank)
-    window, mapping = sub.window(budget.depth, budget.width)
-    report.add("window-nonempty", bool(window.ids), "")
-    ref = reference_window_rank(sub.declared_rank, budget)
-    report.add("window-rank-matches-declared", window.rank() == ref,
-               f"window rank {window.rank()} vs reference {ref}")
+    report, window, at = _audit_window("stabilization", sub, budget)
+    report.checks.insert(0, AuditCheck("window-nonempty", bool(window.ids)))
     ctx = SeparationContext(sub.declared_rank)
     report.add("table-spans-layers", len(table) == ctx.lam,
                f"table size {len(table)} vs {ctx.lam} layers")
@@ -895,8 +819,8 @@ def _audit_stabilization(tree: CanonicalTree, sub: LazySubtree, table: tuple[int
     detail_s, detail_c = "", ""
     pairs = 0
     for i_s, i_t in window.ordered_pairs():
-        s, t = mapping[i_s], mapping[i_t]
-        sq = ctx.of_taus(sub.tau_declared(s), sub.tau_declared(t))
+        (s, pos_s), (t, pos_t) = at[i_s], at[i_t]
+        sq = ctx.of_taus(pos_s, pos_t)
         sp = separation(tree, s, t)
         pairs += 1
         if sq != sp and sep_ok:
@@ -927,20 +851,42 @@ def _stabilize_segment(tree: CanonicalTree, base: Ordinal, prefix: CanonicalNode
     eps = fact.epsilons[-1]
     if eps.is_zero:
         return _segment_finite_top(tree, base, prefix, rho, gamma_p, rule, budget, cap)
+    grades = _stabilize_grades(tree, base, prefix, gamma_p, eps, rule, budget, cap)
     if eps.is_successor:
-        return _segment_successor(tree, base, prefix, rho, gamma_p, eps, rule, budget, cap)
-    return _segment_limit(tree, base, prefix, rho, gamma_p, eps, rule, budget, cap)
+        return _segment_successor(rho, grades)
+    return _segment_limit(rho, grades)
+
+
+def _stabilize_blocks(tree: CanonicalTree, base: Ordinal, prefix: CanonicalNode,
+                      gamma: Ordinal, count: int, rule: RuleColoring, budget: Budget,
+                      cap: int) -> Iterator[tuple[Ordinal, Piece, tuple[int, ...]]]:
+    """Stabilize ``count`` consecutive gamma-blocks from ``base``, one at a
+    time, yielding each block's base, piece and table."""
+    for delta in range(count):
+        b_base = add(base, mul(gamma, delta))
+        yield (b_base, *_stabilize_segment(tree, b_base, prefix, gamma, rule, budget, cap))
+
+
+def _stabilize_grades(tree, base, prefix, gamma_p, eps, rule, budget, cap):
+    """Stabilize, for q = 1..width, the segment of rank gamma_p * eta_q hung
+    below the anchor entry base + gamma_p * eta_q."""
+    grades: list[tuple[CanonicalNode, Piece, tuple[int, ...], Ordinal]] = []
+    for q in range(1, budget.width + 1):
+        sub_rho = mul(gamma_p, _grade(eps, q))
+        anchor = (add(base, sub_rho),)
+        piece, table = _stabilize_segment(
+            tree, base, prefix + anchor, sub_rho, rule, budget, cap - 1)
+        grades.append((anchor, piece, table, sub_rho))
+    return grades
 
 
 def _segment_finite_top(tree, base, prefix, rho, gamma_p, rule, budget, cap):
-    width = budget.width
-    rep_entry = add(base, mul(gamma_p, width))
+    anchors = [(add(base, mul(gamma_p, _grade(ZERO, q))),) for q in range(1, budget.width + 1)]
+    blocks = _stabilize_blocks(tree, base, prefix + anchors[-1], gamma_p, len(anchors),
+                               rule, budget, cap - 1)
     bands: list[tuple[Ordinal, Piece]] = []
     band_table: tuple[int, ...] | None = None
-    for delta in range(width):
-        b_base = add(base, mul(gamma_p, delta))
-        piece, table = _stabilize_segment(
-            tree, b_base, prefix + (rep_entry,), gamma_p, rule, budget, cap - 1)
+    for delta, (b_base, piece, table) in enumerate(blocks):
         if band_table is None:
             band_table = table
         elif table != band_table:
@@ -948,26 +894,21 @@ def _segment_finite_top(tree, base, prefix, rho, gamma_p, rule, budget, cap):
                 "level-table-unanimity",
                 f"blocks disagree: {table} vs {band_table} at block {delta}")
         bands.append((b_base, piece))
-    parts = []
-    for q in range(1, width + 1):
-        anchor = (add(base, mul(gamma_p, q)),)
-        parts.append((anchor, StackPiece(tuple(bands[:q]), gamma_p)))
-    union = UnionPiece(tuple(parts), rho)
+    union = assemble_union([(anchor, StackPiece(tuple(bands[:q]), gamma_p))
+                            for q, anchor in enumerate(anchors, 1)], rho)
     j = _cross_color(tree, union, prefix, gamma_p, rule, budget)
     return union, band_table + (j,)
 
 
 def _cross_color(tree, union: UnionPiece, prefix: CanonicalNode, gamma_p: Ordinal,
                  rule: RuleColoring, budget: Budget) -> int:
-    window, mapping = piece_window(union, budget.depth, budget.width)
+    window, at = _window_positions(union, budget)
+    level = {i: left_divide(gamma_p, pos)[0] for i, (_, pos) in at.items()}
     seen: int | None = None
     for i_s, i_t in window.ordered_pairs():
-        s, t = mapping[i_s], mapping[i_t]
-        qs = left_divide(gamma_p, union.tau_declared(s))[0]
-        qt = left_divide(gamma_p, union.tau_declared(t))[0]
-        if qs == qt:
+        if level[i_s] == level[i_t]:
             continue
-        c = rule.value(tree, prefix + s, prefix + t)
+        c = rule.value(tree, prefix + at[i_s][0], prefix + at[i_t][0])
         if seen is None:
             seen = c
         elif c != seen:
@@ -981,17 +922,8 @@ def _cross_color(tree, union: UnionPiece, prefix: CanonicalNode, gamma_p: Ordina
     return seen
 
 
-def _segment_successor(tree, base, prefix, rho, gamma_p, eps, rule, budget, cap):
+def _segment_successor(rho, grades):
     lam_low = factorize(rho).lam - 1
-    delta = eps.predecessor()
-    grades: list[tuple[CanonicalNode, Piece, tuple[int, ...], Ordinal]] = []
-    for q in range(1, budget.width + 1):
-        eta = omega_pow(mul(omega_pow(delta), q))
-        sub_rho = mul(gamma_p, eta)
-        anchor_entry = add(base, sub_rho)
-        piece, table = _stabilize_segment(
-            tree, base, prefix + (anchor_entry,), sub_rho, rule, budget, cap - 1)
-        grades.append(((anchor_entry,), piece, table, sub_rho))
     low = _majority([g[2][:lam_low] for g in grades], "low-table-unanimity")
     kept = [g for g in grades if g[2][:lam_low] == low]
     votes: dict[int, int] = {}
@@ -1005,22 +937,17 @@ def _segment_successor(tree, base, prefix, rho, gamma_p, eps, rule, budget, cap)
     for anchor, piece, table, sub_rho in kept:
         upper = tuple(i for i in range(lam_low, len(table)) if table[i] == j)
         keep = tuple(range(lam_low)) + upper
-        parts.append((anchor, _contract_piece(piece, sub_rho, keep)))
-    return UnionPiece(tuple(parts), rho), low + (j,)
+        fact = factorize(sub_rho)
+        if keep != tuple(range(fact.lam)):
+            piece = FilteredPiece(piece, fact, keep)
+        parts.append((anchor, piece))
+    return assemble_union(parts, rho), low + (j,)
 
 
-def _segment_limit(tree, base, prefix, rho, gamma_p, eps, rule, budget, cap):
-    grades: list[tuple[CanonicalNode, Piece, tuple[int, ...]]] = []
-    for q in range(1, budget.width + 1):
-        eps_q = fundamental_sequence(eps, q)
-        sub_rho = mul(gamma_p, omega_pow(omega_pow(eps_q)))
-        anchor_entry = add(base, sub_rho)
-        piece, table = _stabilize_segment(
-            tree, base, prefix + (anchor_entry,), sub_rho, rule, budget, cap - 1)
-        grades.append(((anchor_entry,), piece, table))
+def _segment_limit(rho, grades):
     table = _majority([g[2] for g in grades], "limit-table-unanimity")
-    parts = tuple((anchor, piece) for anchor, piece, tab in grades if tab == table)
-    return UnionPiece(parts, rho), table
+    return assemble_union([(anchor, piece) for anchor, piece, tab, _ in grades
+                           if tab == table], rho), table
 
 
 def _majority(tables: list[tuple[int, ...]], step: str) -> tuple[int, ...]:
@@ -1034,10 +961,3 @@ def _majority(tables: list[tuple[int, ...]], step: str) -> tuple[int, ...]:
         if counts[t] == best:
             return t
     raise BudgetExhausted(step, "no tables materialized")  # pragma: no cover
-
-
-def _contract_piece(piece: Piece, rho: Ordinal, keep: tuple[int, ...]) -> Piece:
-    fact = factorize(rho)
-    if keep == tuple(range(fact.lam)):
-        return piece
-    return FilteredPiece(piece, fact, keep)

@@ -264,8 +264,10 @@ class FiniteTree:
             nodes = data["nodes"]
             parent = {int(n["id"]): (None if n["parent"] is None else int(n["parent"]))
                       for n in nodes}
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise TreeError(f"malformed tree document: {exc}") from exc
+        if len(parent) != len(nodes):
+            raise TreeError(f"duplicate node ids: {len(nodes)} nodes, {len(parent)} distinct ids")
         return FiniteTree.from_parents(parent)
 
     @staticmethod

@@ -87,6 +87,13 @@ class TestTree:
     def test_missing_file_exits_1(self):
         assert main(["tree", "--tree", "/nonexistent.json", "--rank"]) == 1
 
+    def test_duplicate_ids_exit_1(self, tmp_path, capsys):
+        path = tmp_path / "dup.json"
+        path.write_text(json.dumps({"nodes": [
+            {"id": 0, "parent": None}, {"id": 0, "parent": None}, {"id": 1, "parent": 0}]}))
+        assert main(["tree", "--tree", str(path), "--rank"]) == 1
+        assert capsys.readouterr().err.startswith("error: duplicate node ids")
+
 
 class TestCanon:
     def test_tau_and_sep(self, capsys):
@@ -140,6 +147,36 @@ class TestStab:
                      "--tree", str(tree_path), "--coloring", str(col_path)]) == 1
 
 
+    def test_color_outside_palette_exits_1(self, i03_file, tmp_path, capsys):
+        tree, tree_path = i03_file
+        col_path = tmp_path / "nodes.json"
+        col_path.write_text(json.dumps({"arity": 1, "k": 1, "nodes": [
+            [t, 5 if t == tree.ids[0] else 7 if t == tree.ids[1] else 0] for t in tree.ids]}))
+        assert main(["stab", "--mode", "levels", "--tree", str(tree_path),
+                     "--coloring", str(col_path)]) == 1
+        assert capsys.readouterr().err.startswith("error: color 7 outside palette 0..1")
+
+    def test_missing_pair_exits_1(self, i03_file, tmp_path, capsys):
+        tree, tree_path = i03_file
+        doc = Coloring.of_pairs(tree, lambda s, t: 0, k=1).to_json()
+        s, t, _ = doc["pairs"].pop(0)
+        col_path = tmp_path / "pairs.json"
+        col_path.write_text(json.dumps(doc))
+        assert main(["stab", "--mode", "pairs", "--tree", str(tree_path),
+                     "--coloring", str(col_path)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: coloring assigns no color to ({s}, {t})")
+
+    def test_missing_node_exits_1(self, i03_file, node_coloring_file, tmp_path, capsys):
+        _, tree_path = i03_file
+        doc = json.loads(node_coloring_file.read_text())
+        doc["nodes"] = doc["nodes"][:-1]
+        col_path = tmp_path / "nodes.json"
+        col_path.write_text(json.dumps(doc))
+        assert main(["stab", "--mode", "levels", "--tree", str(tree_path),
+                     "--coloring", str(col_path)]) == 1
+        assert "error: coloring assigns no color to" in capsys.readouterr().err
+
+
 class TestTransfinite:
     def test_contract(self, capsys, tmp_path):
         out = tmp_path / "audit.json"
@@ -166,6 +203,15 @@ class TestTransfinite:
     def test_bad_budget_exits_1(self):
         assert main(["transfinite", "--tree", "I(0, w)", "--stabilize",
                      "--budget", "3,3"]) == 1
+
+    def test_non_integer_budget_exits_1(self, capsys):
+        assert main(["transfinite", "--tree", "I(0, w)", "--stabilize",
+                     "--budget", "3,x,4"]) == 1
+        assert capsys.readouterr().err.startswith("error: budget must be")
+
+    def test_non_integer_layer_exits_1(self, capsys):
+        assert main(["transfinite", "--tree", "I(0, w^2)", "--contract", "A=z"]) == 1
+        assert capsys.readouterr().err.startswith("error: layers must be integers")
 
 
 class TestVerify:

@@ -42,6 +42,15 @@ class TestColoring:
         with pytest.raises(StabilizeError):
             Coloring.of_nodes(forked, lambda t: t, k=1)
 
+    def test_json_palette_enforced(self):
+        with pytest.raises(StabilizeError, match="outside palette"):
+            Coloring.from_json({"arity": 1, "k": 1, "nodes": [[0, 5], [1, 7]]})
+        with pytest.raises(StabilizeError, match="negative"):
+            Coloring.from_json({"arity": 1, "k": 1, "nodes": [[0, -1]]})
+
+    def test_json_palette_inferred(self):
+        assert Coloring.from_json({"arity": 2, "pairs": [[0, 1, 3], [0, 2, 1]]}).k == 3
+
     def test_json_round_trip_pairs(self, i03):
         col = Coloring.of_pairs(i03, lambda s, t: (s + t) % 3, k=2)
         back = Coloring.from_json(col.to_json())

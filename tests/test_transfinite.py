@@ -13,7 +13,6 @@ from treeramsey.transfinite import (
     EntryMap,
     EntryPiece,
     FilteredPiece,
-    LazySubtree,
     TransfiniteError,
     assemble_union,
     audit_alignment,
@@ -170,41 +169,40 @@ class TestGradedRoots:
 
 class TestAssembleUnion:
     def _segment(self, square, size):
-        return LazySubtree(square, EntryPiece(ZERO, EntryMap.identity(size)), "seg")
+        return EntryPiece(ZERO, EntryMap.identity(size))
 
     def test_declared_defaults_to_max(self, square):
-        union = assemble_union(square, [
+        union = assemble_union([
             ((w,), self._segment(square, w)),
             ((mul(w, 2),), self._segment(square, mul(w, 2))),
         ])
         assert union.declared_rank == mul(w, 2)
 
     def test_declared_override(self, square):
-        union = assemble_union(square, [((w,), self._segment(square, w))],
+        union = assemble_union([((w,), self._segment(square, w))],
                                declared_rank=w2)
         assert union.declared_rank == w2
 
     def test_empty(self, square):
-        union = assemble_union(square, [])
+        union = assemble_union([])
         assert union.declared_rank == ZERO
         assert union.roots(3) == []
 
     def test_rejects_comparable_anchors(self, square):
         seg = self._segment(square, w)
         with pytest.raises(TransfiniteError):
-            assemble_union(square, [((w,), seg), ((w,), seg)])
+            assemble_union([((w,), seg), ((w,), seg)])
         with pytest.raises(TransfiniteError):
-            assemble_union(square, [((mul(w, 2),), seg), ((mul(w, 2), w), seg)])
+            assemble_union([((mul(w, 2),), seg), ((mul(w, 2), w), seg)])
 
     def test_union_of_graded_segments_attains_reference(self, square):
         # mirror of the graded-roots wrapping: declared rank w^2 certified
         from treeramsey.transfinite import reference_window_rank
         parts = []
         for grade in pick_graded_roots(square, w, 3):
-            seg = LazySubtree(square, EntryPiece(ZERO, EntryMap.identity(
-                mul(w, grade.eta))), "seg")
+            seg = EntryPiece(ZERO, EntryMap.identity(mul(w, grade.eta)))
             parts.append((grade.anchor, seg))
-        union = assemble_union(square, parts, declared_rank=w2)
+        union = assemble_union(parts, declared_rank=w2)
         window, _ = union.window(3, 3)
         assert window.rank() == reference_window_rank(w2, Budget(3, 3, 4))
 
@@ -221,7 +219,7 @@ class TestFilteredPiece:
         filtered = FilteredPiece(identity, factorize(w2), keep)
         closed = contract(square, ContractionSpec.of(w2, set(keep)))
         win_f, _ = piece_window(filtered, 3, 3)
-        win_c, _ = piece_window(closed.piece, 3, 3)
+        win_c, _ = piece_window(closed, 3, 3)
         assert filtered.declared_rank == closed.declared_rank
         assert win_f.rank() == win_c.rank()
 
@@ -268,7 +266,7 @@ class TestBlockReduce:
         sub, table, report = block_reduce(tree, 1, rule, BUDGET)
         assert table == (0,)
         assert report.ok
-        picked = [left_divide(w, base)[0].as_int() for base, _ in sub.piece.bands]
+        picked = [left_divide(w, base)[0].as_int() for base, _ in sub.bands]
         assert picked == [0, 2]
 
     def test_single_color(self):
@@ -379,7 +377,7 @@ class TestStabilizeTransfinite:
 class TestDeclaredRankAudits:
     def test_honest_claims_pass(self, square):
         from treeramsey.transfinite import audit_declared_rank
-        seg = LazySubtree(square, EntryPiece(ZERO, EntryMap.identity(w)), "seg")
+        seg = EntryPiece(ZERO, EntryMap.identity(w))
         for budget in (Budget(2, 2, 4), Budget(3, 3, 4), Budget(4, 3, 4)):
             assert audit_declared_rank(seg, budget).ok
 
@@ -387,8 +385,8 @@ class TestDeclaredRankAudits:
         from treeramsey.transfinite import audit_declared_rank
         # a one-layer segment passed off as the two-layer tree: the shallow
         # window cannot tell the claims apart, the deeper one can
-        seg = LazySubtree(square, EntryPiece(ZERO, EntryMap.identity(w)), "seg")
-        liar = assemble_union(square, [((mul(w, 3),), seg)], declared_rank=w2)
+        seg = EntryPiece(ZERO, EntryMap.identity(w))
+        liar = assemble_union([((mul(w, 3),), seg)], declared_rank=w2)
         assert audit_declared_rank(liar, Budget(3, 3, 4)).ok  # depth saturates
         assert not audit_declared_rank(liar, Budget(4, 3, 4)).ok
 

@@ -44,6 +44,16 @@ class TestConstruction:
         assert back.ids == sub.ids
         assert back.less(0, 2)
 
+    def test_from_json_rejects_duplicate_ids(self):
+        doc = {"nodes": [{"id": 0, "parent": None}, {"id": 0, "parent": None},
+                         {"id": 1, "parent": 0}]}
+        with pytest.raises(TreeError, match="duplicate"):
+            FiniteTree.from_json(doc)
+
+    def test_from_json_rejects_non_integer_ids(self):
+        with pytest.raises(TreeError, match="malformed"):
+            FiniteTree.from_json({"nodes": [{"id": "x", "parent": None}]})
+
 
 class TestDerivative:
     def test_single_node(self):
