@@ -160,7 +160,8 @@ def _cmd_canon(args) -> int:
 def _cmd_stab(args) -> int:
     tree = FiniteTree.load(args.tree)
     coloring = Coloring.load(args.coloring)
-    _check_coverage(tree, coloring)
+    wanted = {"levels": "nodes", "leafchains": "chains"}.get(args.mode, "pairs")
+    _check_coverage(tree, coloring, wanted)
     if args.mode == "levels":
         result = stabilize.stabilize_levels(tree, coloring)
     elif args.mode == "pairs":
@@ -179,15 +180,18 @@ def _cmd_stab(args) -> int:
     return 0 if result.certificate.ok else 2
 
 
-def _check_coverage(tree: FiniteTree, coloring: Coloring) -> None:
-    """A node coloring must color every node, a pair coloring every pair
-    (s, t) with s an ancestor of t."""
+def _check_coverage(tree: FiniteTree, coloring: Coloring, *arities: str) -> None:
+    """The coloring must have one of the given arities.  A node coloring must
+    color every node, a pair coloring every pair (s, t) with s an ancestor of
+    t, a chain coloring every leaf chain."""
+    if coloring.arity not in arities:
+        raise StabilizeError(f"expected a {' or '.join(arities)} coloring, got {coloring.arity}")
     if coloring.arity == "nodes":
         keys = iter(tree.ids)
     elif coloring.arity == "pairs":
         keys = ((s, t) for t, above in zip(tree.ids, tree.anc) for s in sorted(above))
     else:
-        return
+        keys = tree.leaf_chains(coloring.n)
     missing = next((key for key in keys if key not in coloring.table), None)
     if missing is not None:
         raise StabilizeError(f"coloring assigns no color to {missing}")
@@ -258,12 +262,10 @@ def _cmd_verify(args) -> int:
         return 0
     if args.oracle == "mono-rank":
         coloring = Coloring.load(args.coloring)
-        fn = (lambda s, t: coloring.value((s, t))) if coloring.arity == "pairs" \
-            else (lambda t: coloring.value(t))
-        if coloring.arity == "pairs":
-            report = verify.max_monochromatic_rank(tree, fn, args.color)
-        else:
-            report = verify.max_monochromatic_rank_nodes(tree, fn, args.color)
+        _check_coverage(tree, coloring, "nodes", "pairs")
+        search = verify.max_monochromatic_rank if coloring.arity == "pairs" \
+            else verify.max_monochromatic_rank_nodes
+        report = search(tree, coloring, args.color)
         best = report.colors[args.color]
         print(f"color {args.color}: best rank {best.rank} witness {list(best.witness)} "
               f"(exhaustive: {report.exhaustive})")
@@ -274,22 +276,27 @@ def _cmd_verify(args) -> int:
 
 
 def _result_from_json(doc: dict) -> stabilize.StabilizationResult:
-    ambient = FiniteTree.from_json(doc["ambient"])
-    subtree = ambient.restrict(doc["subtree_ids"])
-    coloring = Coloring.from_json(doc["coloring"])
-    mode = doc["mode"]
-    raw = doc["reduced"]
-    if mode == "levels":
-        reduced: object = tuple(raw)
-    elif mode == "pairs":
-        reduced = {(int(i), int(j)): int(c) for i, j, c in raw}
-    elif mode == "leaf-chains":
-        reduced = {tuple(int(x) for x in row[:-1]): int(row[-1]) for row in raw}
-    else:
-        reduced = {"color": raw["color"], "picked": tuple(raw["picked"])}
+    if not isinstance(doc, dict) or doc.get("schema_version", 1) != 1:
+        raise StabilizeError("malformed result document: not an object with schema_version 1")
+    try:
+        ambient = FiniteTree.from_json(doc["ambient"])
+        subtree = ambient.restrict(doc["subtree_ids"])
+        coloring = Coloring.from_json(doc["coloring"])
+        mode = doc["mode"]
+        raw = doc["reduced"]
+        if mode == "levels":
+            reduced: object = tuple(raw)
+        elif mode == "pairs":
+            reduced = {(int(i), int(j)): int(c) for i, j, c in raw}
+        elif mode == "leaf-chains":
+            reduced = {tuple(int(x) for x in row[:-1]): int(row[-1]) for row in raw}
+        else:
+            reduced = {"color": raw["color"], "picked": tuple(raw["picked"])}
+        expected_rank = int(doc["expected_rank"])
+    except (IndexError, KeyError, TypeError, ValueError) as exc:
+        raise StabilizeError(f"malformed result document: {exc}") from exc
     return stabilize.StabilizationResult(
-        ambient, subtree, mode, reduced, coloring,
-        expected_rank=int(doc["expected_rank"]),
+        ambient, subtree, mode, reduced, coloring, expected_rank=expected_rank,
         chain_length=coloring.n if mode == "leaf-chains" else None)
 
 

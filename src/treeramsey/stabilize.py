@@ -80,19 +80,23 @@ class Coloring:
     @staticmethod
     def from_json(data: dict) -> "Coloring":
         """Read a coloring document; ``k`` is inferred when absent."""
-        k = None if data.get("k") is None else int(data["k"])
-        arity = data.get("arity")
-        if arity in (1, "1", "nodes") or "nodes" in data:
-            table = {int(t): int(c) for t, c in data["nodes"]}
-            return Coloring("nodes", _palette(table.values(), k), table)
-        if arity in (2, "2", "pairs") or "pairs" in data:
-            table = {(int(s), int(t)): int(c) for s, t, c in data["pairs"]}
-            return Coloring("pairs", _palette(table.values(), k), table)
-        if arity == "chains" or "chains" in data:
-            n = int(data["n"])
-            table = {tuple(int(x) for x in row[:-1]): int(row[-1]) for row in data["chains"]}
-            return Coloring("chains", _palette(table.values(), k), table, n=n)
-        raise StabilizeError(f"unrecognized coloring document: {data.keys()}")
+        if not isinstance(data, dict) or data.get("schema_version", 1) != 1:
+            raise StabilizeError("malformed coloring document: not an object with schema_version 1")
+        arity, n = data.get("arity"), None
+        try:
+            k = None if data.get("k") is None else int(data["k"])
+            if arity in (1, "1", "nodes") or "nodes" in data:
+                arity, table = "nodes", {int(t): int(c) for t, c in data["nodes"]}
+            elif arity in (2, "2", "pairs") or "pairs" in data:
+                arity, table = "pairs", {(int(s), int(t)): int(c) for s, t, c in data["pairs"]}
+            elif arity == "chains" or "chains" in data:
+                arity, n = "chains", int(data["n"])
+                table = {tuple(int(x) for x in row[:-1]): int(row[-1]) for row in data["chains"]}
+            else:
+                raise ValueError("no nodes, pairs or chains table")
+        except (IndexError, KeyError, TypeError, ValueError) as exc:
+            raise StabilizeError(f"malformed coloring document: {exc}") from exc
+        return Coloring(arity, _palette(table.values(), k), table, n=n)
 
     @staticmethod
     def load(path: str) -> "Coloring":
@@ -173,7 +177,10 @@ class StabilizationResult:
             "reduced": reduced,
             "coloring": self.coloring.to_json(),
             "certificate": self.certificate.to_json(),
-            "extra": self.extra,
+            # tuple keys become rows, the way ``reduced`` is written
+            "extra": {name: [[*key, v] if isinstance(key, tuple) else [key, v]
+                             for key, v in sorted(table.items())]
+                      for name, table in self.extra.items()},
         }
 
 

@@ -3,7 +3,9 @@
 A tree is a finite poset in which every ancestor set is a chain.  Nodes are
 integer ids; a subtree is an id-subset carrying the induced order, so node
 identities survive every selection and expressions like
-``Q & (P^i \\ P^(i+1))`` are literal set intersections.
+``Q & (P^i \\ P^(i+1))`` are literal set intersections.  The rank is the
+longest chain and tau(t) the longest chain strictly above t, both read off
+ancestor-set sizes in one pass; the z-th derivative P^z is {t : tau(t) >= z}.
 """
 
 from __future__ import annotations
@@ -42,24 +44,19 @@ class FiniteTree:
     def from_parents(parent: Mapping[int, int | None]) -> "FiniteTree":
         ids = tuple(sorted(parent))
         chains: dict[int, frozenset[int]] = {}
-
-        def chain(t: int, seen: tuple[int, ...] = ()) -> frozenset[int]:
-            if t in chains:
-                return chains[t]
-            if t in seen:
-                raise TreeError(f"parent cycle through node {t}")
-            p = parent[t]
-            if p is None:
-                out = frozenset()
-            elif p not in parent:
-                raise TreeError(f"parent {p} of node {t} is not a node")
-            else:
-                out = chain(p, seen + (t,)) | {p}
-            chains[t] = out
-            return out
-
         for t in ids:
-            chain(t)
+            # climb to a known node or a root, then fill the path top-down
+            path: dict[int, int | None] = {}
+            s: int | None = t
+            while s is not None and s not in chains:
+                if s in path:
+                    raise TreeError(f"parent cycle through node {s}")
+                p = path[s] = parent[s]
+                if p is not None and p not in parent:
+                    raise TreeError(f"parent {p} of node {s} is not a node")
+                s = p
+            for u, p in reversed(path.items()):
+                chains[u] = frozenset() if p is None else chains[p] | {p}
         return FiniteTree(ids, tuple(chains[t] for t in ids))
 
     @staticmethod
@@ -79,12 +76,11 @@ class FiniteTree:
     def restrict(self, keep: Iterable[int]) -> "FiniteTree":
         """Subtree on an id subset with the induced order."""
         keep_set = frozenset(keep)
-        extra = keep_set - set(self.ids)
+        extra = keep_set - self._index.keys()
         if extra:
             raise TreeError(f"unknown node ids {sorted(extra)}")
         ids = tuple(t for t in self.ids if t in keep_set)
-        idx = {t: i for i, t in enumerate(self.ids)}
-        return FiniteTree(ids, tuple(self.anc[idx[t]] & keep_set for t in ids))
+        return FiniteTree(ids, tuple(self.anc[self._index[t]] & keep_set for t in ids))
 
     # -- basic structure -------------------------------------------------------
 
@@ -121,66 +117,66 @@ class FiniteTree:
         return s == t or self.less(s, t) or self.less(t, s)
 
     @cached_property
-    def _descendants(self) -> dict[int, frozenset[int]]:
-        out: dict[int, set[int]] = {t: set() for t in self.ids}
+    def _below(self) -> dict[int, tuple[int, ...]]:
+        """Strict descendants of each node, in id order."""
+        out: dict[int, list[int]] = {t: [] for t in self.ids}
         for t, above in zip(self.ids, self.anc):
             for s in above:
-                out[s].add(t)
-        return {t: frozenset(v) for t, v in out.items()}
+                out[s].append(t)
+        return {t: tuple(v) for t, v in out.items()}
+
+    @cached_property
+    def _parents(self) -> dict[int, int | None]:
+        """The parent is the ancestor with the most ancestors."""
+        depth = dict(zip(self.ids, map(len, self.anc)))
+        return {t: max(above, key=depth.__getitem__, default=None)
+                for t, above in zip(self.ids, self.anc)}
 
     def descendants(self, t: int) -> frozenset[int]:
         self._node(t)
-        return self._descendants[t]
+        return frozenset(self._below[t])
 
     def parent(self, t: int) -> int | None:
         """Nearest ancestor inside this tree, if any."""
-        above = self.ancestors(t)
-        if not above:
-            return None
-        return max(above, key=lambda s: len(self.anc[self._node(s)]))
+        self._node(t)
+        return self._parents[t]
 
     def children(self, t: int) -> tuple[int, ...]:
-        return tuple(s for s in self.ids if self.parent(s) == t)
+        return tuple(s for s in self._below.get(t, ()) if self._parents[s] == t)
 
     def roots(self) -> tuple[int, ...]:
         return tuple(t for t, a in zip(self.ids, self.anc) if not a)
 
     def leaves(self) -> tuple[int, ...]:
-        return tuple(t for t in self.ids if not self._descendants[t])
+        return tuple(t for t in self.ids if not self._below[t])
 
     # -- derivatives and rank --------------------------------------------------
 
-    def derivative(self) -> "FiniteTree":
-        """Remove the maximal nodes."""
-        dead = set(self.leaves())
-        return self.restrict(t for t in self.ids if t not in dead)
-
-    def iterated_derivative(self, z: int) -> "FiniteTree":
-        if z < 0:
-            raise TreeError("derivative order must be non-negative")
-        cur = self
-        for _ in range(z):
-            cur = cur.derivative()
-        return cur
-
-    def rank(self) -> int:
-        cur, n = self, 0
-        while cur.ids:
-            cur = cur.derivative()
-            n += 1
-        return n
-
     @cached_property
     def tau_map(self) -> dict[int, int]:
-        """tau(t) = the stage at which t becomes maximal under leaf removal."""
-        taus: dict[int, int] = {}
-        cur, z = self, 0
-        while cur.ids:
-            for t in cur.leaves():
-                taus[t] = z
-            cur = cur.derivative()
-            z += 1
+        """tau(s) = the longest chain strictly above s = max over leaves t >= s
+        of |anc(t)| - |anc(s)|, since ancestor sets are chains."""
+        depth = dict(zip(self.ids, map(len, self.anc)))
+        taus = dict.fromkeys(self.ids, 0)
+        for t in self.leaves():
+            for s in self.ancestors(t):
+                taus[s] = max(taus[s], depth[t] - depth[s])
         return taus
+
+    def rank(self) -> int:
+        """The length of the longest chain."""
+        return 1 + max(self.tau_map.values(), default=-1)
+
+    def iterated_derivative(self, z: int) -> "FiniteTree":
+        """P^z: the nodes with tau >= z."""
+        if z < 0:
+            raise TreeError("derivative order must be non-negative")
+        taus = self.tau_map
+        return self.restrict(t for t in self.ids if taus[t] >= z)
+
+    def derivative(self) -> "FiniteTree":
+        """Remove the maximal nodes."""
+        return self.iterated_derivative(1)
 
     def tau(self, t: int) -> int:
         self._node(t)
@@ -218,29 +214,24 @@ class FiniteTree:
         if n == 0:
             yield ()
             return
-
-        def extend(prefix: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+        stack = [(t,) for t in reversed(self.ids)]
+        while stack:
+            prefix = stack.pop()
             if len(prefix) == n:
                 yield prefix
-                return
-            floor = prefix[-1] if prefix else None
-            for t in self.ids:
-                if floor is None or self.less(floor, t):
-                    yield from extend(prefix + (t,))
-
-        yield from extend(())
+            else:
+                stack.extend(prefix + (t,) for t in reversed(self._below[prefix[-1]]))
 
     def leaf_chains(self, n: int) -> Iterator[tuple[int, ...]]:
         """Tuples (t0 < ... < t(n-1) <= tn) with tn a leaf; n = 0 gives leaves."""
         if n == 0:
-            for t in sorted(self.leaves()):
-                yield (t,)
+            yield from ((t,) for t in self.leaves())
             return
+        below = self._below
         for chain in self.chains(n):
             top = chain[-1]
-            for leaf in sorted(self.leaves()):
-                if self.leq(top, leaf):
-                    yield chain + (leaf,)
+            tips = [s for s in below[top] if not below[s]] if below[top] else [top]
+            yield from (chain + (leaf,) for leaf in tips)
 
     def pairs_to_leaf(self) -> Iterator[tuple[int, int]]:
         """(s, t) with s <= t and t a leaf."""
@@ -260,6 +251,8 @@ class FiniteTree:
 
     @staticmethod
     def from_json(data: dict) -> "FiniteTree":
+        if not isinstance(data, dict) or data.get("schema_version", 1) != 1:
+            raise TreeError("malformed tree document: not an object with schema_version 1")
         try:
             nodes = data["nodes"]
             parent = {int(n["id"]): (None if n["parent"] is None else int(n["parent"]))
@@ -332,10 +325,9 @@ def graft(base: FiniteTree, attach: Mapping[int, FiniteTree]) -> FiniteTree:
         else:
             remap = {t: t for t in part.ids}
         below = base.ancestors(leaf) | {leaf}
-        idx = {t: i for i, t in enumerate(part.ids)}
-        for t in part.ids:
+        for t, above in zip(part.ids, part.anc):
             ids.append(remap[t])
-            anc.append(frozenset(remap[s] for s in part.anc[idx[t]]) | below)
+            anc.append(frozenset(remap[s] for s in above) | below)
         used |= set(remap.values())
         fresh = max(used) + 1
     order = sorted(range(len(ids)), key=lambda i: ids[i])

@@ -2,8 +2,9 @@
 
 Everything here recomputes tree structure from the raw (ids, ancestors)
 data with its own helpers instead of calling the constructive modules, so
-a bug upstream cannot vouch for itself.  Searches are exhaustive within a
-node budget and say so in the report.
+a bug upstream cannot vouch for itself.  The pair oracle is a longest
+monochromatic chain search, exhaustive within a node budget and saying so;
+the leaf-peeling ``_rank_of``/``_tau_of`` are what ``cross_validate`` trusts.
 """
 
 from __future__ import annotations
@@ -98,46 +99,38 @@ def max_monochromatic_rank(tree: FiniteTree, coloring, j: int,
                            node_budget: int = DEFAULT_NODE_BUDGET) -> SearchReport:
     """Largest rank of a subtree whose ordered pairs all take color j.
 
-    Any id subset is a subtree under the induced order, so this is a
-    branch-and-bound subset search with rank-monotone pruning.
+    The rank of a finite tree is its longest chain, and every chain of a
+    monochromatic subtree is monochromatic, so this is a depth-first search
+    down descendant lists for the longest chain of color j.  A candidate t
+    is pruned when the chain through it, at most len(chain) + 1 + height(t)
+    long, cannot beat the best found.
     """
     anc = _ancestor_map(tree)
-    order = list(tree.ids)
+    height = _tau_of(frozenset(tree.ids), anc)
+    below: dict[int, list[int]] = {t: [] for t in tree.ids}
+    for t in tree.ids:
+        for s in anc[t]:
+            below[s].append(t)
     pair_color = _pair_color_fn(tree, coloring)
     report = SearchReport(colors={j: ColorBest(0, ())})
-
-    def compatible(t: int, chosen: list[int]) -> bool:
-        for s in chosen:
-            if s in anc[t] or t in anc[s]:
-                lo, hi = (s, t) if s in anc[t] else (t, s)
-                if pair_color(lo, hi) != j:
-                    return False
-        return True
-
-    def dfs(idx: int, chosen: list[int], candidates: list[int]) -> None:
+    chain: list[int] = []
+    stack = [(0, t) for t in reversed(tree.ids)]  # (chain length below t, t)
+    while stack:
+        depth, t = stack.pop()
+        del chain[depth:]
         report.explored += 1
         if report.explored > node_budget:
             report.exhaustive = False
-            return
-        pool = frozenset(chosen) | frozenset(candidates[idx:])
-        bound = _rank_of(pool, anc)
-        best = report.colors[j]
-        if bound <= best.rank:
+            break
+        if depth + 1 + height[t] <= report.colors[j].rank:
             report.pruned += 1
-            return
-        if idx == len(candidates):
-            r = _rank_of(frozenset(chosen), anc)
-            if r > best.rank:
-                report.colors[j] = ColorBest(r, tuple(sorted(chosen)))
-            return
-        t = candidates[idx]
-        if compatible(t, chosen):
-            chosen.append(t)
-            dfs(idx + 1, chosen, candidates)
-            chosen.pop()
-        dfs(idx + 1, chosen, candidates)
-
-    dfs(0, [], order)
+            continue
+        if any(pair_color(s, t) != j for s in chain):
+            continue
+        chain.append(t)
+        if len(chain) > report.colors[j].rank:
+            report.colors[j] = ColorBest(len(chain), tuple(sorted(chain)))
+        stack.extend((depth + 1, u) for u in reversed(below[t]))
     if report.colors[j].rank == 0 and tree.ids:
         # a single node is always monochromatic (no pairs)
         report.colors[j] = ColorBest(1, (min(tree.ids),))

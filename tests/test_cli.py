@@ -1,10 +1,13 @@
+import copy
 import json
+import random
 
 import pytest
 
 from treeramsey.canonical import instantiate
 from treeramsey.cli import main
 from treeramsey.stabilize import Coloring
+from treeramsey.tree_core import FiniteTree
 
 
 @pytest.fixture
@@ -94,6 +97,21 @@ class TestTree:
         assert main(["tree", "--tree", str(path), "--rank"]) == 1
         assert capsys.readouterr().err.startswith("error: duplicate node ids")
 
+    def test_deep_descending_chain(self, tmp_path, capsys):
+        # ids descend from the root 1499 to the leaf 0
+        path = tmp_path / "deep.json"
+        path.write_text(json.dumps({"schema_version": 1, "nodes": [
+            {"id": i, "parent": i + 1 if i < 1499 else None} for i in range(1500)]}))
+        assert main(["tree", "--tree", str(path), "--rank"]) == 0
+        assert capsys.readouterr().out.strip() == "rank: 1500"
+
+    def test_foreign_schema_version_exits_1(self, i03_file, tmp_path, capsys):
+        tree, _ = i03_file
+        path = tmp_path / "v9.json"
+        path.write_text(json.dumps({**tree.to_json(), "schema_version": 9}))
+        assert main(["tree", "--tree", str(path), "--rank"]) == 1
+        assert capsys.readouterr().err.startswith("error: malformed tree document")
+
 
 class TestCanon:
     def test_tau_and_sep(self, capsys):
@@ -138,6 +156,21 @@ class TestStab:
         assert main(["stab", "--mode", "pairs", "--tree", str(tree_path),
                      "--coloring", str(col_path)]) == 0
 
+    def test_ramsey_reduce_emit_cross_validates(self, tmp_path, capsys):
+        tree = instantiate(6).tree
+        tree_path, col_path = tmp_path / "i6.json", tmp_path / "pairs.json"
+        tree_path.write_text(json.dumps(tree.to_json()))
+        col = Coloring.of_pairs(tree, lambda s, t: (s + t) % 2, k=1)
+        col_path.write_text(json.dumps(col.to_json()))
+        emit = tmp_path / "result.json"
+        assert main(["stab", "--mode", "ramsey-reduce", "-p", "1", "--tree", str(tree_path),
+                     "--coloring", str(col_path), "--emit", str(emit)]) == 0
+        doc = json.loads(emit.read_text())
+        assert doc["mode"] == "ramsey-reduce"
+        assert all(len(row) == 3 for row in doc["extra"]["pair_table"])
+        assert all(len(row) == 2 for row in doc["extra"]["pair_stage_tau"])
+        assert main(["verify", "--cross", str(emit)]) == 0
+
     def test_ramsey_reduce_too_small_exits_1(self, i03_file, tmp_path):
         tree, tree_path = i03_file
         col = Coloring.of_pairs(tree, lambda s, t: (s + t) % 2, k=1)
@@ -175,6 +208,110 @@ class TestStab:
         assert main(["stab", "--mode", "levels", "--tree", str(tree_path),
                      "--coloring", str(col_path)]) == 1
         assert "error: coloring assigns no color to" in capsys.readouterr().err
+
+
+class TestLoaderBoundary:
+    """Each malformed coloring or result document ends in a named error."""
+
+    def _stab_pairs(self, i03_file, tmp_path, doc):
+        _, tree_path = i03_file
+        col_path = tmp_path / "col.json"
+        col_path.write_text(json.dumps(doc))
+        return main(["stab", "--mode", "pairs", "--tree", str(tree_path),
+                     "--coloring", str(col_path)])
+
+    @pytest.mark.parametrize("fault", ["non-integer", "short-row", "no-table", "not-object",
+                                       "schema-version"])
+    def test_malformed_coloring_exits_1(self, fault, i03_file, tmp_path, capsys):
+        tree, _ = i03_file
+        doc = Coloring.of_pairs(tree, lambda s, t: 0, k=1).to_json()
+        if fault == "non-integer":
+            doc["pairs"][0][2] = "red"
+        elif fault == "short-row":
+            doc["pairs"][0] = doc["pairs"][0][:2]
+        elif fault == "no-table":
+            del doc["pairs"]
+        elif fault == "not-object":
+            doc = doc["pairs"]
+        else:
+            doc["schema_version"] = 9
+        assert self._stab_pairs(i03_file, tmp_path, doc) == 1
+        assert capsys.readouterr().err.startswith("error: malformed coloring document")
+
+    @pytest.mark.parametrize("command", ["stab", "verify"])
+    def test_coloring_of_the_wrong_arity_exits_1(self, command, i03_file, tmp_path, capsys):
+        tree, tree_path = i03_file
+        col_path = tmp_path / "chains.json"
+        col = Coloring.of_leaf_chains(tree, 1, lambda s, t: 0, k=1)
+        col_path.write_text(json.dumps(col.to_json()))
+        files = ["--tree", str(tree_path), "--coloring", str(col_path)]
+        argv = ["stab", "--mode", "levels", *files] if command == "stab" \
+            else ["verify", "--oracle", "mono-rank", *files]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("error: expected a nodes")
+
+    @pytest.mark.parametrize("doc", [{"schema_version": 1}, {"schema_version": 9}, [1]])
+    def test_malformed_result_exits_1(self, doc, tmp_path, capsys):
+        path = tmp_path / "result.json"
+        path.write_text(json.dumps(doc))
+        assert main(["verify", "--cross", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("error: malformed result document")
+
+
+_JUNK = [None, "x", -1, 0, 1, 2, 7, 1.5, True, [], {}, [0, 1], {"id": 0}]
+
+
+def _mutate(rng, doc):
+    """Delete, replace or duplicate one to three random entries of a JSON value."""
+    holder = [copy.deepcopy(doc)]
+    for _ in range(rng.randint(1, 3)):
+        slots = [(holder, 0)]
+        for container, key in slots:
+            value = container[key]
+            if isinstance(value, dict):
+                slots.extend((value, k) for k in value)
+            elif isinstance(value, list):
+                slots.extend((value, i) for i in range(len(value)))
+        container, key = rng.choice(slots)
+        op = rng.randrange(3)
+        if op == 0 and container is not holder:
+            del container[key]
+        elif op == 1:
+            container[key] = copy.deepcopy(rng.choice(_JUNK))
+        else:
+            other, other_key = rng.choice(slots)
+            container[key] = copy.deepcopy(other[other_key])
+    return holder[0]
+
+
+def test_loader_fuzz(tmp_path, capsys):
+    """Mutated tree and coloring documents end in exit 0, 1 or 2, never an
+    exception escaping ``main``."""
+    rng = random.Random(11)
+    tree = FiniteTree.from_json(instantiate(3).tree.to_json())
+    taus = tree.tau_map
+    colorings = {
+        "levels": Coloring.of_nodes(tree, lambda t: taus[t] % 2, k=1),
+        "pairs": Coloring.of_pairs(tree, lambda s, t: (s + t) % 2, k=1),
+        "leafchains": Coloring.of_leaf_chains(tree, 1, lambda s, t: s % 2, k=1),
+    }
+    tree_path, col_path = tmp_path / "tree.json", tmp_path / "col.json"
+    for _ in range(150):
+        mode = rng.choice(sorted(colorings))
+        tree_doc, col_doc = tree.to_json(), colorings[mode].to_json()
+        if rng.random() < 0.5:
+            tree_doc = _mutate(rng, tree_doc)
+        else:
+            col_doc = _mutate(rng, col_doc)
+        tree_path.write_text(json.dumps(tree_doc))
+        col_path.write_text(json.dumps(col_doc))
+        files = ["--tree", str(tree_path)]
+        for argv in (["tree", *files, "--rank", "--tau", "--levels", "--enumerate", "e1"],
+                     ["stab", "--mode", mode, *files, "--coloring", str(col_path)],
+                     ["verify", "--oracle", "mono-rank", *files, "--coloring", str(col_path)],
+                     ["verify", "--obstruction", "mult", *files]):
+            assert main(argv) in (0, 1, 2), argv
+    capsys.readouterr()
 
 
 class TestTransfinite:

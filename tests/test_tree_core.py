@@ -12,6 +12,13 @@ from treeramsey.tree_core import (
     levels,
     select_level_subset,
 )
+from treeramsey.verify import _rank_of, _tau_of
+
+
+def descending_chain_doc(n):
+    """A chain whose ids descend from the root n-1 to the leaf 0."""
+    return {"schema_version": 1,
+            "nodes": [{"id": i, "parent": i + 1 if i + 1 < n else None} for i in range(n)]}
 
 
 @pytest.fixture
@@ -53,6 +60,21 @@ class TestConstruction:
     def test_from_json_rejects_non_integer_ids(self):
         with pytest.raises(TreeError, match="malformed"):
             FiniteTree.from_json({"nodes": [{"id": "x", "parent": None}]})
+
+    @pytest.mark.parametrize("doc", [{"schema_version": 9, "nodes": []}, [], "tree"])
+    def test_from_json_rejects_foreign_documents(self, doc):
+        with pytest.raises(TreeError, match="malformed tree document"):
+            FiniteTree.from_json(doc)
+
+    def test_deep_descending_chain(self):
+        tree = FiniteTree.from_json(descending_chain_doc(1500))
+        assert tree.rank() == 1500
+        assert tree.tau(1499) == 1499 and tree.parent(0) == 1 and tree.children(1) == (0,)
+        assert tree.leaves() == (0,) and tree.roots() == (1499,)
+
+    def test_from_parents_names_the_cycle_node(self):
+        with pytest.raises(TreeError, match="parent cycle through node 1"):
+            FiniteTree.from_parents({0: 1, 1: 2, 2: 1})
 
 
 class TestDerivative:
@@ -288,3 +310,39 @@ class TestCalculusProperties:
                 by_rank = {t for t in tree.ids
                            if tree.subtree_at(t, strict=True).rank() == z and taus[t] >= z}
                 assert level_leaves == by_tau == by_rank
+
+
+def _relabelled(rng, tree):
+    """The same shape under a random id permutation, so descendants may carry
+    smaller ids than their ancestors."""
+    perm = dict(zip(tree.ids, rng.sample(range(3 * len(tree)), len(tree))))
+    return FiniteTree.from_parents(
+        {perm[t]: None if tree.parent(t) is None else perm[tree.parent(t)] for t in tree.ids})
+
+
+class TestCalculusAgainstOracle:
+    """The one-pass calculus against verify's leaf-peeling definitions and
+    brute-force, id-lexicographic enumerations built from ``anc``."""
+
+    def test_random_trees(self):
+        rng = random.Random(7)
+        for _ in range(300):
+            tree = _relabelled(rng, random_tree(rng, max_nodes=40))
+            anc = dict(zip(tree.ids, tree.anc))
+            ids = frozenset(tree.ids)
+            taus = _tau_of(ids, anc)
+            assert tree.tau_map == taus
+            assert tree.rank() == _rank_of(ids, anc)
+            for z in range(tree.rank() + 2):
+                derived = tree.iterated_derivative(z)
+                assert derived.ids == tuple(t for t in tree.ids if taus[t] >= z)
+                assert derived.anc == tuple(anc[t] & frozenset(derived.ids) for t in derived.ids)
+            pairs = [(s, t) for s in tree.ids for t in tree.ids if s in anc[t]]
+            assert list(tree.ordered_pairs()) == pairs
+            assert list(tree.chains(3)) == [(a, b, c) for a, b in pairs
+                                            for c in tree.ids if b in anc[c]]
+            leaves = [t for t in tree.ids if not any(t in anc[u] for u in tree.ids)]
+            assert list(tree.leaf_chains(1)) == [(s, t) for s in tree.ids for t in leaves
+                                                 if s == t or s in anc[t]]
+            assert all(tree.parent(t) == max(anc[t], key=lambda s: len(anc[s]), default=None)
+                       for t in tree.ids)

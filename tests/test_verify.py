@@ -10,6 +10,7 @@ from treeramsey.stabilize import Coloring, stabilize_levels, stabilize_pairs_by_
 from treeramsey.tree_core import FiniteTree
 from treeramsey.verify import (
     VerificationError,
+    _rank_of,
     additive_obstruction,
     check_R2_membership,
     cross_validate,
@@ -67,6 +68,66 @@ class TestMonochromaticSearch:
              for t in tree.ids})
         re_coloring = multiplicative_obstruction(relabeled, 2)
         assert max_monochromatic_rank(relabeled, re_coloring, 1).colors[1].rank == base
+
+
+def _subset_search_rank(tree, pair_color, j):
+    """Reference optimum: the branch-and-bound search over id subsets that the
+    chain oracle replaced (every id subset is a subtree; prune when the rank
+    of the chosen ids plus the remaining candidates cannot beat the best)."""
+    anc = dict(zip(tree.ids, tree.anc))
+    best = 0
+
+    def compatible(t, chosen):
+        return all(pair_color(*((s, t) if s in anc[t] else (t, s))) == j
+                   for s in chosen if s in anc[t] or t in anc[s])
+
+    def dfs(idx, chosen):
+        nonlocal best
+        if _rank_of(frozenset(chosen) | frozenset(tree.ids[idx:]), anc) <= best:
+            return
+        if idx == len(tree.ids):
+            best = _rank_of(frozenset(chosen), anc)
+            return
+        t = tree.ids[idx]
+        if compatible(t, chosen):
+            dfs(idx + 1, chosen + [t])
+        dfs(idx + 1, chosen)
+
+    dfs(0, [])
+    return max(best, 1 if tree.ids else 0)
+
+
+class TestChainOracle:
+    def test_agrees_with_subset_search(self):
+        rng = random.Random(5)
+        searches = 0
+        for _ in range(300):
+            tree = random_tree(rng, max_nodes=12)
+            k = rng.choice((2, 3))
+            table = {(s, t): rng.randrange(k) for s, t in tree.ordered_pairs()}
+            color = lambda s, t: table[(s, t)]
+            for j in range(k):
+                report = max_monochromatic_rank(tree, color, j)
+                best = report.colors[j]
+                assert report.exhaustive and 0 <= report.pruned <= report.explored
+                assert best.rank == _subset_search_rank(tree, color, j)
+                # the witness is a chain of that length whose pairs all take color j
+                assert len(best.witness) == best.rank == tree.restrict(best.witness).rank()
+                assert all(table[p] == j for p in tree.restrict(best.witness).ordered_pairs())
+                searches += 1
+        assert searches > 600
+
+    def test_instantiate9_is_exhaustive(self):
+        tree = instantiate(9).tree
+        coloring = multiplicative_obstruction(tree, 2)
+        reports = {j: max_monochromatic_rank(tree, coloring, j) for j in (0, 1)}
+        assert all(r.exhaustive for r in reports.values())
+        assert [reports[j].colors[j].rank for j in (0, 1)] == [2, 5]
+
+    def test_empty_and_single_node(self):
+        assert max_monochromatic_rank(FiniteTree.empty(), lambda s, t: 0, 0).colors[0].rank == 0
+        single = max_monochromatic_rank(FiniteTree.chain_tree(1, start=4), lambda s, t: 1, 0)
+        assert (single.colors[0].rank, single.colors[0].witness) == (1, (4,))
 
 
 class TestNodeSearch:
