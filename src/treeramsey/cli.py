@@ -37,6 +37,7 @@ from .ordinal import (
     add,
     parse_ordinal,
 )
+from .report import Report
 from .rules import RuleError, parse_rule
 from .stabilize import Coloring, RamseyBudgetError, StabilizeError
 from .transfinite import AuditFailure, Budget, BudgetExhausted, ContractionSpec, TransfiniteError
@@ -173,11 +174,15 @@ def _cmd_stab(args) -> int:
     print(f"mode: {result.mode}")
     print(f"subtree: {sorted(result.subtree.ids)} (rank {result.subtree.rank()})")
     print(f"reduced: {result.reduced}")
-    for check in result.certificate.checks:
-        print(f"  [{'ok' if check.passed else 'FAIL'}] {check.name}")
+    _print_checks(result.certificate)
     if args.emit:
         write_artifact(args.emit, result.to_json())
     return 0 if result.certificate.ok else 2
+
+
+def _print_checks(report: Report) -> None:
+    for check in report.checks:
+        print(f"  [{'ok' if check.passed else 'FAIL'}] {check.name} {check.detail}")
 
 
 def _check_coverage(tree: FiniteTree, coloring: Coloring, *arities: str) -> None:
@@ -208,34 +213,27 @@ def _cmd_transfinite(args) -> int:
             raise TransfiniteError(f"layers must be integers like A=0,1: {args.contract!r}")
         spec = ContractionSpec.of(rank_symbolic(tree), layer_set)
         sub = transfinite.contract(tree, spec)
-        report = transfinite.audit_contraction(tree, spec, sub, budget)
+        report = artifact = transfinite.audit_contraction(tree, spec, sub, budget)
         print(f"contraction to layers {sorted(layer_set)}: declared rank {sub.declared_rank}")
-        for check in report.checks:
-            print(f"  [{'ok' if check.passed else 'FAIL'}] {check.name} {check.detail}")
-        if args.audit_out:
-            write_artifact(args.audit_out, report.to_json())
-        return 0 if report.ok else 2
-    if args.stabilize:
-        rule = parse_rule(args.rule, k=args.k)
-        result = transfinite.stabilize_transfinite(tree, rule, budget)
-        print(f"declared rank: {result.subtree.declared_rank}")
-        print(f"table: {list(result.table)}")
-        for check in result.report.checks:
-            print(f"  [{'ok' if check.passed else 'FAIL'}] {check.name} {check.detail}")
-        if args.audit_out:
-            write_artifact(args.audit_out, result.to_json())
-        return 0 if result.report.ok else 2
-    raise TransfiniteError("pass --contract or --stabilize")
+    elif args.stabilize:
+        artifact = transfinite.stabilize_transfinite(tree, parse_rule(args.rule, k=args.k), budget)
+        report = artifact.report
+        print(f"declared rank: {artifact.subtree.declared_rank}")
+        print(f"table: {list(artifact.table)}")
+    else:
+        raise TransfiniteError("pass --contract or --stabilize")
+    _print_checks(report)
+    if args.audit_out:
+        write_artifact(args.audit_out, artifact.to_json())
+    return 0 if report.ok else 2
 
 
 def _cmd_verify(args) -> int:
     if args.cross:
         with open(args.cross) as fh:
             doc = json.load(fh)
-        result = _result_from_json(doc)
-        report = verify.cross_validate(result)
-        for name, passed, detail in report.checks:
-            print(f"  [{'ok' if passed else 'FAIL'}] {name} {detail}")
+        report = verify.cross_validate(stabilize.StabilizationResult.from_json(doc))
+        _print_checks(report)
         if args.out:
             write_artifact(args.out, report.to_json())
         return 0
@@ -246,11 +244,8 @@ def _cmd_verify(args) -> int:
             reports = {j: verify.max_monochromatic_rank(tree, coloring, j) for j in (0, 1)}
         else:
             coloring = verify.additive_obstruction(tree)
-            taus = set()
-            for t in tree.ids:
-                taus.add(coloring(t))
             reports = {j: verify.max_monochromatic_rank_nodes(tree, coloring, j)
-                       for j in sorted(taus)}
+                       for j in sorted({coloring(t) for t in tree.ids})}
         payload = {"schema_version": 1, "per_color": {}}
         for j, report in sorted(reports.items()):
             best = report.colors[j]
@@ -275,31 +270,6 @@ def _cmd_verify(args) -> int:
     raise VerificationError("pass --oracle mono-rank, --obstruction, or --cross")
 
 
-def _result_from_json(doc: dict) -> stabilize.StabilizationResult:
-    if not isinstance(doc, dict) or doc.get("schema_version", 1) != 1:
-        raise StabilizeError("malformed result document: not an object with schema_version 1")
-    try:
-        ambient = FiniteTree.from_json(doc["ambient"])
-        subtree = ambient.restrict(doc["subtree_ids"])
-        coloring = Coloring.from_json(doc["coloring"])
-        mode = doc["mode"]
-        raw = doc["reduced"]
-        if mode == "levels":
-            reduced: object = tuple(raw)
-        elif mode == "pairs":
-            reduced = {(int(i), int(j)): int(c) for i, j, c in raw}
-        elif mode == "leaf-chains":
-            reduced = {tuple(int(x) for x in row[:-1]): int(row[-1]) for row in raw}
-        else:
-            reduced = {"color": raw["color"], "picked": tuple(raw["picked"])}
-        expected_rank = int(doc["expected_rank"])
-    except (IndexError, KeyError, TypeError, ValueError) as exc:
-        raise StabilizeError(f"malformed result document: {exc}") from exc
-    return stabilize.StabilizationResult(
-        ambient, subtree, mode, reduced, coloring, expected_rank=expected_rank,
-        chain_length=coloring.n if mode == "leaf-chains" else None)
-
-
 def _cmd_demo(args) -> int:
     outcomes = demo.run_all(seed=args.seed, quick=args.quick,
                             names=args.only.split(",") if args.only else None)
@@ -310,8 +280,7 @@ def _cmd_demo(args) -> int:
             "schema_version": 1,
             "seed": args.seed,
             "quick": args.quick,
-            "outcomes": [{"name": o.name, "passed": o.passed, "detail": o.detail}
-                         for o in outcomes],
+            "outcomes": [o.to_json() for o in outcomes],
         })
     return 0 if all(o.passed for o in outcomes) else 2
 

@@ -28,6 +28,7 @@ from .ordinal import (
     omega_pow,
     ordinal,
 )
+from .report import Check
 from .rules import RuleColoring
 from .stabilize import Coloring
 from .tree_core import FiniteTree, graft, incomparable_union
@@ -304,11 +305,8 @@ def check_budgeted_stabilizer(rng: random.Random, quick: bool = False) -> str:
 
 
 @dataclass
-class Outcome:
-    name: str
-    passed: bool
-    detail: str
-    seconds: float
+class Outcome(Check):
+    seconds: float = 0.0
 
 
 CHECKS: list[tuple[str, Callable[[random.Random, bool], str]]] = [

@@ -375,7 +375,10 @@ def parse_ordinal(text: str) -> Ordinal:
             break
         tokens.append(m.group(1))
         pos = m.end()
-    value, rest = _parse_expr(tokens)
+    try:
+        value, rest = _parse_expr(tokens)
+    except RecursionError:
+        raise OrdinalError("ordinal expression nested too deeply") from None
     if rest:
         raise OrdinalError(f"trailing tokens {rest!r} in {text!r}")
     return value

@@ -1,0 +1,41 @@
+"""One report type for every checked claim: an ordered list of named checks,
+each passed or failed with a detail text.  Certificates, audits, the oracle
+cross-check and the acceptance matrix record into it; the checking itself
+stays in the module that owns the claim.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+
+
+@dataclass
+class Check:
+    name: str
+    passed: bool
+    detail: str = ""
+
+    def to_json(self) -> dict:
+        return {"name": self.name, "passed": self.passed, "detail": self.detail}
+
+
+@dataclass
+class Report:
+    checks: list[Check] = field(default_factory=list)
+
+    @property
+    def ok(self) -> bool:
+        return all(c.passed for c in self.checks)
+
+    @property
+    def failed(self) -> Check | None:
+        """The first failed check, or None when all pass."""
+        return next((c for c in self.checks if not c.passed), None)
+
+    def add(self, name: str, passed: bool, detail: str = "") -> None:
+        self.checks.append(Check(name, bool(passed), detail))
+
+    def to_json(self, **fields) -> dict:
+        """The checks, after ``schema_version`` and any describing fields."""
+        return {"schema_version": 1, **fields, "ok": self.ok,
+                "checks": [c.to_json() for c in self.checks]}

@@ -89,11 +89,14 @@ _CMP = frozenset({"==", "!=", "<", ">", "<=", ">="})
 
 def parse_rule(text: str, k: int | None = None) -> RuleColoring:
     """Compile the textual rule form to a RuleColoring."""
-    expr, colors = _Parser(text).parse()
+    try:
+        expr, colors = _Parser(text).parse()
+    except RecursionError:
+        raise RuleError("rule nested too deeply") from None
     kk = k if k is not None else max(colors, default=0)
 
     def fn(tree, s, t):
-        return int(expr(_Ctx(tree, s, t)))
+        return _finite(expr(_Ctx(tree, s, t)))
 
     return RuleColoring(kk, fn, text.strip())
 
@@ -189,7 +192,7 @@ class _Parser:
         table = tuple(entries)
 
         def fn(ctx, table=table, index=index):
-            i = int(index(ctx))
+            i = _finite(index(ctx))
             if not 0 <= i < len(table):
                 raise RuleError(f"table index {i} outside 0..{len(table) - 1}")
             return table[i]
@@ -203,7 +206,7 @@ class _Parser:
             n = self._int()
             if n < 1:
                 raise RuleError("mod needs a positive modulus")
-            self.colors.update(range(n))
+            self.colors.add(n - 1)  # only the largest color sets the palette
             return lambda ctx: _finite_mod(atom(ctx), n)
         return atom
 
@@ -242,6 +245,11 @@ class _Parser:
             self.colors.add(value)
             return lambda ctx: value
         raise RuleError(f"unexpected token {tok!r} in rule")
+
+
+def _finite(x) -> int:
+    """A rule value as a color or table index; an infinite ordinal raises OrdinalError."""
+    return x.as_int() if isinstance(x, Ordinal) else int(x)
 
 
 def _finite_mod(x, n: int) -> int:

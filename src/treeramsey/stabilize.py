@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .tree_core import FiniteTree, select_level_subset
+from .report import Report
+from .tree_core import FiniteTree, exact_int, select_level_subset
 
 select_levels = select_level_subset
 
@@ -68,14 +69,10 @@ class Coloring:
         return Coloring("chains", _palette(table.values(), k), table, n=n)
 
     def to_json(self) -> dict:
-        if self.arity == "nodes":
-            body = {"arity": 1, "nodes": [[t, c] for t, c in sorted(self.table.items())]}
-        elif self.arity == "pairs":
-            body = {"arity": 2, "pairs": [[s, t, c] for (s, t), c in sorted(self.table.items())]}
-        else:
-            body = {"arity": "chains", "n": self.n,
-                    "chains": [list(key) + [c] for key, c in sorted(self.table.items())]}
-        return {"schema_version": 1, "k": self.k, **body}
+        arity = {"nodes": 1, "pairs": 2}.get(self.arity, "chains")
+        n = {"n": self.n} if self.arity == "chains" else {}
+        return {"schema_version": 1, "k": self.k, "arity": arity, **n,
+                self.arity: _to_rows(self.table)}
 
     @staticmethod
     def from_json(data: dict) -> "Coloring":
@@ -84,14 +81,16 @@ class Coloring:
             raise StabilizeError("malformed coloring document: not an object with schema_version 1")
         arity, n = data.get("arity"), None
         try:
-            k = None if data.get("k") is None else int(data["k"])
+            k = None if data.get("k") is None else exact_int(data["k"])
             if arity in (1, "1", "nodes") or "nodes" in data:
-                arity, table = "nodes", {int(t): int(c) for t, c in data["nodes"]}
+                arity, table = "nodes", {exact_int(t): exact_int(c) for t, c in data["nodes"]}
             elif arity in (2, "2", "pairs") or "pairs" in data:
-                arity, table = "pairs", {(int(s), int(t)): int(c) for s, t, c in data["pairs"]}
+                arity, table = "pairs", {(exact_int(s), exact_int(t)): exact_int(c)
+                                         for s, t, c in data["pairs"]}
             elif arity == "chains" or "chains" in data:
-                arity, n = "chains", int(data["n"])
-                table = {tuple(int(x) for x in row[:-1]): int(row[-1]) for row in data["chains"]}
+                arity, n = "chains", exact_int(data["n"])
+                table = {tuple(exact_int(x) for x in row[:-1]): exact_int(row[-1])
+                         for row in data["chains"]}
             else:
                 raise ValueError("no nodes, pairs or chains table")
         except (IndexError, KeyError, TypeError, ValueError) as exc:
@@ -116,30 +115,7 @@ def _palette(values: Iterable[int], k: int | None) -> int:
     return k
 
 
-# -- certificates --------------------------------------------------------------
-
-
-@dataclass
-class CertificateCheck:
-    name: str
-    passed: bool
-    detail: str = ""
-
-
-@dataclass
-class Certificate:
-    checks: list[CertificateCheck] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def add(self, name: str, passed: bool, detail: str = "") -> None:
-        self.checks.append(CertificateCheck(name, bool(passed), detail))
-
-    def to_json(self) -> list[dict]:
-        return [{"name": c.name, "passed": c.passed, "detail": c.detail}
-                for c in self.checks]
+# -- results -------------------------------------------------------------------
 
 
 @dataclass
@@ -150,24 +126,20 @@ class StabilizationResult:
     reduced: object
     coloring: Coloring
     expected_rank: int
-    certificate: Certificate = field(default_factory=Certificate)
+    certificate: Report = field(default_factory=Report)
     chain_length: int | None = None
     extra: dict = field(default_factory=dict)
 
-    def recheck(self) -> Certificate:
+    def recheck(self) -> Report:
         """Re-run the certificate from the stored data."""
         return _certify(self)
 
     def to_json(self) -> dict:
-        reduced: object
+        reduced = self.reduced
         if self.mode == "levels":
-            reduced = list(self.reduced)
-        elif self.mode == "pairs":
-            reduced = [[i, j, c] for (i, j), c in sorted(self.reduced.items())]
-        elif self.mode == "leaf-chains":
-            reduced = [list(key) + [c] for key, c in sorted(self.reduced.items())]
-        else:
-            reduced = self.reduced
+            reduced = list(reduced)
+        elif self.mode in ("pairs", "leaf-chains"):
+            reduced = _to_rows(reduced)
         return {
             "schema_version": 1,
             "mode": self.mode,
@@ -176,16 +148,53 @@ class StabilizationResult:
             "expected_rank": self.expected_rank,
             "reduced": reduced,
             "coloring": self.coloring.to_json(),
-            "certificate": self.certificate.to_json(),
-            # tuple keys become rows, the way ``reduced`` is written
-            "extra": {name: [[*key, v] if isinstance(key, tuple) else [key, v]
-                             for key, v in sorted(table.items())]
-                      for name, table in self.extra.items()},
+            "certificate": [c.to_json() for c in self.certificate.checks],
+            "extra": {name: _to_rows(table) for name, table in self.extra.items()},
         }
 
+    @staticmethod
+    def from_json(doc: dict) -> "StabilizationResult":
+        """Read a document written by ``to_json``.  The certificate is not read
+        back: ``recheck()`` recomputes it from the data."""
+        if not isinstance(doc, dict) or doc.get("schema_version", 1) != 1:
+            raise StabilizeError("malformed result document: not an object with schema_version 1")
+        try:
+            ambient = FiniteTree.from_json(doc["ambient"])
+            subtree = ambient.restrict(exact_int(t) for t in doc["subtree_ids"])
+            coloring = Coloring.from_json(doc["coloring"])
+            mode, raw = doc["mode"], doc["reduced"]
+            if mode == "levels":
+                reduced: object = tuple(exact_int(c) for c in raw)
+            elif mode == "pairs":
+                reduced = {(exact_int(i), exact_int(j)): exact_int(c) for i, j, c in raw}
+            elif mode == "leaf-chains":
+                reduced = _from_rows(raw)
+            else:
+                reduced = {"color": exact_int(raw["color"]),
+                           "picked": tuple(exact_int(i) for i in raw["picked"])}
+            extra = {name: _from_rows(rows, scalar=True)
+                     for name, rows in doc.get("extra", {}).items()}
+            expected_rank = exact_int(doc["expected_rank"])
+        except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
+            raise StabilizeError(f"malformed result document: {exc}") from exc
+        return StabilizationResult(
+            ambient, subtree, mode, reduced, coloring, expected_rank=expected_rank,
+            chain_length=coloring.n if mode == "leaf-chains" else None, extra=extra)
 
-def _certify(result: StabilizationResult) -> Certificate:
-    cert = Certificate()
+
+def _to_rows(table: Mapping) -> list[list[int]]:
+    """Sorted rows: the key's entries (a tuple key spread out), then the value."""
+    return [[*key, v] if isinstance(key, tuple) else [key, v] for key, v in sorted(table.items())]
+
+
+def _from_rows(rows, scalar: bool = False) -> dict:
+    """Invert ``_to_rows``; with ``scalar``, one-entry keys come back as bare ids."""
+    rows = [[exact_int(x) for x in row] for row in rows]
+    return {(row[0] if scalar and len(row) == 2 else tuple(row[:-1])): row[-1] for row in rows}
+
+
+def _certify(result: StabilizationResult) -> Report:
+    cert = Report()
     P, Q = result.ambient, result.subtree
     cert.add("rank-preserved", Q.rank() == result.expected_rank,
              f"rank(Q)={Q.rank()} required={result.expected_rank}")
@@ -223,10 +232,9 @@ def _certify(result: StabilizationResult) -> Certificate:
 
 def _finish(result: StabilizationResult) -> StabilizationResult:
     result.certificate = _certify(result)
-    if not result.certificate.ok:
-        failed = [c for c in result.certificate.checks if not c.passed]
-        raise StabilizeError(
-            f"internal stabilization defect: {failed[0].name}: {failed[0].detail}")
+    failed = result.certificate.failed
+    if failed is not None:
+        raise StabilizeError(f"internal stabilization defect: {failed.name}: {failed.detail}")
     return result
 
 

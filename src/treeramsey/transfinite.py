@@ -45,6 +45,7 @@ from .ordinal import (
     omega_pow,
     ordinal,
 )
+from .report import Check, Report
 from .rules import RuleColoring
 from .tree_core import FiniteTree
 
@@ -62,7 +63,7 @@ class BudgetExhausted(RuntimeError):
 
 
 class AuditFailure(AssertionError):
-    def __init__(self, report: "AuditReport", check: "AuditCheck"):
+    def __init__(self, report: "Audit", check: Check):
         super().__init__(f"{report.construction}: {check.name}: {check.detail}")
         self.report = report
         self.step = check.name
@@ -86,42 +87,22 @@ class Budget:
 
 
 @dataclass
-class AuditCheck:
-    name: str
-    passed: bool
-    detail: str = ""
+class Audit(Report):
+    """The checks of one construction's window at one budget."""
+    construction: str = ""
+    budget: Budget = Budget()
+    declared_rank: Ordinal = ZERO
 
-
-@dataclass
-class AuditReport:
-    construction: str
-    budget: Budget
-    declared_rank: Ordinal
-    checks: list[AuditCheck] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def add(self, name: str, passed: bool, detail: str = "") -> None:
-        self.checks.append(AuditCheck(name, bool(passed), detail))
-
-    def require(self) -> "AuditReport":
-        for c in self.checks:
-            if not c.passed:
-                raise AuditFailure(self, c)
+    def require(self) -> "Audit":
+        if self.failed is not None:
+            raise AuditFailure(self, self.failed)
         return self
 
     def to_json(self) -> dict:
-        return {
-            "schema_version": 1,
-            "construction": self.construction,
-            "budget": [self.budget.depth, self.budget.width, self.budget.cap],
-            "declared_rank": str(self.declared_rank),
-            "ok": self.ok,
-            "checks": [{"name": c.name, "passed": c.passed, "detail": c.detail}
-                       for c in self.checks],
-        }
+        return super().to_json(
+            construction=self.construction,
+            budget=[self.budget.depth, self.budget.width, self.budget.cap],
+            declared_rank=str(self.declared_rank))
 
 
 # -- entry maps ------------------------------------------------------------------
@@ -484,18 +465,21 @@ def reference_window_rank(rank: Ordinal, budget: Budget) -> int:
     return truncate(CanonicalTree.of(0, rank), budget.depth, budget.width).tree.rank()
 
 
-def _audit_window(construction: str, piece: Piece,
-                  budget: Budget) -> tuple[AuditReport, FiniteTree, _Positioned]:
-    """Open a report with the window-rank check; every audit starts here."""
-    report = AuditReport(construction, budget, piece.declared_rank)
+def _audit_window(construction: str, piece: Piece, budget: Budget,
+                  nonempty: bool = False) -> tuple[Audit, FiniteTree, _Positioned]:
+    """Open an audit with the window-rank check, after the window-nonempty
+    check if asked; every audit starts here."""
+    report = Audit(construction=construction, budget=budget, declared_rank=piece.declared_rank)
     window, at = _window_positions(piece, budget)
+    if nonempty:
+        report.add("window-nonempty", bool(window.ids))
     ref = reference_window_rank(piece.declared_rank, budget)
     report.add("window-rank-matches-declared", window.rank() == ref,
                f"window rank {window.rank()} vs reference {ref}")
     return report, window, at
 
 
-def audit_declared_rank(piece: Piece, budget: Budget) -> AuditReport:
+def audit_declared_rank(piece: Piece, budget: Budget) -> Audit:
     """Check a declared rank against its equal-budget reference window.
 
     A declared rank is a claim, so shallow budgets may fail to separate
@@ -540,7 +524,7 @@ def contract(tree: CanonicalTree, spec: ContractionSpec) -> EntryPiece:
 
 
 def audit_contraction(tree: CanonicalTree, spec: ContractionSpec,
-                      sub: Piece, budget: Budget) -> AuditReport:
+                      sub: Piece, budget: Budget) -> Audit:
     report, window, at = _audit_window("contraction", sub, budget)
     report.add("separation-enumerates", *_in_block_separation(tree, spec, window, at, "ambient"))
     return report
@@ -574,7 +558,7 @@ def proto_align(tree: CanonicalTree, gamma: "Ordinal | int", layers: Iterable[in
 
 
 def audit_alignment(tree: CanonicalTree, gamma: "Ordinal | int", layers: Iterable[int],
-                    zeta: "Ordinal | int", sub: Piece, budget: Budget) -> AuditReport:
+                    zeta: "Ordinal | int", sub: Piece, budget: Budget) -> Audit:
     spec = ContractionSpec.of(gamma, layers)
     gamma, beta = spec.gamma, spec.target
     report, window, at = _audit_window("block-alignment", sub, budget)
@@ -697,7 +681,7 @@ def assemble_union(parts: Sequence[tuple[CanonicalNode, Piece]],
 
 
 def block_reduce(tree: CanonicalTree, n: int, rule: RuleColoring,
-                 budget: Budget) -> tuple[StackPiece, tuple[int, ...], AuditReport]:
+                 budget: Budget) -> tuple[StackPiece, tuple[int, ...], Audit]:
     """Stabilize every block of a tree of rank gamma*(N+1), pigeonhole the
     per-block tables, and keep n+1 agreeing blocks stacked in order."""
     if not tree.alpha.is_zero:
@@ -733,7 +717,7 @@ def block_reduce(tree: CanonicalTree, n: int, rule: RuleColoring,
 
 def _audit_block_reduction(tree: CanonicalTree, sub: StackPiece, gamma: Ordinal,
                            picked: tuple[int, ...], table: tuple[int, ...],
-                           rule: RuleColoring, budget: Budget) -> AuditReport:
+                           rule: RuleColoring, budget: Budget) -> Audit:
     report, window, at = _audit_window("block-reduction", sub, budget)
     grid_ok, detail = True, ""
     for node, pos in at.values():
@@ -771,7 +755,7 @@ def _audit_block_reduction(tree: CanonicalTree, sub: StackPiece, gamma: Ordinal,
 class TransfiniteResult:
     subtree: Piece
     table: tuple[int, ...]
-    report: AuditReport
+    report: Audit
 
     def to_json(self) -> dict:
         return {
@@ -809,9 +793,8 @@ def stabilize_transfinite(tree: CanonicalTree, rule: RuleColoring,
 
 
 def _audit_stabilization(tree: CanonicalTree, sub: Piece, table: tuple[int, ...],
-                         rule: RuleColoring, budget: Budget) -> AuditReport:
-    report, window, at = _audit_window("stabilization", sub, budget)
-    report.checks.insert(0, AuditCheck("window-nonempty", bool(window.ids)))
+                         rule: RuleColoring, budget: Budget) -> Audit:
+    report, window, at = _audit_window("stabilization", sub, budget, nonempty=True)
     ctx = SeparationContext(sub.declared_rank)
     report.add("table-spans-layers", len(table) == ctx.lam,
                f"table size {len(table)} vs {ctx.lam} layers")

@@ -21,6 +21,13 @@ class TreeError(ValueError):
     pass
 
 
+def exact_int(value) -> int:
+    """The value if it is an int, not a float, string or bool that int() coerces."""
+    if type(value) is not int:
+        raise ValueError(f"{value!r} is not an integer")
+    return value
+
+
 @dataclass(frozen=True)
 class FiniteTree:
     """ids, plus for each id the frozenset of its strict ancestors."""
@@ -255,7 +262,7 @@ class FiniteTree:
             raise TreeError("malformed tree document: not an object with schema_version 1")
         try:
             nodes = data["nodes"]
-            parent = {int(n["id"]): (None if n["parent"] is None else int(n["parent"]))
+            parent = {exact_int(n["id"]): (None if n["parent"] is None else exact_int(n["parent"]))
                       for n in nodes}
         except (KeyError, TypeError, ValueError) as exc:
             raise TreeError(f"malformed tree document: {exc}") from exc

@@ -5,6 +5,9 @@ data with its own helpers instead of calling the constructive modules, so
 a bug upstream cannot vouch for itself.  The pair oracle is a longest
 monochromatic chain search, exhaustive within a node budget and saying so;
 the leaf-peeling ``_rank_of``/``_tau_of`` are what ``cross_validate`` trusts.
+``cross_validate`` records into the shared ``report.Report``, which is a
+bare list of named checks: every check is still computed here, so no tree,
+ordinal or checking code is shared with the constructive modules.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from .ordinal import is_multiplicatively_indecomposable, ordinal
+from .report import Report
 from .tree_core import FiniteTree
 
 
@@ -111,7 +115,7 @@ def max_monochromatic_rank(tree: FiniteTree, coloring, j: int,
     for t in tree.ids:
         for s in anc[t]:
             below[s].append(t)
-    pair_color = _pair_color_fn(tree, coloring)
+    pair_color = _color_fn(coloring, pairs=True)
     report = SearchReport(colors={j: ColorBest(0, ())})
     chain: list[int] = []
     stack = [(0, t) for t in reversed(tree.ids)]  # (chain length below t, t)
@@ -140,26 +144,19 @@ def max_monochromatic_rank(tree: FiniteTree, coloring, j: int,
 def max_monochromatic_rank_nodes(tree: FiniteTree, coloring, j: int) -> SearchReport:
     """Node-coloring variant: the color class itself is the best subtree,
     since dropping nodes never raises rank."""
-    color = _node_color_fn(tree, coloring)
+    color = _color_fn(coloring, pairs=False)
     anc = _ancestor_map(tree)
     keep = frozenset(t for t in tree.ids if color(t) == j)
-    report = SearchReport(colors={j: ColorBest(_rank_of(keep, anc), tuple(sorted(keep)))})
-    report.explored = len(tree.ids)
-    return report
+    return SearchReport(colors={j: ColorBest(_rank_of(keep, anc), tuple(sorted(keep)))},
+                        explored=len(tree.ids))
 
 
-def _pair_color_fn(tree: FiniteTree, coloring):
+def _color_fn(coloring, pairs: bool):
+    """A callable coloring as it is; a Coloring or a bare table by lookup."""
     if callable(coloring):
         return coloring
     table = getattr(coloring, "table", coloring)
-    return lambda s, t: table[(s, t)]
-
-
-def _node_color_fn(tree: FiniteTree, coloring):
-    if callable(coloring):
-        return coloring
-    table = getattr(coloring, "table", coloring)
-    return lambda t: table[t]
+    return (lambda s, t: table[(s, t)]) if pairs else (lambda t: table[t])
 
 
 # -- obstruction colorings ----------------------------------------------------
@@ -194,68 +191,53 @@ def check_R2_membership(g: "Ordinal | int") -> bool:
 # -- cross validation ----------------------------------------------------------
 
 
-@dataclass
-class CrossReport:
-    checks: list[tuple[str, bool, str]] = field(default_factory=list)
+def cross_validate(result, node_budget: int = DEFAULT_NODE_BUDGET) -> Report:
+    """Re-derive every claim of a stabilization result with fresh scans.
 
-    @property
-    def ok(self) -> bool:
-        return all(passed for _, passed, _ in self.checks)
+    The first mismatch raises VerificationError naming the violated claim,
+    and no later check runs.  ``result`` is a stabilize.StabilizationResult;
+    only its data fields are touched here.
+    """
+    report = Report()
 
-    def record(self, name: str, passed: bool, detail: str = "") -> None:
-        self.checks.append((name, passed, detail if not passed else ""))
+    def record(name: str, passed: bool, detail: str) -> None:
+        report.add(name, passed, "" if passed else detail)
         if not passed:
             raise VerificationError(f"{name}: {detail}")
 
-    def to_json(self) -> dict:
-        return {
-            "schema_version": 1,
-            "ok": self.ok,
-            "checks": [{"name": n, "passed": p, "detail": d} for n, p, d in self.checks],
-        }
-
-
-def cross_validate(result, node_budget: int = DEFAULT_NODE_BUDGET) -> CrossReport:
-    """Re-derive every claim of a stabilization result with fresh scans.
-
-    Any mismatch raises VerificationError naming the violated claim.
-    ``result`` is a stabilize.StabilizationResult; only its data fields are
-    touched here.
-    """
-    report = CrossReport()
     ambient: FiniteTree = result.ambient
     sub: FiniteTree = result.subtree
     anc = _ancestor_map(ambient)
     q_ids = frozenset(sub.ids)
     p_ids = frozenset(ambient.ids)
-    report.record("subtree-nonempty", bool(q_ids) or not p_ids,
-                  "empty output from a non-empty input")
-    report.record("subtree-containment", q_ids <= p_ids,
-                  f"{sorted(q_ids - p_ids)} outside the ambient tree")
+    record("subtree-nonempty", bool(q_ids) or not p_ids,
+           "empty output from a non-empty input")
+    record("subtree-containment", q_ids <= p_ids,
+           f"{sorted(q_ids - p_ids)} outside the ambient tree")
 
     rank_q = _rank_of(q_ids, anc)
-    report.record("rank-preserved", rank_q == result.expected_rank,
-                  f"rank {rank_q} != required {result.expected_rank}")
+    record("rank-preserved", rank_q == result.expected_rank,
+           f"rank {rank_q} != required {result.expected_rank}")
 
     tau_p = _tau_of(p_ids, anc)
     tau_q = _tau_of(q_ids, anc)
     if result.mode in ("levels", "pairs", "leaf-chains"):
         mismatch = [t for t in q_ids if tau_q[t] != tau_p[t]]
-        report.record("tau-compatible", not mismatch,
-                      f"tau changes on nodes {sorted(mismatch)[:5]}")
+        record("tau-compatible", not mismatch,
+               f"tau changes on nodes {sorted(mismatch)[:5]}")
 
     color = result.coloring
     if result.mode == "levels":
         table = result.reduced
         bad = [t for t in q_ids if color.value(t) != table[tau_q[t]]]
-        report.record("level-colors-constant", not bad,
-                      f"nodes {sorted(bad)[:5]} disagree with the level table")
+        record("level-colors-constant", not bad,
+               f"nodes {sorted(bad)[:5]} disagree with the level table")
         # monochromatic extraction can never beat the exhaustive optimum
         if len(p_ids) <= 18 and node_budget:
             for j in sorted(set(table)):
                 picked = frozenset(t for t in q_ids if table[tau_q[t]] == j)
                 opt = max_monochromatic_rank_nodes(ambient, color, j)
-                report.record(
+                record(
                     f"extraction-within-optimum[{j}]",
                     _rank_of(picked, anc) <= opt.colors[j].rank,
                     "extracted class outranks the exhaustive search")
@@ -267,17 +249,17 @@ def cross_validate(result, node_budget: int = DEFAULT_NODE_BUDGET) -> CrossRepor
                 i, jj = tau_q[t], tau_q[s]
                 if i < jj and color.value((s, t)) != table[(i, jj)]:
                     bad.append((s, t))
-        report.record("pair-colors-by-level", not bad,
-                      f"pairs {bad[:5]} disagree with the level-pair table")
+        record("pair-colors-by-level", not bad,
+               f"pairs {bad[:5]} disagree with the level-pair table")
     elif result.mode == "leaf-chains":
         table = result.reduced
         bad = [chain for chain in sub.leaf_chains(result.chain_length)
                if table[chain[:-1]] != color.value(chain)]
-        report.record("chain-colors-agree", not bad,
-                      f"chains {bad[:3]} disagree with the reduced function")
-        report.record("leaves-survive",
-                      _maximal(q_ids, anc) <= frozenset(ambient.leaves()),
-                      "subtree leaves are not ambient leaves")
+        record("chain-colors-agree", not bad,
+               f"chains {bad[:3]} disagree with the reduced function")
+        record("leaves-survive",
+               _maximal(q_ids, anc) <= frozenset(ambient.leaves()),
+               "subtree leaves are not ambient leaves")
     elif result.mode == "ramsey-reduce":
         j = result.reduced["color"]
         bad = []
@@ -285,6 +267,6 @@ def cross_validate(result, node_budget: int = DEFAULT_NODE_BUDGET) -> CrossRepor
             for s in anc[t] & q_ids:
                 if tau_q[s] > tau_q[t] and color.value((s, t)) != j:
                     bad.append((s, t))
-        report.record("cross-level-monochromatic", not bad,
-                      f"pairs {bad[:5]} are not color {j}")
+        record("cross-level-monochromatic", not bad,
+               f"pairs {bad[:5]} are not color {j}")
     return report

@@ -147,6 +147,12 @@ class TestStab:
         # and the emitted artifact cross-validates
         assert main(["verify", "--cross", str(emit)]) == 0
 
+    def test_check_lines_carry_their_details(self, i03_file, node_coloring_file, capsys):
+        _, tree_path = i03_file
+        assert main(["stab", "--mode", "levels", "--tree", str(tree_path),
+                     "--coloring", str(node_coloring_file)]) == 0
+        assert "  [ok] rank-preserved rank(Q)=3 required=3\n" in capsys.readouterr().out
+
     def test_pairs(self, i03_file, tmp_path, capsys):
         tree, tree_path = i03_file
         taus = tree.tau_map
@@ -388,3 +394,122 @@ class TestDemo:
         assert main(args + ["--out", str(first)]) == 0
         assert main(args + ["--out", str(second)]) == 0
         assert first.read_bytes() == second.read_bytes()
+
+
+class TestExactIntegers:
+    """Ids, parents, colors, k, n and the entries of reduced tables are JSON
+    integers; a float, string or boolean that int() would coerce ends in a
+    named error and exit 1."""
+
+    def _tree(self, i03_file, tmp_path, field):
+        tree, _ = i03_file
+        doc = tree.to_json()
+        node = next(n for n in doc["nodes"] if n["parent"] is not None)
+        if field == "id":
+            node["id"] = str(node["id"])
+        else:
+            node["parent"] = float(node["parent"])
+        path = tmp_path / "tree.json"
+        path.write_text(json.dumps(doc))
+        return ["tree", "--tree", str(path), "--rank"], "error: malformed tree document"
+
+    def _coloring(self, i03_file, tmp_path, field):
+        tree, tree_path = i03_file
+        if field == "n":
+            doc = Coloring.of_leaf_chains(tree, 1, lambda s, t: 0, k=1).to_json()
+            doc["n"], mode = 1.0, "leafchains"
+        else:
+            doc = Coloring.of_nodes(tree, lambda t: 1, k=1).to_json()
+            mode = "levels"
+            if field == "color":
+                doc["nodes"][0][1] = True
+            else:
+                doc["k"] = 1.0
+        path = tmp_path / "col.json"
+        path.write_text(json.dumps(doc))
+        return (["stab", "--mode", mode, "--tree", str(tree_path), "--coloring", str(path)],
+                "error: malformed coloring document")
+
+    def _result(self, i03_file, tmp_path):
+        tree, tree_path = i03_file
+        col_path, emit = tmp_path / "pairs.json", tmp_path / "result.json"
+        col_path.write_text(json.dumps(Coloring.of_pairs(tree, lambda s, t: 1, k=1).to_json()))
+        assert main(["stab", "--mode", "pairs", "--tree", str(tree_path),
+                     "--coloring", str(col_path), "--emit", str(emit)]) == 0
+        doc = json.loads(emit.read_text())
+        doc["reduced"][0][2] = 1.0
+        emit.write_text(json.dumps(doc))
+        return ["verify", "--cross", str(emit)], "error: malformed result document"
+
+    @pytest.mark.parametrize("field", ["id", "parent", "color", "k", "n", "reduced"])
+    def test_non_integer_exits_1(self, field, i03_file, tmp_path, capsys):
+        if field in ("id", "parent"):
+            argv, error = self._tree(i03_file, tmp_path, field)
+        elif field == "reduced":
+            argv, error = self._result(i03_file, tmp_path)
+        else:
+            argv, error = self._coloring(i03_file, tmp_path, field)
+        capsys.readouterr()
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith(error)
+
+
+_ORDINALS = ["0", "7", "w", "w + 1", "w^2*3 + w + 4", "w^w", "w^(w + 1)", "w^(w^(w + 2))*2"]
+_RULES = ["F[sep] with F=(1,0)", "F[sep] with F=(1)", "tau(w, s) mod 2", "depth(t) mod 2",
+          "if depth(t) > 1 then 1 else 0", "if tau(w, s) == tau(w, t) then 0 else 1",
+          "if sep == 0 then 0 else if depth(t) > 5 then 1 else 0"]
+_PIECES = ["(", ")", "[", "]", "^", "*", "+", ",", "=", "<", " ", "w", "0", "1", "9", "x",
+           "if", "then", "else", "mod", "sep", "tau", "depth", "F", "s", "t", "with", "-"]
+
+
+def _mutate_text(rng, text):
+    """Delete, insert or duplicate one to three spans of a string."""
+    chars = list(text)
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randrange(len(chars) + 1)
+        op = rng.randrange(3)
+        if op == 0 and i < len(chars):
+            del chars[i:i + rng.randint(1, 3)]
+        elif op == 1:
+            chars[i:i] = rng.choice(_PIECES)
+        else:
+            chars[i:i] = chars[i:i + rng.randint(1, 4)]
+    return "".join(chars)
+
+
+def _exit_code(argv):
+    try:
+        return main(argv)
+    except SystemExit as exc:  # argparse rejects the command line
+        return exc.code
+
+
+def test_parser_fuzz(capsys):
+    """Mutated ordinal expressions and rules end in exit 0, 1 or 2, never an
+    exception escaping ``main``; 3000 nested parentheses included."""
+    rng = random.Random(17)
+    tower = "w^(" * 3000 + "1" + ")" * 3000
+    exprs = ["(" * 3000 + "w" + ")" * 3000, tower] + \
+        [_mutate_text(rng, rng.choice(_ORDINALS)) for _ in range(150)]
+    rules = [f"tau({tower}, s) mod 2", "F[" * 3000 + "sep" + "] with F=(0,1)" * 3000,
+             "if sep == 0 then " * 3000 + "0" + " else 1" * 3000] + \
+        [_mutate_text(rng, rng.choice(_RULES)) for _ in range(150)]
+    for expr in exprs:
+        for argv in (["ord", expr], ["ord", "--factorize", expr],
+                     ["canon", "--tree", f"I(0,{expr})", "--tau", "0"]):
+            assert _exit_code(argv) in (0, 1, 2), argv
+    for rule in rules:
+        argv = ["transfinite", "--tree", "I(0,w)", "--stabilize", "--rule", rule,
+                "-k", "1", "--budget", "2,2,2"]
+        assert _exit_code(argv) in (0, 1, 2), argv
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("rule,code", [("tau(w, s)", 2), ("F[tau(w, t)] with F=(0,1)", 2),
+                                       ("tau(1, s)", 1)])
+def test_ordinal_valued_rule(rule, code, capsys):
+    # tau(b, .) is an ordinal quotient: finite values are colors, infinite ones an error
+    assert main(["transfinite", "--tree", "I(0,w^2)", "--stabilize", "--rule", rule,
+                 "-k", "1", "--budget", "2,2,2"]) == code
+    if code == 1:
+        assert capsys.readouterr().err == "error: w + 1 is infinite\n"

@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -7,7 +8,9 @@ from treeramsey.generate import random_tree
 from treeramsey.stabilize import (
     Coloring,
     RamseyBudgetError,
+    StabilizationResult,
     StabilizeError,
+    _finish,
     extract_monochromatic,
     find_clique_free_coloring,
     finite_ramsey,
@@ -262,3 +265,34 @@ class TestSelectLevelsConvention:
     def test_out_of_range(self, i03):
         with pytest.raises(Exception):
             select_levels(i03, [7])
+
+
+class TestResultDocuments:
+    """``StabilizationResult.from_json`` reads back what ``to_json`` writes."""
+
+    @pytest.mark.parametrize("mode", ["levels", "pairs", "leaf-chains", "ramsey-reduce"])
+    def test_round_trip_rechecks_to_the_same_certificate(self, mode):
+        tree = instantiate(6).tree
+        if mode == "levels":
+            res = stabilize_levels(tree, Coloring.of_nodes(tree, lambda t: t % 2, k=1))
+        elif mode == "pairs":
+            res = stabilize_pairs_by_level(
+                tree, Coloring.of_pairs(tree, lambda s, t: (s + t) % 2, k=1))
+        elif mode == "leaf-chains":
+            res = stabilize_leaf_chains(
+                tree, 1, Coloring.of_leaf_chains(tree, 1, lambda s, t: (s * t) % 2, k=1))
+        else:
+            res = ramsey_reduce_levels(
+                tree, 1, Coloring.of_pairs(tree, lambda s, t: (s + t) % 2, k=1))
+        back = StabilizationResult.from_json(json.loads(json.dumps(res.to_json())))
+        assert back.mode == res.mode
+        assert back.recheck().checks == res.certificate.checks
+        assert back.recheck().ok
+
+    def test_tampered_table_is_an_internal_defect(self, i03):
+        taus = i03.tau_map
+        res = stabilize_levels(i03, Coloring.of_nodes(i03, lambda t: taus[t] % 2, k=1))
+        res.reduced = tuple(1 - c for c in res.reduced)
+        with pytest.raises(StabilizeError,
+                           match="^internal stabilization defect: level-colors-constant: "):
+            _finish(res)

@@ -390,6 +390,17 @@ class TestDeclaredRankAudits:
         assert audit_declared_rank(liar, Budget(3, 3, 4)).ok  # depth saturates
         assert not audit_declared_rank(liar, Budget(4, 3, 4)).ok
 
+    def test_require_names_the_failed_check(self, square):
+        from treeramsey.transfinite import audit_declared_rank
+        seg = EntryPiece(ZERO, EntryMap.identity(w))
+        liar = assemble_union([((mul(w, 3),), seg)], declared_rank=w2)
+        with pytest.raises(AuditFailure) as info:
+            audit_declared_rank(liar, Budget(4, 3, 4)).require()
+        assert str(info.value) == \
+            "declared-rank: window-rank-matches-declared: window rank 3 vs reference 4"
+        assert info.value.step == "window-rank-matches-declared"
+        assert info.value.report.ok is False
+
 
 class TestSharpnessCeiling:
     """Window ranks of contractions never exceed the same-budget window of

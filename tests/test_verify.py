@@ -222,6 +222,14 @@ class TestCrossValidation:
         with pytest.raises(VerificationError, match="level-colors-constant"):
             cross_validate(broken)
 
+    def test_subtree_outside_ambient_is_named(self, i03):
+        taus = i03.tau_map
+        col = Coloring.of_nodes(i03, lambda t: taus[t] % 2, k=1)
+        broken = copy.deepcopy(stabilize_levels(i03, col))
+        broken.subtree = FiniteTree.chain_tree(3, start=100)
+        with pytest.raises(VerificationError, match="^subtree-containment: "):
+            cross_validate(broken)
+
     def test_empty_result_passes_vacuously(self):
         from treeramsey.stabilize import StabilizationResult
         empty = FiniteTree.empty()
