@@ -1,9 +1,12 @@
 """Constructive stabilization of colorings on finite trees.
 
-Every operation returns the stabilized subtree together with the reduced
-color function and a certificate whose checks are recomputed from scratch
-on the output.  All existential choices in the underlying recursions are
-resolved by minimum node id, so identical inputs give identical outputs.
+In a finite tree of rank r, one chain of r nodes with tau r-1, ..., 0 is
+already an equal-rank, tau-compatible subtree on which node colors depend
+only on the level and pair colors only on the two levels.  Every stabilizer
+keeps one such chain, found by a greedy walk that breaks ties by minimum
+node id, and reads its reduced color function off that chain.  Each result
+carries a certificate recomputed from scratch on the output; the
+certificate, not the construction, carries the proof.
 """
 
 from __future__ import annotations
@@ -203,19 +206,20 @@ def _certify(result: StabilizationResult) -> Report:
         bad = [t for t in Q.ids if tau_q[t] != tau_p[t]]
         cert.add("tau-compatible", not bad, f"mismatch at {bad[:5]}")
     f = result.coloring
+    # a table entry that is missing counts as a disagreement
     if result.mode == "levels":
-        F = result.reduced
-        bad = [t for t in Q.ids if f.value(t) != F[tau_q[t]]]
+        F = dict(enumerate(result.reduced))
+        bad = [t for t in Q.ids if f.value(t) != F.get(tau_q[t])]
         cert.add("level-colors-constant", not bad, f"disagrees at {bad[:5]}")
     elif result.mode == "pairs":
         G = result.reduced
         bad = [(s, t) for s, t in Q.ordered_pairs()
-               if tau_q[s] > tau_q[t] and f.value((s, t)) != G[(tau_q[t], tau_q[s])]]
+               if tau_q[s] > tau_q[t] and f.value((s, t)) != G.get((tau_q[t], tau_q[s]))]
         cert.add("pair-colors-by-level", not bad, f"disagrees at {bad[:5]}")
     elif result.mode == "leaf-chains":
         F = result.reduced
         bad = [chain for chain in Q.leaf_chains(result.chain_length)
-               if F[chain[:-1]] != f.value(chain)]
+               if F.get(chain[:-1]) != f.value(chain)]
         cert.add("chain-colors-agree", not bad, f"disagrees at {bad[:3]}")
     elif result.mode == "ramsey-reduce":
         j = result.reduced["color"]
@@ -238,64 +242,56 @@ def _finish(result: StabilizationResult) -> StabilizationResult:
     return result
 
 
+# -- the greedy chain ---------------------------------------------------------------
+
+
+def _greedy_chain(P: FiniteTree) -> list[int]:
+    """A chain whose i-th entry has tau i: the least node of tau rank-1, then
+    at each step the least child whose tau is one lower, down to a leaf.  A
+    descendant whose tau is one lower is always a child, so the walk looks
+    only at children."""
+    taus = P.tau_map
+    t = next(s for s in P.ids if taus[s] == P.rank() - 1)
+    chain = [t]
+    while taus[t]:
+        t = next(s for s in P.children(t) if taus[s] == taus[t] - 1)
+        chain.append(t)
+    return chain[::-1]
+
+
 # -- leaf-chain stabilization ---------------------------------------------------
 
 
 def stabilize_leaf_chains(tree: FiniteTree, n: int, coloring: Coloring) -> StabilizationResult:
-    """Pass to an equal-rank subtree on which chain colors no longer depend
-    on the closing leaf; the reduced function lives on the open chains."""
+    """Keep the greedy chain; every n-chain lam of it closes at the same
+    bottom leaf, so the reduced function is F[lam] = color of lam + (leaf,)."""
     if not tree.ids:
         raise StabilizeError("cannot stabilize the empty tree")
     if n < 0:
         raise StabilizeError("chain length must be non-negative")
     if coloring.arity != "chains" or coloring.n != n:
         raise StabilizeError("coloring must assign colors to chains of the given length")
-    Q, F = _reduce_chains(tree, n, coloring.value)
+    chain = _greedy_chain(tree)
+    Q = tree.restrict(chain)
+    F = {lam: coloring.value(lam + (chain[0],)) for lam in Q.chains(n)}
     result = StabilizationResult(tree, Q, "leaf-chains", F, coloring,
                                  expected_rank=tree.rank(), chain_length=n)
     return _finish(result)
 
 
-def _reduce_chains(P: FiniteTree, n: int, value) -> tuple[FiniteTree, dict]:
-    rank = P.rank()
-    if rank == 1:
-        t = min(P.ids)
-        Q = P.restrict([t])
-        if n == 0:
-            return Q, {(): value((t,))}
-        if n == 1:
-            return Q, {(t,): value((t, t))}
-        return Q, {}
-    core = P.iterated_derivative(rank - 1)
-    t = min(core.ids)
-    below = P.subtree_at(t, strict=True)
-    S, F0 = _reduce_chains(below, n, value)
-    if n == 0:
-        return P.restrict(set(S.ids) | {t}), F0
-    T, G = _reduce_chains(S, n - 1, lambda chain: value((t,) + chain))
-    Q = P.restrict(set(T.ids) | {t})
-    F: dict = {}
-    for lam in Q.chains(n):
-        F[lam] = G[lam[1:]] if lam[0] == t else F0[lam]
-    return Q, F
-
-
 def select_leafset(tree: FiniteTree, classes: Sequence[Iterable[int]]) -> tuple[int, FiniteTree]:
     """Pick a class index i and an equal-rank subtree whose leaves all fall
-    in class i.  Ties resolve to the smallest index containing the leaf."""
+    in class i: the greedy chain, with i the smallest index containing its
+    bottom leaf."""
     leaves = set(tree.leaves())
     classes = [frozenset(m) for m in classes]
     covered = frozenset().union(*classes) if classes else frozenset()
     if not leaves <= covered:
         raise StabilizeError(f"leaves {sorted(leaves - covered)[:5]} not covered")
-
-    def class_of(chain: tuple[int, ...]) -> int:
-        leaf = chain[0]
-        return min(i for i, m in enumerate(classes) if leaf in m)
-
-    Q, F = _reduce_chains(tree, 0, class_of)
-    i = F[()]
-    if set(Q.leaves()) != set(Q.ids) & classes[i]:
+    chain = _greedy_chain(tree)
+    i = min(i for i, m in enumerate(classes) if chain[0] in m)
+    Q = tree.restrict(chain)
+    if not set(Q.leaves()) <= classes[i]:
         raise StabilizeError("selected subtree leaves escape the chosen class")
     return i, Q
 
@@ -304,27 +300,17 @@ def select_leafset(tree: FiniteTree, classes: Sequence[Iterable[int]]) -> tuple[
 
 
 def stabilize_levels(tree: FiniteTree, coloring: Coloring) -> StabilizationResult:
-    """Equal-rank subtree on which the color of a node depends only on its
-    tau class, plus the per-level color table."""
+    """Keep the greedy chain, which has one node per tau class; the level
+    table F[i] is the color of its node of tau i."""
     if not tree.ids:
         raise StabilizeError("cannot stabilize the empty tree")
     if coloring.arity != "nodes":
         raise StabilizeError("stabilize_levels expects a node coloring")
-    Q, F = _reduce_levels(tree, coloring.value)
-    result = StabilizationResult(tree, Q, "levels", tuple(F), coloring,
+    chain = _greedy_chain(tree)
+    result = StabilizationResult(tree, tree.restrict(chain), "levels",
+                                 tuple(map(coloring.value, chain)), coloring,
                                  expected_rank=tree.rank())
     return _finish(result)
-
-
-def _reduce_levels(P: FiniteTree, value) -> tuple[FiniteTree, list[int]]:
-    rank = P.rank()
-    if rank == 1:
-        t = min(P.ids)
-        return P.restrict([t]), [value(t)]
-    top = P.iterated_derivative(rank - 1)
-    t = min(top.ids)
-    inner, table = _reduce_levels(P.subtree_at(t, strict=True), value)
-    return P.restrict(set(inner.ids) | {t}), table + [value(t)]
 
 
 def extract_monochromatic(result: StabilizationResult, j: int) -> FiniteTree:
@@ -344,33 +330,23 @@ def extract_monochromatic(result: StabilizationResult, j: int) -> FiniteTree:
 
 
 def stabilize_pairs_by_level(tree: FiniteTree, coloring: Coloring) -> StabilizationResult:
-    """Equal-rank subtree where the color of a comparable pair depends only
-    on the two tau classes; returns the table G over level pairs."""
+    """Keep the greedy chain; the table G[(i, j)] over level pairs i < j is
+    the color of its pair (node of tau j, node of tau i).  A rank-1 tree has
+    no pairs and is kept whole."""
     if not tree.ids:
         raise StabilizeError("cannot stabilize the empty tree")
     if coloring.arity != "pairs":
         raise StabilizeError("stabilize_pairs_by_level expects a pair coloring")
-    Q, G = _reduce_pairs(tree, coloring.value)
+    if tree.rank() == 1:
+        Q, G = tree, {}
+    else:
+        chain = _greedy_chain(tree)
+        Q = tree.restrict(chain)
+        G = {(i, j): coloring.value((chain[j], chain[i]))
+             for j in range(len(chain)) for i in range(j)}
     result = StabilizationResult(tree, Q, "pairs", G, coloring,
                                  expected_rank=tree.rank())
     return _finish(result)
-
-
-def _reduce_pairs(P: FiniteTree, value) -> tuple[FiniteTree, dict]:
-    rank = P.rank()
-    if rank == 1:
-        return P, {}
-    top_level = rank - 1
-    core = P.iterated_derivative(top_level)
-    t = min(core.ids)
-    inner, G = _reduce_pairs(P.subtree_at(t, strict=True), value)
-    # make colors against the anchor depend only on the level below it
-    stabilized, B = _reduce_levels(inner, lambda u: value((t, u)))
-    Q = P.restrict(set(stabilized.ids) | {t})
-    G = dict(G)
-    for i, color in enumerate(B):
-        G[(i, top_level)] = color
-    return Q, G
 
 
 # -- finite Ramsey machinery -----------------------------------------------------
@@ -384,8 +360,9 @@ def find_clique_free_coloring(m: int, target: int, colors: int) -> dict | None:
     """An edge coloring of the complete graph on m vertices with no
     monochromatic ``target``-clique, or None when every coloring has one.
 
-    Backtracking over edges in lexicographic order; color symmetry is
-    broken by only allowing one brand-new color at each step.
+    Backtracking over edges in lexicographic order, with the assignment as
+    the stack; color symmetry is broken by only allowing one brand-new color
+    at each step.
     """
     edges = list(combinations(range(m), 2))
     assignment: dict[tuple[int, int], int] = {}
@@ -402,20 +379,20 @@ def find_clique_free_coloring(m: int, target: int, colors: int) -> dict | None:
                 return True
         return False
 
-    def extend(i: int, used: int) -> dict | None:
-        if i == len(edges):
-            return dict(assignment)
-        edge = edges[i]
-        for c in range(min(used + 1, colors)):
-            if not completes_clique(edge, c):
-                assignment[edge] = c
-                out = extend(i + 1, max(used, c + 1))
-                if out is not None:
-                    return out
-                del assignment[edge]
-        return None
-
-    return extend(0, 0)
+    c = 0  # the next color to try on the first unassigned edge
+    while len(assignment) < len(edges):
+        edge = edges[len(assignment)]
+        allowed = min(max(assignment.values(), default=-1) + 2, colors)
+        while c < allowed and completes_clique(edge, c):
+            c += 1
+        if c < allowed:
+            assignment[edge], c = c, 0
+        elif assignment:
+            # backtrack: popitem() removes the last assigned edge (LIFO)
+            c = assignment.popitem()[1] + 1
+        else:
+            return None
+    return dict(assignment)
 
 
 def _e(u: int, v: int) -> tuple[int, int]:

@@ -228,13 +228,14 @@ def cross_validate(result, node_budget: int = DEFAULT_NODE_BUDGET) -> Report:
 
     color = result.coloring
     if result.mode == "levels":
-        table = result.reduced
-        bad = [t for t in q_ids if color.value(t) != table[tau_q[t]]]
+        # here and below, a missing table entry counts as a disagreement
+        table = dict(enumerate(result.reduced))
+        bad = [t for t in q_ids if color.value(t) != table.get(tau_q[t])]
         record("level-colors-constant", not bad,
                f"nodes {sorted(bad)[:5]} disagree with the level table")
         # monochromatic extraction can never beat the exhaustive optimum
         if len(p_ids) <= 18 and node_budget:
-            for j in sorted(set(table)):
+            for j in sorted(set(table.values())):
                 picked = frozenset(t for t in q_ids if table[tau_q[t]] == j)
                 opt = max_monochromatic_rank_nodes(ambient, color, j)
                 record(
@@ -247,14 +248,14 @@ def cross_validate(result, node_budget: int = DEFAULT_NODE_BUDGET) -> Report:
         for t in q_ids:
             for s in anc[t] & q_ids:
                 i, jj = tau_q[t], tau_q[s]
-                if i < jj and color.value((s, t)) != table[(i, jj)]:
+                if i < jj and color.value((s, t)) != table.get((i, jj)):
                     bad.append((s, t))
         record("pair-colors-by-level", not bad,
                f"pairs {bad[:5]} disagree with the level-pair table")
     elif result.mode == "leaf-chains":
         table = result.reduced
         bad = [chain for chain in sub.leaf_chains(result.chain_length)
-               if table[chain[:-1]] != color.value(chain)]
+               if table.get(chain[:-1]) != color.value(chain)]
         record("chain-colors-agree", not bad,
                f"chains {bad[:3]} disagree with the reduced function")
         record("leaves-survive",

@@ -205,6 +205,16 @@ class TestStab:
                      "--coloring", str(col_path)]) == 1
         assert capsys.readouterr().err.startswith(f"error: coloring assigns no color to ({s}, {t})")
 
+    def test_deep_descending_chain_levels(self, tmp_path, capsys):
+        # ids descend from the root 1499 to the leaf 0
+        tree_path, col_path = tmp_path / "deep.json", tmp_path / "nodes.json"
+        tree_path.write_text(json.dumps({"schema_version": 1, "nodes": [
+            {"id": i, "parent": i + 1 if i < 1499 else None} for i in range(1500)]}))
+        col_path.write_text(json.dumps({"arity": 1, "nodes": [[i, i % 2] for i in range(1500)]}))
+        assert main(["stab", "--mode", "levels", "--tree", str(tree_path),
+                     "--coloring", str(col_path)]) == 0
+        assert "(rank 1500)" in capsys.readouterr().out
+
     def test_missing_node_exits_1(self, i03_file, node_coloring_file, tmp_path, capsys):
         _, tree_path = i03_file
         doc = json.loads(node_coloring_file.read_text())
@@ -255,6 +265,29 @@ class TestLoaderBoundary:
             else ["verify", "--oracle", "mono-rank", *files]
         assert main(argv) == 1
         assert capsys.readouterr().err.startswith("error: expected a nodes")
+
+    @pytest.mark.parametrize("mode,check", [("levels", "level-colors-constant"),
+                                            ("pairs", "pair-colors-by-level"),
+                                            ("leafchains", "chain-colors-agree")])
+    def test_result_missing_a_table_entry_exits_2(self, mode, check, i03_file,
+                                                  tmp_path, capsys):
+        tree, tree_path = i03_file
+        if mode == "levels":
+            col = Coloring.of_nodes(tree, lambda t: t % 2, k=1)
+        elif mode == "pairs":
+            col = Coloring.of_pairs(tree, lambda s, t: (s + t) % 2, k=1)
+        else:
+            col = Coloring.of_leaf_chains(tree, 1, lambda s, t: (s * t) % 2, k=1)
+        col_path, emit = tmp_path / "col.json", tmp_path / "result.json"
+        col_path.write_text(json.dumps(col.to_json()))
+        assert main(["stab", "--mode", mode, "--tree", str(tree_path),
+                     "--coloring", str(col_path), "--emit", str(emit)]) == 0
+        doc = json.loads(emit.read_text())
+        doc["reduced"] = doc["reduced"][:2] if mode == "levels" else doc["reduced"][1:]
+        emit.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["verify", "--cross", str(emit)]) == 2
+        assert capsys.readouterr().err.startswith(f"audit failure: {check}: ")
 
     @pytest.mark.parametrize("doc", [{"schema_version": 1}, {"schema_version": 9}, [1]])
     def test_malformed_result_exits_1(self, doc, tmp_path, capsys):

@@ -125,6 +125,10 @@ class TestSelectLeafset:
         with pytest.raises(StabilizeError):
             select_leafset(forked, [{1}])
 
+    def test_class_may_hold_inner_nodes(self, forked):
+        i, sub = select_leafset(forked, [set(forked.ids)])
+        assert i == 0 and set(sub.ids) == {0, 1}
+
 
 class TestStabilizeLevels:
     def test_antichain_single_node(self):
@@ -289,6 +293,22 @@ class TestResultDocuments:
         assert back.recheck().checks == res.certificate.checks
         assert back.recheck().ok
 
+    @pytest.mark.parametrize("mode,check", [("levels", "level-colors-constant"),
+                                            ("pairs", "pair-colors-by-level"),
+                                            ("leaf-chains", "chain-colors-agree")])
+    def test_missing_table_entry_fails_its_check(self, mode, check, i03):
+        if mode == "levels":
+            res = stabilize_levels(i03, Coloring.of_nodes(i03, lambda t: t % 2, k=1))
+        elif mode == "pairs":
+            res = stabilize_pairs_by_level(
+                i03, Coloring.of_pairs(i03, lambda s, t: (s + t) % 2, k=1))
+        else:
+            res = stabilize_leaf_chains(
+                i03, 1, Coloring.of_leaf_chains(i03, 1, lambda s, t: (s * t) % 2, k=1))
+        doc = res.to_json()
+        doc["reduced"] = doc["reduced"][1:]
+        assert StabilizationResult.from_json(doc).recheck().failed.name == check
+
     def test_tampered_table_is_an_internal_defect(self, i03):
         taus = i03.tau_map
         res = stabilize_levels(i03, Coloring.of_nodes(i03, lambda t: taus[t] % 2, k=1))
@@ -296,3 +316,110 @@ class TestResultDocuments:
         with pytest.raises(StabilizeError,
                            match="^internal stabilization defect: level-colors-constant: "):
             _finish(res)
+
+
+class TestDeepChains:
+    """The greedy chain is a loop, so rank is not bounded by the recursion limit."""
+
+    def test_levels_and_leaf_chains_on_a_1100_node_chain(self):
+        chain = FiniteTree.chain_tree(1100)
+        levels = stabilize_levels(chain, Coloring.of_nodes(chain, lambda t: t % 3, k=2))
+        assert levels.subtree.ids == chain.ids and levels.certificate.ok
+        assert levels.reduced[:3] == (1099 % 3, 1098 % 3, 1097 % 3)
+        leaf = Coloring.of_leaf_chains(chain, 0, lambda t: 1, k=1)
+        res = stabilize_leaf_chains(chain, 0, leaf)
+        assert res.subtree.ids == chain.ids and res.reduced == {(): 1}
+
+    def test_pairs_on_a_300_node_chain(self):
+        chain = FiniteTree.chain_tree(300)
+        col = Coloring.of_pairs(chain, lambda s, t: (s + t) % 2, k=1)
+        res = stabilize_pairs_by_level(chain, col)
+        assert res.subtree.ids == chain.ids and res.certificate.ok
+        assert len(res.reduced) == 300 * 299 // 2
+        assert res.reduced[(0, 299)] == col.value((0, 299))
+
+
+# -- reference: the rank-deep recursions that the greedy chain replaced -------------
+
+
+def _reference_levels(P, value):
+    rank = P.rank()
+    if rank == 1:
+        t = min(P.ids)
+        return P.restrict([t]), [value(t)]
+    t = min(P.iterated_derivative(rank - 1).ids)
+    inner, table = _reference_levels(P.subtree_at(t, strict=True), value)
+    return P.restrict(set(inner.ids) | {t}), table + [value(t)]
+
+
+def _reference_pairs(P, value):
+    rank = P.rank()
+    if rank == 1:
+        return P, {}
+    t = min(P.iterated_derivative(rank - 1).ids)
+    inner, G = _reference_pairs(P.subtree_at(t, strict=True), value)
+    stabilized, B = _reference_levels(inner, lambda u: value((t, u)))
+    G = dict(G)
+    for i, color in enumerate(B):
+        G[(i, rank - 1)] = color
+    return P.restrict(set(stabilized.ids) | {t}), G
+
+
+def _reference_chains(P, n, value):
+    rank = P.rank()
+    if rank == 1:
+        t = min(P.ids)
+        Q = P.restrict([t])
+        if n == 0:
+            return Q, {(): value((t,))}
+        if n == 1:
+            return Q, {(t,): value((t, t))}
+        return Q, {}
+    t = min(P.iterated_derivative(rank - 1).ids)
+    S, F0 = _reference_chains(P.subtree_at(t, strict=True), n, value)
+    if n == 0:
+        return P.restrict(set(S.ids) | {t}), F0
+    T, G = _reference_chains(S, n - 1, lambda chain: value((t,) + chain))
+    Q = P.restrict(set(T.ids) | {t})
+    return Q, {lam: G[lam[1:]] if lam[0] == t else F0[lam] for lam in Q.chains(n)}
+
+
+def _permuted_random_tree(rng):
+    """A random forest of up to 30 nodes whose ids are a random sample of
+    0..3n-1, so parents need not have smaller ids than their children."""
+    tree = random_tree(rng, max_nodes=30, max_rank=rng.choice((1, 2, 4, None)))
+    new = dict(zip(tree.ids, rng.sample(range(3 * len(tree)), len(tree))))
+    return FiniteTree.from_parents(
+        {new[t]: None if tree.parent(t) is None else new[tree.parent(t)] for t in tree.ids})
+
+
+def test_greedy_chain_agrees_with_the_recursive_reference():
+    rng = random.Random(41)
+    ranks = set()
+    for _ in range(300):
+        tree = _permuted_random_tree(rng)
+        ranks.add(tree.rank())
+        nodes = Coloring.of_nodes(tree, lambda t: rng.randrange(3), k=2)
+        Q, F = _reference_levels(tree, nodes.value)
+        res = stabilize_levels(tree, nodes)
+        assert (res.subtree.ids, res.reduced) == (Q.ids, tuple(F))
+
+        pairs = Coloring.of_pairs(tree, lambda s, t: rng.randrange(3), k=2)
+        Q, G = _reference_pairs(tree, pairs.value)
+        res = stabilize_pairs_by_level(tree, pairs)
+        assert (res.subtree.ids, res.reduced) == (Q.ids, G)
+
+        for n in range(4):
+            chains = Coloring.of_leaf_chains(tree, n, lambda *c: rng.randrange(3), k=2)
+            Q, F = _reference_chains(tree, n, chains.value)
+            res = stabilize_leaf_chains(tree, n, chains)
+            assert (res.subtree.ids, res.reduced) == (Q.ids, F)
+
+        classes = [set(), set(), set()]
+        for t in tree.ids:
+            for m in rng.sample(classes, rng.randint(1, 2)):
+                m.add(t)
+        Q, F = _reference_chains(
+            tree, 0, lambda chain: min(i for i, m in enumerate(classes) if chain[0] in m))
+        assert select_leafset(tree, classes) == (F[()], Q)
+    assert 1 in ranks and max(ranks) >= 8
