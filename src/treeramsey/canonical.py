@@ -10,7 +10,7 @@ last entry and no finite materialization is ever required for exactness.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from .ordinal import (
     ZERO,
@@ -140,15 +140,19 @@ def separation(tree: CanonicalTree, s: CanonicalNode, t: CanonicalNode) -> int:
     """
     if not tree.alpha.is_zero:
         raise CanonicalError("separation is defined on trees with alpha = 0")
-    gamma = rank_symbolic(tree)
-    ctx = SeparationContext(gamma)
+    ctx = _separation_context(rank_symbolic(tree))
     if ctx.lam == 0:
         raise CanonicalError("rank 1 trees have no comparable pairs")
     if len(s) >= len(t) or tuple(t[: len(s)]) != tuple(s):
         raise CanonicalError("separation needs s < t (s a proper prefix of t)")
-    tree._require(s)
-    tree._require(t)
+    # node_tau rejects a node outside the tree
     return ctx.of_taus(node_tau(tree, s), node_tau(tree, t))
+
+
+@lru_cache(maxsize=64)
+def _separation_context(gamma: Ordinal) -> SeparationContext:
+    """One context per rank, so its factorization is computed once."""
+    return SeparationContext(gamma)
 
 
 @dataclass(frozen=True)

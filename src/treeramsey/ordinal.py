@@ -3,15 +3,25 @@
 An ordinal is a finite sum ``w^e0*c0 + w^e1*c1 + ...`` with strictly
 decreasing ordinal exponents and positive integer coefficients; the empty
 sum is 0.  Exponents are themselves ordinals of the same kind, so the
-representation is finite, canonical and hashable, and two values are equal
-exactly when their term lists are identical.
+representation is finite and canonical.
+
+Values are hash-consed (Filliatre & Conchon, "Type-safe modular
+hash-consing", 2006): constructing a term list returns the one live
+``Ordinal`` with those terms, so equal values are the same object and
+equality is identity.  The hash is structural, computed once, and the same
+in every run.  ``_less``, ``add``, ``mul``, ``left_subtract`` and
+``left_divide`` remember their results in tables keyed on the interned
+operands; each table holds at most ``MEMO_CAP`` entries and is emptied
+when it fills.
 """
 
 from __future__ import annotations
 
 import re
+import weakref
 from dataclasses import dataclass, field
-from functools import total_ordering
+from functools import cached_property, total_ordering, wraps
+from itertools import count
 from typing import Iterator
 
 
@@ -19,20 +29,62 @@ class OrdinalError(ValueError):
     pass
 
 
-@total_ordering
-@dataclass(frozen=True)
-class Ordinal:
-    """Cantor normal form: tuple of (exponent, coefficient) pairs."""
+# entries per memo table; a full table is emptied before the next entry
+MEMO_CAP = 4096
 
-    terms: tuple[tuple["Ordinal", int], ...] = ()
+# terms -> the live Ordinal with those terms
+_INTERNED: "weakref.WeakValueDictionary[tuple, Ordinal]" = weakref.WeakValueDictionary()
+# serial numbers of interned values, in order of construction
+_SERIAL = count()
+
+
+@total_ordering
+class Ordinal:
+    """Cantor normal form: tuple of (exponent, coefficient) pairs.
+
+    ``Ordinal(terms)`` returns the interned value; equality is the
+    inherited identity test, since equal terms give the same object.
+    """
+
+    __slots__ = ("terms", "_hash", "_serial", "__weakref__")
+    terms: tuple[tuple["Ordinal", int], ...]
+
+    def __new__(cls, terms: tuple[tuple["Ordinal", int], ...] = ()) -> "Ordinal":
+        try:
+            hit = _INTERNED.get(terms)
+        except TypeError:  # an unhashable term is malformed: validation names it
+            hit = None
+        if hit is not None:
+            return hit
+        self = object.__new__(cls)
+        object.__setattr__(self, "terms", terms)
+        self.__post_init__()
+        object.__setattr__(self, "_hash", hash((terms,)))
+        object.__setattr__(self, "_serial", next(_SERIAL))
+        _INTERNED[terms] = self
+        return self
 
     def __post_init__(self) -> None:
+        """Validate a new value; runs once per interned value."""
         for e, c in self.terms:
             if not isinstance(e, Ordinal) or not isinstance(c, int) or c < 1:
                 raise OrdinalError(f"malformed term ({e!r}, {c!r})")
         for (e1, _), (e2, _) in zip(self.terms, self.terms[1:]):
             if not _less(e2, e1):
                 raise OrdinalError("exponents must be strictly decreasing")
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError("ordinals are immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError("ordinals are immutable")
+
+    def __reduce__(self):
+        # unpickling interns again, so a round trip returns the same object
+        return Ordinal, (self.terms,)
 
     # -- construction ------------------------------------------------------
 
@@ -87,19 +139,19 @@ class Ordinal:
     # -- comparison / arithmetic -------------------------------------------
 
     def __lt__(self, other: object) -> bool:
-        return _less(self, _coerce(other))
+        return _less(self, other)
 
     def __add__(self, other) -> "Ordinal":
-        return add(self, _coerce(other))
+        return add(self, other)
 
     def __radd__(self, other) -> "Ordinal":
-        return add(_coerce(other), self)
+        return add(other, self)
 
     def __mul__(self, other) -> "Ordinal":
-        return mul(self, _coerce(other))
+        return mul(self, other)
 
     def __rmul__(self, other) -> "Ordinal":
-        return mul(_coerce(other), self)
+        return mul(other, self)
 
     def __str__(self) -> str:
         return format_ordinal(self)
@@ -119,16 +171,47 @@ def ordinal(x: "Ordinal | int") -> Ordinal:
 
 
 def _coerce(x) -> Ordinal:
-    if isinstance(x, Ordinal):
+    if type(x) is Ordinal:
         return x
     if isinstance(x, int):
         return Ordinal.from_int(x)
     raise TypeError(f"cannot interpret {x!r} as an ordinal")
 
 
+def _memoized(fn):
+    """Remember ``fn(a, b)`` per pair of interned operands, in a table of
+    at most MEMO_CAP entries (``.memo``) that is emptied when it fills.
+    Int operands are coerced first; raised errors are not remembered.
+
+    Keys are the operands' serial numbers: a pair of ints hashes without a
+    Python call, holds no operand alive, and no serial is ever reused."""
+    memo: dict[tuple[int, int], object] = {}
+
+    @wraps(fn)
+    def memoized(a, b):
+        if type(a) is not Ordinal:
+            a = _coerce(a)
+        if type(b) is not Ordinal:
+            b = _coerce(b)
+        key = (a._serial, b._serial)
+        try:
+            return memo[key]
+        except KeyError:
+            pass
+        out = fn(a, b)
+        if len(memo) >= MEMO_CAP:
+            memo.clear()
+        memo[key] = out
+        return out
+
+    memoized.memo = memo
+    return memoized
+
+
+@_memoized
 def _less(a: Ordinal, b: Ordinal) -> bool:
     for (ea, ca), (eb, cb) in zip(a.terms, b.terms):
-        if ea != eb:
+        if ea is not eb:
             return _less(ea, eb)
         if ca != cb:
             return ca < cb
@@ -137,30 +220,33 @@ def _less(a: Ordinal, b: Ordinal) -> bool:
 
 def compare(a: "Ordinal | int", b: "Ordinal | int") -> int:
     """-1, 0 or 1 as a <, =, > b."""
-    a, b = _coerce(a), _coerce(b)
-    if a == b:
+    if type(a) is not Ordinal:
+        a = _coerce(a)
+    if type(b) is not Ordinal:
+        b = _coerce(b)
+    if a is b:
         return 0
     return -1 if _less(a, b) else 1
 
 
+@_memoized
 def add(a: "Ordinal | int", b: "Ordinal | int") -> Ordinal:
     """Ordinal sum.  Terms of a below the leading exponent of b are absorbed."""
-    a, b = _coerce(a), _coerce(b)
     if b.is_zero:
         return a
     if a.is_zero:
         return b
     eb = b.leading_exponent
     keep = [t for t in a.terms if _less(eb, t[0])]
-    if len(keep) < len(a.terms) and a.terms[len(keep)][0] == eb:
+    if len(keep) < len(a.terms) and a.terms[len(keep)][0] is eb:
         merged = (eb, a.terms[len(keep)][1] + b.terms[0][1])
         return Ordinal(tuple(keep) + (merged,) + b.terms[1:])
     return Ordinal(tuple(keep) + b.terms)
 
 
+@_memoized
 def mul(a: "Ordinal | int", b: "Ordinal | int") -> Ordinal:
     """Ordinal product (left-distributes over +: a*(b+c) = a*b + a*c)."""
-    a, b = _coerce(a), _coerce(b)
     if a.is_zero or b.is_zero:
         return ZERO
     ea = a.leading_exponent
@@ -180,14 +266,14 @@ def omega_pow(e: "Ordinal | int") -> Ordinal:
     return Ordinal(((_coerce(e), 1),))
 
 
+@_memoized
 def left_subtract(a: "Ordinal | int", b: "Ordinal | int") -> Ordinal:
     """The unique c with a + c = b; requires a <= b."""
-    a, b = _coerce(a), _coerce(b)
     for i, (ta, tb) in enumerate(zip(a.terms, b.terms)):
         if ta == tb:
             continue
         (ea, ca), (eb, cb) = ta, tb
-        if ea == eb and ca < cb:
+        if ea is eb and ca < cb:
             return Ordinal(((eb, cb - ca),) + b.terms[i + 1:])
         if _less(ea, eb):
             return Ordinal(b.terms[i:])
@@ -197,13 +283,13 @@ def left_subtract(a: "Ordinal | int", b: "Ordinal | int") -> Ordinal:
     return Ordinal(b.terms[len(a.terms):])
 
 
+@_memoized
 def left_divide(alpha: "Ordinal | int", xi: "Ordinal | int") -> tuple[Ordinal, Ordinal]:
     """Greatest delta with alpha*delta <= xi, and the remainder.
 
     Returns (delta, rem) with alpha*delta + rem = xi and alpha*(delta+1) > xi.
     Computed term by term on the normal form of xi; no search.
     """
-    alpha, xi = _coerce(alpha), _coerce(xi)
     if alpha.is_zero:
         raise OrdinalError("division by 0")
     a0 = alpha.leading_exponent
@@ -213,7 +299,7 @@ def left_divide(alpha: "Ordinal | int", xi: "Ordinal | int") -> tuple[Ordinal, O
     for i, (e, m) in enumerate(xi.terms):
         if _less(a0, e):
             delta_terms.append((left_subtract(a0, e), m))
-        elif e == a0:
+        elif e is a0:
             n = m // c0
             if n >= 1 and c0 * n == m:
                 # exact leading fit: the tail of alpha must fit under the tail of xi
@@ -264,7 +350,7 @@ class IndecomposableFactorization:
     def lam(self) -> int:
         return len(self.epsilons)
 
-    @property
+    @cached_property
     def factors(self) -> tuple[Ordinal, ...]:
         out = []
         acc = ONE
@@ -273,7 +359,7 @@ class IndecomposableFactorization:
             out.append(acc)
         return tuple(out)
 
-    @property
+    @cached_property
     def cofactors(self) -> tuple[Ordinal, ...]:
         out = []
         acc = ONE

@@ -223,12 +223,13 @@ def _certify(result: StabilizationResult) -> Report:
         cert.add("chain-colors-agree", not bad, f"disagrees at {bad[:3]}")
     elif result.mode == "ramsey-reduce":
         j = result.reduced["color"]
-        picked = result.reduced["picked"]
-        tau_amb = result.extra["pair_stage_tau"]
+        picked = dict(enumerate(result.reduced["picked"]))
+        tau_amb = result.extra.get("pair_stage_tau", {})
         bad = [(s, t) for s, t in Q.ordered_pairs()
                if tau_q[s] > tau_q[t] and f.value((s, t)) != j]
         cert.add("cross-level-monochromatic", not bad, f"off-color pairs {bad[:5]}")
-        bad_levels = [t for t in Q.ids if picked[tau_q[t]] != tau_amb[t]]
+        bad_levels = [t for t in Q.ids
+                      if t not in tau_amb or picked.get(tau_q[t]) != tau_amb[t]]
         cert.add("levels-relabelled-in-order", not bad_levels,
                  f"level relabelling broken at {bad_levels[:5]}")
     return cert

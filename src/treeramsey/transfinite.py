@@ -3,20 +3,21 @@
 Infinite subtrees are handled as lazy pieces: generators that answer
 membership, enumerate sampled children, and carry a declared symbolic rank
 plus a declared position function.  Every construction returns its piece,
-and ``piece.window(depth, width)`` materializes the sampled finite window.
+and ``piece.window(depth, width)`` materializes the sampled finite window,
+each node with the declared position its sampler handed down the walk.
 A contraction is the one-block (zeta = 1) case of the blockwise alignment.
 
 Declared data are claims, not proofs; every public construction is paired
-with an audit that materializes a finite window at the given budget, reads
-each window node's declared position once, and rechecks the claims pair by
-pair, comparing window ranks against equal-budget windows of reference
-trees.  An operation either returns with an all-pass audit or fails naming
+with an audit that materializes a finite window at the given budget and
+rechecks the claims pair by pair, comparing window ranks against
+equal-budget windows of reference trees.  An operation either returns with an all-pass audit or fails naming
 the step that could not be certified.
 """
 
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass, field
+from functools import cached_property
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .canonical import (
@@ -189,13 +190,23 @@ def _subproduct(fact: IndecomposableFactorization, keep: Sequence[int]) -> Ordin
 # so a top-level piece's relative nodes are honest canonical nodes.
 
 
+# a node with its declared position
+Positioned = tuple[CanonicalNode, Ordinal]
+
+
 class Piece:
+    """A lazy subtree.  ``roots`` and ``children`` sample members, each with
+    its declared position, so a walk carries positions down instead of
+    recomputing them; ``contains`` and ``tau_declared`` answer for any node
+    and are what the audits recheck against."""
+
     declared_rank: Ordinal
 
-    def roots(self, width: int) -> list[CanonicalNode]:
+    def roots(self, width: int) -> list[Positioned]:
         raise NotImplementedError
 
-    def children(self, node: CanonicalNode, width: int) -> list[CanonicalNode]:
+    def children(self, node: CanonicalNode, pos: Ordinal, width: int) -> list[Positioned]:
+        """Sampled children of the member ``node`` at declared position ``pos``."""
         raise NotImplementedError
 
     def contains(self, node: CanonicalNode) -> bool:
@@ -204,7 +215,7 @@ class Piece:
     def tau_declared(self, node: CanonicalNode) -> Ordinal:
         raise NotImplementedError
 
-    def window(self, depth: int, width: int) -> tuple[FiniteTree, dict[int, CanonicalNode]]:
+    def window(self, depth: int, width: int) -> tuple[FiniteTree, dict[int, Positioned]]:
         return piece_window(self, depth, width)
 
 
@@ -227,14 +238,11 @@ class EntryPiece(Piece):
             return None
         return self.emap.unapply(left_subtract(self.base, e))
 
-    def roots(self, width: int) -> list[CanonicalNode]:
-        return [(self._entry(y),) for y in descend_below(self.emap.size, width)]
+    def roots(self, width: int) -> list[Positioned]:
+        return [((self._entry(y),), y) for y in descend_below(self.emap.size, width)]
 
-    def children(self, node: CanonicalNode, width: int) -> list[CanonicalNode]:
-        y = self._unentry(node[-1])
-        if y is None:
-            raise TransfiniteError(f"node ends outside the piece: {node[-1]}")
-        return [node + (self._entry(z),) for z in descend_below(y, width)]
+    def children(self, node: CanonicalNode, pos: Ordinal, width: int) -> list[Positioned]:
+        return [(node + (self._entry(z),), z) for z in descend_below(pos, width)]
 
     def contains(self, node: CanonicalNode) -> bool:
         if not node:
@@ -269,18 +277,15 @@ class UnionPiece(Piece):
                 return anchor, piece
         return None
 
-    def roots(self, width: int) -> list[CanonicalNode]:
-        out = []
-        for anchor, piece in self.parts:
-            out.extend(anchor + r for r in piece.roots(width))
-        return out
+    def roots(self, width: int) -> list[Positioned]:
+        return [(anchor + r, pos) for anchor, piece in self.parts for r, pos in piece.roots(width)]
 
-    def children(self, node: CanonicalNode, width: int) -> list[CanonicalNode]:
+    def children(self, node: CanonicalNode, pos: Ordinal, width: int) -> list[Positioned]:
         hit = self._match(node)
         if hit is None:
             raise TransfiniteError("node lies in no part of the union")
         anchor, piece = hit
-        return [anchor + c for c in piece.children(node[len(anchor):], width)]
+        return [(anchor + c, p) for c, p in piece.children(node[len(anchor):], pos, width)]
 
     def contains(self, node: CanonicalNode) -> bool:
         hit = self._match(node)
@@ -339,8 +344,13 @@ class StackPiece(Piece):
         segs.append((cur_band, cur))
         return segs
 
-    def roots(self, width: int) -> list[CanonicalNode]:
-        return list(self.bands[-1][1].roots(width))
+    def roots(self, width: int) -> list[Positioned]:
+        return self._in_band(len(self.bands) - 1, (), self.bands[-1][1].roots(width))
+
+    def _in_band(self, b: int, prefix: CanonicalNode, sampled: list[Positioned]) -> list[Positioned]:
+        """Band-relative samples of band b below ``prefix``, as stack members."""
+        shift = mul(self.band_rank, b)
+        return [(prefix + n, add(shift, p)) for n, p in sampled]
 
     def _last_segment(self, node: CanonicalNode) -> tuple[int, CanonicalNode]:
         segs = self._split(node)
@@ -348,14 +358,20 @@ class StackPiece(Piece):
             raise TransfiniteError("node is not a member of the stack")
         return segs[-1]
 
-    def children(self, node: CanonicalNode, width: int) -> list[CanonicalNode]:
-        b, seg = self._last_segment(node)
-        piece = self.bands[b][1]
-        if piece.tau_declared(seg).is_zero:
-            if b == 0:
-                return []
-            return [node + r for r in self.bands[b - 1][1].roots(width)]
-        return [node[: len(node) - len(seg)] + c for c in piece.children(seg, width)]
+    def children(self, node: CanonicalNode, pos: Ordinal, width: int) -> list[Positioned]:
+        # the position band_rank * b + p names the band b and the position p in it
+        q, p = left_divide(self.band_rank, pos)
+        b = q.as_int()
+        if p.is_zero:  # a leaf of band b: band b - 1 hangs below it
+            return [] if b == 0 else self._in_band(b - 1, node, self.bands[b - 1][1].roots(width))
+        base, piece = self.bands[b]
+        # band b's segment is the tail of entries below its range's top;
+        # every earlier entry lies in a higher band
+        top = add(base, self.band_rank)
+        cut = len(node)
+        while cut and compare(node[cut - 1], top) < 0:
+            cut -= 1
+        return self._in_band(b, node[:cut], piece.children(node[cut:], p, width))
 
     def contains(self, node: CanonicalNode) -> bool:
         return self._split(node) is not None
@@ -389,24 +405,27 @@ class FilteredPiece(Piece):
     def _position(self, node: CanonicalNode) -> Ordinal | None:
         return self.emap.unapply(self.inner.tau_declared(node))
 
-    def _frontier(self, seeds: Iterable[CanonicalNode], width: int) -> list[CanonicalNode]:
-        out: list[CanonicalNode] = []
+    def _frontier(self, seeds: Iterable[Positioned], width: int) -> list[Positioned]:
+        """Walk inner samples (with inner positions) down to the kept ones."""
+        out: list[Positioned] = []
         queue = list(seeds)
         spent = 0
         while queue and spent < FRONTIER_CAP:
-            node = queue.pop(0)
+            node, inner_pos = queue.pop(0)
             spent += 1
-            if self._position(node) is not None:
-                out.append(node)
+            pos = self.emap.unapply(inner_pos)
+            if pos is not None:
+                out.append((node, pos))
             else:
-                queue.extend(self.inner.children(node, width))
+                queue.extend(self.inner.children(node, inner_pos, width))
         return out
 
-    def roots(self, width: int) -> list[CanonicalNode]:
+    def roots(self, width: int) -> list[Positioned]:
         return self._frontier(self.inner.roots(width), width)
 
-    def children(self, node: CanonicalNode, width: int) -> list[CanonicalNode]:
-        return self._frontier(self.inner.children(node, width), width)
+    def children(self, node: CanonicalNode, pos: Ordinal, width: int) -> list[Positioned]:
+        # a kept node's inner position is its position embedded back
+        return self._frontier(self.inner.children(node, self.emap.apply(pos), width), width)
 
     def contains(self, node: CanonicalNode) -> bool:
         return self.inner.contains(node) and self._position(node) is not None
@@ -418,44 +437,36 @@ class FilteredPiece(Piece):
         return pos
 
 
-def piece_window(piece: Piece, depth: int, width: int) -> tuple[FiniteTree, dict[int, CanonicalNode]]:
-    """Materialize the sampled window as a finite tree plus the node map."""
+def piece_window(piece: Piece, depth: int, width: int) -> tuple[FiniteTree, dict[int, Positioned]]:
+    """Materialize the sampled window as a finite tree plus the node map
+    window id -> (node, declared position), each position as the walk
+    emitted it."""
     parents: dict[int, int | None] = {}
-    mapping: dict[int, CanonicalNode] = {}
-    seen: dict[CanonicalNode, int] = {}
+    mapping: dict[int, Positioned] = {}
+    seen: set[CanonicalNode] = set()
 
-    def emit(node: CanonicalNode, parent: int | None) -> int | None:
+    def emit(node: CanonicalNode, pos: Ordinal, parent: int | None) -> int | None:
         if node in seen:
             return None
-        i = len(seen)
-        seen[node] = i
+        seen.add(node)
+        i = len(mapping)
         parents[i] = parent
-        mapping[i] = node
+        mapping[i] = (node, pos)
         return i
 
-    def expand(node: CanonicalNode, me: int, level: int) -> None:
+    def expand(node: CanonicalNode, pos: Ordinal, me: int, level: int) -> None:
         if level >= depth:
             return
-        for child in piece.children(node, width):
-            ci = emit(child, me)
+        for child, cpos in piece.children(node, pos, width):
+            ci = emit(child, cpos, me)
             if ci is not None:
-                expand(child, ci, level + 1)
+                expand(child, cpos, ci, level + 1)
 
-    for root in piece.roots(width):
-        ri = emit(root, None)
+    for root, pos in piece.roots(width):
+        ri = emit(root, pos, None)
         if ri is not None:
-            expand(root, ri, 1)
+            expand(root, pos, ri, 1)
     return FiniteTree.from_parents(parents), mapping
-
-
-_Positioned = dict[int, tuple[CanonicalNode, Ordinal]]
-
-
-def _window_positions(piece: Piece, budget: Budget) -> tuple[FiniteTree, _Positioned]:
-    """The sampled window, with each node's declared position read once:
-    window id -> (node, declared position)."""
-    window, mapping = piece_window(piece, budget.depth, budget.width)
-    return window, {i: (node, piece.tau_declared(node)) for i, node in mapping.items()}
 
 
 def reference_window_rank(rank: Ordinal, budget: Budget) -> int:
@@ -466,11 +477,11 @@ def reference_window_rank(rank: Ordinal, budget: Budget) -> int:
 
 
 def _audit_window(construction: str, piece: Piece, budget: Budget,
-                  nonempty: bool = False) -> tuple[Audit, FiniteTree, _Positioned]:
+                  nonempty: bool = False) -> tuple[Audit, FiniteTree, dict[int, Positioned]]:
     """Open an audit with the window-rank check, after the window-nonempty
     check if asked; every audit starts here."""
     report = Audit(construction=construction, budget=budget, declared_rank=piece.declared_rank)
-    window, at = _window_positions(piece, budget)
+    window, at = piece_window(piece, budget.depth, budget.width)
     if nonempty:
         report.add("window-nonempty", bool(window.ids))
     ref = reference_window_rank(piece.declared_rank, budget)
@@ -503,7 +514,7 @@ class ContractionSpec:
     def of(gamma: "Ordinal | int", layers: Iterable[int]) -> "ContractionSpec":
         return ContractionSpec(ordinal(gamma), frozenset(int(i) for i in layers))
 
-    @property
+    @cached_property
     def fact(self) -> IndecomposableFactorization:
         return factorize(self.gamma)
 
@@ -577,7 +588,7 @@ def audit_alignment(tree: CanonicalTree, gamma: "Ordinal | int", layers: Iterabl
 
 
 def _in_block_separation(tree: CanonicalTree, spec: ContractionSpec, window: FiniteTree,
-                         at: _Positioned, what: str) -> tuple[bool, str]:
+                         at: dict[int, Positioned], what: str) -> tuple[bool, str]:
     """Blocks of rank spec.target stay in order, and inside one block the
     declared separation enumerates into the ambient gamma-block separation."""
     gamma, beta, enum = spec.gamma, spec.target, spec.enumeration
@@ -885,7 +896,7 @@ def _segment_finite_top(tree, base, prefix, rho, gamma_p, rule, budget, cap):
 
 def _cross_color(tree, union: UnionPiece, prefix: CanonicalNode, gamma_p: Ordinal,
                  rule: RuleColoring, budget: Budget) -> int:
-    window, at = _window_positions(union, budget)
+    window, at = piece_window(union, budget.depth, budget.width)
     level = {i: left_divide(gamma_p, pos)[0] for i, (_, pos) in at.items()}
     seen: int | None = None
     for i_s, i_t in window.ordered_pairs():

@@ -40,7 +40,7 @@ STABILIZER_CASES = (
 
 def _record(sub, budget, report, table=None) -> dict:
     window, mapping = sub.window(budget.depth, budget.width)
-    nodes = [mapping[i] for i in window.ids]
+    nodes = [mapping[i][0] for i in window.ids]
     return {
         "declared_rank": str(sub.declared_rank),
         "nodes": [node_to_text(n) for n in nodes],
@@ -55,34 +55,46 @@ def _same_block(tree, s, t):
         left_divide(OMEGA, node_tau(tree, t))[0] else 0
 
 
-def snapshot() -> dict:
-    out = {}
+def _cases():
+    """(name, piece, budget, report, table) for every golden case."""
     square = CanonicalTree.of(0, omega_pow(2))
     for layers in ((), (0,), (1,), (0, 1)):
         spec = ContractionSpec.of(omega_pow(2), layers)
         sub = contract(square, spec)
-        out[f"contract {layers}"] = _record(
-            sub, WIDE, audit_contraction(square, spec, sub, WIDE))
+        yield f"contract {layers}", sub, WIDE, audit_contraction(square, spec, sub, WIDE), None
     for name, tree, gamma, layers, zeta in (
         ("single-block", square, omega_pow(2), {0, 1}, ONE),
         ("blockwise-low", CanonicalTree.of(0, omega_pow(3)), omega_pow(2), {0}, OMEGA),
         ("empty-layers", square, OMEGA, set(), OMEGA),
     ):
         sub = proto_align(tree, gamma, layers, zeta)
-        out[f"proto_align {name}"] = _record(
-            sub, WIDE, audit_alignment(tree, gamma, layers, zeta, sub, WIDE))
+        yield (f"proto_align {name}", sub, WIDE,
+               audit_alignment(tree, gamma, layers, zeta, sub, WIDE), None)
     budget = Budget(3, 3, 4)
     sub, table, report = block_reduce(
         CanonicalTree.of(0, mul(OMEGA, 4)), 1,
         RuleColoring(1, _same_block, "same-block"), budget)
-    out["block_reduce same-block"] = _record(sub, budget, report, table)
+    yield "block_reduce same-block", sub, budget, report, table
     for text, table, dims in STABILIZER_CASES:
         budget = Budget(*dims)
         res = stabilize_transfinite(CanonicalTree.of(0, parse_ordinal(text)),
                                     RuleColoring.sep_table(table), budget)
-        out[f"stabilize I(0,{text}) F={table}"] = _record(
-            res.subtree, budget, res.report, res.table)
-    return out
+        yield f"stabilize I(0,{text}) F={table}", res.subtree, budget, res.report, res.table
+
+
+def snapshot() -> dict:
+    return {name: _record(sub, budget, report, table)
+            for name, sub, budget, report, table in _cases()}
+
+
+def test_carried_positions_are_the_declared_ones():
+    # the window walk carries each node's position down from its parent;
+    # tau_declared recomputes it from the node alone
+    for name, sub, budget, _, _ in _cases():
+        window, mapping = sub.window(budget.depth, budget.width)
+        assert mapping, name
+        for node, pos in mapping.values():
+            assert pos is sub.tau_declared(node), (name, node_to_text(node))
 
 
 def test_outputs_match_golden():

@@ -1,12 +1,18 @@
+import copy
+import pickle
 import random
 
 import pytest
 
 from treeramsey.ordinal import (
+    _INTERNED,
+    MEMO_CAP,
     OMEGA,
     ONE,
     ZERO,
+    Ordinal,
     OrdinalError,
+    _less,
     add,
     compare,
     descend_below,
@@ -285,3 +291,149 @@ class TestLaws:
             seen[g] = str(g)
         for g, text in seen.items():
             assert parse_ordinal(text) == g
+
+
+# -- reference: the arithmetic without interning shortcuts or memo tables ------------
+
+
+def _ref_eq(a, b):
+    return len(a.terms) == len(b.terms) and all(
+        ca == cb and _ref_eq(ea, eb) for (ea, ca), (eb, cb) in zip(a.terms, b.terms))
+
+
+def _ref_less(a, b):
+    for (ea, ca), (eb, cb) in zip(a.terms, b.terms):
+        if not _ref_eq(ea, eb):
+            return _ref_less(ea, eb)
+        if ca != cb:
+            return ca < cb
+    return len(a.terms) < len(b.terms)
+
+
+def _ref_compare(a, b):
+    if _ref_eq(a, b):
+        return 0
+    return -1 if _ref_less(a, b) else 1
+
+
+def _ref_add(a, b):
+    if not b.terms:
+        return a
+    if not a.terms:
+        return b
+    eb = b.terms[0][0]
+    keep = [t for t in a.terms if _ref_less(eb, t[0])]
+    if len(keep) < len(a.terms) and _ref_eq(a.terms[len(keep)][0], eb):
+        merged = (eb, a.terms[len(keep)][1] + b.terms[0][1])
+        return Ordinal(tuple(keep) + (merged,) + b.terms[1:])
+    return Ordinal(tuple(keep) + b.terms)
+
+
+def _ref_mul(a, b):
+    if not a.terms or not b.terms:
+        return ZERO
+    ea = a.terms[0][0]
+    out = []
+    for eb, cb in b.terms:
+        if not eb.terms:
+            out.append((ea, a.terms[0][1] * cb))
+            out.extend(a.terms[1:])
+        else:
+            out.append((_ref_add(ea, eb), cb))
+    return Ordinal(tuple(out))
+
+
+def _ref_left_subtract(a, b):
+    for i, ((ea, ca), (eb, cb)) in enumerate(zip(a.terms, b.terms)):
+        if _ref_eq(ea, eb) and ca == cb:
+            continue
+        if _ref_eq(ea, eb) and ca < cb:
+            return Ordinal(((eb, cb - ca),) + b.terms[i + 1:])
+        assert _ref_less(ea, eb)
+        return Ordinal(b.terms[i:])
+    assert len(a.terms) <= len(b.terms)
+    return Ordinal(b.terms[len(a.terms):])
+
+
+def _ref_left_divide(alpha, xi):
+    a0, c0 = alpha.terms[0]
+    delta_terms = []
+    finite_part = 0
+    for i, (e, m) in enumerate(xi.terms):
+        if _ref_less(a0, e):
+            delta_terms.append((_ref_left_subtract(a0, e), m))
+        elif _ref_eq(e, a0):
+            n = m // c0
+            if n >= 1 and c0 * n == m and _ref_less(Ordinal(xi.terms[i + 1:]),
+                                                     Ordinal(alpha.terms[1:])):
+                n -= 1
+            finite_part = n
+            break
+        else:
+            break
+    delta = Ordinal(tuple(delta_terms))
+    if finite_part:
+        delta = _ref_add(delta, Ordinal(((ZERO, finite_part),)))
+    return delta, _ref_left_subtract(_ref_mul(alpha, delta), xi)
+
+
+class TestHashConsing:
+    """Equal ordinals are one object, with a structural hash; the memo
+    tables agree with uncached arithmetic and stay within their cap."""
+
+    def test_equal_values_are_one_object(self):
+        assert parse_ordinal("w^2+1") is add(omega_pow(2), 1)
+        assert Ordinal(((ONE, 1),)) is OMEGA
+        value = parse_ordinal("w^(w + 1)*2 + w*3 + 5")
+        assert hash(value) == hash((value.terms,))
+        with pytest.raises(AttributeError):
+            value.terms = ()
+
+    @pytest.mark.parametrize("round_trip", [copy.copy, copy.deepcopy,
+                                            lambda x: pickle.loads(pickle.dumps(x))],
+                             ids=["copy", "deepcopy", "pickle"])
+    def test_copies_are_the_same_object(self, round_trip):
+        value = parse_ordinal("w^(w + 1)*2 + w*3 + 5")
+        assert round_trip(value) is value
+        assert round_trip([ZERO, value])[1] is value
+
+    @pytest.mark.parametrize("terms", [
+        (("x", 1),),
+        ((ZERO, 0),),
+        ((ZERO, 1), (ONE, 1)),
+        ((OMEGA, 1), (OMEGA, 2)),
+        ((ZERO, 1.5),),
+    ])
+    def test_malformed_terms_are_not_interned(self, terms):
+        with pytest.raises(OrdinalError):
+            Ordinal(terms)
+        assert terms not in _INTERNED
+
+    def test_text_round_trip_returns_the_same_object(self):
+        rng = random.Random(20240817)
+        for _ in range(300):
+            value = random_ordinal(rng)
+            assert parse_ordinal(str(value)) is value
+
+    def test_memoized_arithmetic_matches_uncached(self):
+        rng = random.Random(4242)
+        pool = [random_ordinal(rng) for _ in range(60)]
+        for _ in range(2000):
+            a, b = rng.choice(pool), rng.choice(pool)
+            assert compare(a, b) == _ref_compare(a, b)
+            assert add(a, b) is _ref_add(a, b)
+            assert mul(a, b) is _ref_mul(a, b)
+            lo, hi = (a, b) if _ref_compare(a, b) <= 0 else (b, a)
+            assert left_subtract(lo, hi) is _ref_left_subtract(lo, hi)
+            if a.terms:
+                delta, rem = left_divide(a, b)
+                ref_delta, ref_rem = _ref_left_divide(a, b)
+                assert delta is ref_delta and rem is ref_rem
+
+    @pytest.mark.parametrize("fn", [_less, add, mul, left_subtract, left_divide],
+                             ids=lambda fn: fn.__name__)
+    def test_memo_table_stays_within_its_cap(self, fn):
+        for i in range(MEMO_CAP + 10):
+            fn(ordinal(i + 1), OMEGA)
+            assert len(fn.memo) <= MEMO_CAP
+        assert fn.memo

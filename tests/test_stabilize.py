@@ -309,6 +309,19 @@ class TestResultDocuments:
         doc["reduced"] = doc["reduced"][1:]
         assert StabilizationResult.from_json(doc).recheck().failed.name == check
 
+    @pytest.mark.parametrize("tamper", ["no-pair-stage-tau", "short-picked"])
+    def test_ramsey_reduce_missing_entry_fails_its_check(self, tamper):
+        tree = instantiate(6).tree
+        res = ramsey_reduce_levels(
+            tree, 1, Coloring.of_pairs(tree, lambda s, t: (s + t) % 2, k=1))
+        doc = json.loads(json.dumps(res.to_json()))
+        if tamper == "no-pair-stage-tau":
+            del doc["extra"]["pair_stage_tau"]
+        else:
+            doc["reduced"]["picked"] = doc["reduced"]["picked"][:-1]
+        report = StabilizationResult.from_json(doc).recheck()
+        assert report.failed.name == "levels-relabelled-in-order"
+
     def test_tampered_table_is_an_internal_defect(self, i03):
         taus = i03.tau_map
         res = stabilize_levels(i03, Coloring.of_nodes(i03, lambda t: taus[t] % 2, k=1))

@@ -67,7 +67,7 @@ class TestContract:
         spec = ContractionSpec.of(w2, set())
         sub = contract(square, spec)
         assert sub.declared_rank == ONE
-        assert sub.roots(5) == [(ZERO,)]
+        assert sub.roots(5) == [((ZERO,), ZERO)]
         assert audit_contraction(square, spec, sub, WIDE).ok
 
     @pytest.mark.parametrize("layers", [{0}, {1}])
@@ -81,13 +81,13 @@ class TestContract:
     def test_low_layer_keeps_small_entries(self, square):
         sub = contract(square, ContractionSpec.of(w2, {0}))
         window, mapping = sub.window(3, 4)
-        for node in mapping.values():
+        for node, _ in mapping.values():
             assert all(e < w for e in node)
 
     def test_high_layer_keeps_multiples(self, square):
         sub = contract(square, ContractionSpec.of(w2, {1}))
         window, mapping = sub.window(3, 4)
-        for node in mapping.values():
+        for node, _ in mapping.values():
             for e in node:
                 assert left_divide(w, e)[1] == ZERO
 
@@ -128,7 +128,7 @@ class TestProtoAlign:
         report = audit_alignment(square, w, set(), w, sub, WIDE)
         assert report.ok
         window, mapping = sub.window(3, 4)
-        for node in mapping.values():
+        for node, _ in mapping.values():
             for e in node:
                 assert left_divide(w, e)[1] == ZERO
 
@@ -223,6 +223,17 @@ class TestFilteredPiece:
         assert filtered.declared_rank == closed.declared_rank
         assert win_f.rank() == win_c.rank()
 
+    @pytest.mark.parametrize("rank,keep", [(2, (0,)), (2, (1,)), (3, (2,))])
+    def test_carried_positions_are_the_declared_ones(self, rank, keep):
+        from treeramsey.ordinal import factorize
+        gamma = omega_pow(rank)
+        filtered = FilteredPiece(EntryPiece(ZERO, EntryMap.identity(gamma)),
+                                 factorize(gamma), keep)
+        _, mapping = piece_window(filtered, 3, 3)
+        assert len(mapping) > 3
+        for node, pos in mapping.values():
+            assert pos is filtered.tau_declared(node)
+
     @pytest.mark.parametrize("keep", [(0,), (1,)])
     def test_separation_enumerates(self, square, keep):
         from treeramsey.canonical import SeparationContext
@@ -233,7 +244,7 @@ class TestFilteredPiece:
         ambient = SeparationContext(w2)
         local = SeparationContext(filtered.declared_rank)
         for i_s, i_t in window.ordered_pairs():
-            s, t = mapping[i_s], mapping[i_t]
+            (s, _), (t, _) = mapping[i_s], mapping[i_t]
             sq = local.of_taus(filtered.tau_declared(s), filtered.tau_declared(t))
             sp = ambient.of_taus(node_tau(square, s), node_tau(square, t))
             assert keep[sq] == sp
