@@ -60,7 +60,6 @@ from .transfinite import (
     audit_declared_rank,
     block_reduce,
     contract,
-    pick_graded_roots,
     proto_align,
     stabilize_transfinite,
 )
@@ -96,7 +95,7 @@ __all__ = [
     "RuleColoring", "parse_rule",
     "Budget", "ContractionSpec", "assemble_union",
     "audit_alignment", "audit_contraction", "audit_declared_rank",
-    "block_reduce", "contract", "pick_graded_roots", "proto_align",
+    "block_reduce", "contract", "proto_align",
     "stabilize_transfinite",
     "SearchReport", "additive_obstruction", "check_R2_membership",
     "cross_validate", "max_monochromatic_rank", "max_monochromatic_rank_nodes",

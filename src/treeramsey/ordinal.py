@@ -20,7 +20,7 @@ from __future__ import annotations
 import re
 import weakref
 from dataclasses import dataclass, field
-from functools import cached_property, total_ordering, wraps
+from functools import cached_property, wraps
 from itertools import count
 from typing import Iterator
 
@@ -38,7 +38,6 @@ _INTERNED: "weakref.WeakValueDictionary[tuple, Ordinal]" = weakref.WeakValueDict
 _SERIAL = count()
 
 
-@total_ordering
 class Ordinal:
     """Cantor normal form: tuple of (exponent, coefficient) pairs.
 
@@ -138,8 +137,19 @@ class Ordinal:
 
     # -- comparison / arithmetic -------------------------------------------
 
-    def __lt__(self, other: object) -> bool:
-        return _less(self, other)
+    # spelled out rather than derived from __lt__ and ==: an Ordinal never
+    # equals an int, so derived operators would get ordinal(3) <= 3 wrong
+    def __lt__(self, other: "Ordinal | int") -> bool:
+        return compare(self, other) < 0
+
+    def __le__(self, other: "Ordinal | int") -> bool:
+        return compare(self, other) <= 0
+
+    def __gt__(self, other: "Ordinal | int") -> bool:
+        return compare(self, other) > 0
+
+    def __ge__(self, other: "Ordinal | int") -> bool:
+        return compare(self, other) >= 0
 
     def __add__(self, other) -> "Ordinal":
         return add(self, other)

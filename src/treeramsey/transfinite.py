@@ -1,10 +1,11 @@
 """Contractions and budgeted stabilization on canonical trees.
 
-Infinite subtrees are handled as lazy pieces: generators that answer
-membership, enumerate sampled children, and carry a declared symbolic rank
-plus a declared position function.  Every construction returns its piece,
-and ``piece.window(depth, width)`` materializes the sampled finite window,
-each node with the declared position its sampler handed down the walk.
+Infinite subtrees are handled as lazy pieces: samplers that enumerate
+sampled roots and children, each with its declared position, under a
+declared symbolic rank.  Every construction returns its piece, and
+``piece_window(piece, depth, width)`` materializes the sampled finite
+window, each node with the declared position its sampler handed down the
+walk.
 A contraction is the one-block (zeta = 1) case of the blockwise alignment.
 
 Declared data are claims, not proofs; every public construction is paired
@@ -111,15 +112,16 @@ class Audit(Report):
 
 @dataclass(frozen=True)
 class EntryMap:
-    """Strictly increasing embedding of [0, size) into an entry range."""
+    """Strictly increasing embedding of [0, size) into an entry range;
+    ``unapply``, where given, inverts it and answers None off the image."""
 
     size: Ordinal
     apply: Callable[[Ordinal], Ordinal]
-    unapply: Callable[[Ordinal], Ordinal | None]
+    unapply: Callable[[Ordinal], Ordinal | None] | None = None
 
     @staticmethod
     def identity(size: Ordinal) -> "EntryMap":
-        return EntryMap(size, lambda y: y, lambda x: x if compare(x, size) < 0 else None)
+        return EntryMap(size, lambda y: y)
 
 
 def _mixed_digits(x: Ordinal, prods: Sequence[Ordinal]) -> list[Ordinal] | None:
@@ -197,8 +199,8 @@ Positioned = tuple[CanonicalNode, Ordinal]
 class Piece:
     """A lazy subtree.  ``roots`` and ``children`` sample members, each with
     its declared position, so a walk carries positions down instead of
-    recomputing them; ``contains`` and ``tau_declared`` answer for any node
-    and are what the audits recheck against."""
+    recomputing them; the audits recheck the carried positions against the
+    ambient tree."""
 
     declared_rank: Ordinal
 
@@ -208,15 +210,6 @@ class Piece:
     def children(self, node: CanonicalNode, pos: Ordinal, width: int) -> list[Positioned]:
         """Sampled children of the member ``node`` at declared position ``pos``."""
         raise NotImplementedError
-
-    def contains(self, node: CanonicalNode) -> bool:
-        raise NotImplementedError
-
-    def tau_declared(self, node: CanonicalNode) -> Ordinal:
-        raise NotImplementedError
-
-    def window(self, depth: int, width: int) -> tuple[FiniteTree, dict[int, Positioned]]:
-        return piece_window(self, depth, width)
 
 
 @dataclass(frozen=True)
@@ -233,30 +226,11 @@ class EntryPiece(Piece):
     def _entry(self, y: Ordinal) -> Ordinal:
         return add(self.base, self.emap.apply(y))
 
-    def _unentry(self, e: Ordinal) -> Ordinal | None:
-        if compare(e, self.base) < 0:
-            return None
-        return self.emap.unapply(left_subtract(self.base, e))
-
     def roots(self, width: int) -> list[Positioned]:
         return [((self._entry(y),), y) for y in descend_below(self.emap.size, width)]
 
     def children(self, node: CanonicalNode, pos: Ordinal, width: int) -> list[Positioned]:
         return [(node + (self._entry(z),), z) for z in descend_below(pos, width)]
-
-    def contains(self, node: CanonicalNode) -> bool:
-        if not node:
-            return False
-        ys = [self._unentry(e) for e in node]
-        if any(y is None for y in ys):
-            return False
-        return all(compare(b, a) < 0 for a, b in zip(ys, ys[1:]))
-
-    def tau_declared(self, node: CanonicalNode) -> Ordinal:
-        y = self._unentry(node[-1])
-        if y is None:
-            raise TransfiniteError(f"node ends outside the piece: {node[-1]}")
-        return y
 
 
 @dataclass(frozen=True)
@@ -287,16 +261,6 @@ class UnionPiece(Piece):
         anchor, piece = hit
         return [(anchor + c, p) for c, p in piece.children(node[len(anchor):], pos, width)]
 
-    def contains(self, node: CanonicalNode) -> bool:
-        hit = self._match(node)
-        return hit is not None and hit[1].contains(node[len(hit[0]):])
-
-    def tau_declared(self, node: CanonicalNode) -> Ordinal:
-        hit = self._match(node)
-        if hit is None:
-            raise TransfiniteError("node lies in no part of the union")
-        return hit[1].tau_declared(node[len(hit[0]):])
-
 
 @dataclass(frozen=True)
 class StackPiece(Piece):
@@ -310,40 +274,6 @@ class StackPiece(Piece):
     def declared_rank(self) -> Ordinal:
         return mul(self.band_rank, len(self.bands))
 
-    def _band_of(self, e: Ordinal) -> int | None:
-        for i, (b, _) in enumerate(self.bands):
-            if compare(b, e) <= 0 and compare(e, add(b, self.band_rank)) < 0:
-                return i
-        return None
-
-    def _split(self, node: CanonicalNode):
-        """Cut into per-band segments; None when the node is not a member."""
-        segs: list[tuple[int, CanonicalNode]] = []
-        cur_band: int | None = None
-        cur: CanonicalNode = ()
-        for e in node:
-            b = self._band_of(e)
-            if b is None:
-                return None
-            if cur_band is None:
-                if b != len(self.bands) - 1:
-                    return None
-                cur_band, cur = b, (e,)
-            elif b == cur_band:
-                cur = cur + (e,)
-            else:
-                if b != cur_band - 1:
-                    return None
-                piece = self.bands[cur_band][1]
-                if not piece.contains(cur) or not piece.tau_declared(cur).is_zero:
-                    return None
-                segs.append((cur_band, cur))
-                cur_band, cur = b, (e,)
-        if cur_band is None or not self.bands[cur_band][1].contains(cur):
-            return None
-        segs.append((cur_band, cur))
-        return segs
-
     def roots(self, width: int) -> list[Positioned]:
         return self._in_band(len(self.bands) - 1, (), self.bands[-1][1].roots(width))
 
@@ -351,12 +281,6 @@ class StackPiece(Piece):
         """Band-relative samples of band b below ``prefix``, as stack members."""
         shift = mul(self.band_rank, b)
         return [(prefix + n, add(shift, p)) for n, p in sampled]
-
-    def _last_segment(self, node: CanonicalNode) -> tuple[int, CanonicalNode]:
-        segs = self._split(node)
-        if segs is None:
-            raise TransfiniteError("node is not a member of the stack")
-        return segs[-1]
 
     def children(self, node: CanonicalNode, pos: Ordinal, width: int) -> list[Positioned]:
         # the position band_rank * b + p names the band b and the position p in it
@@ -372,13 +296,6 @@ class StackPiece(Piece):
         while cut and compare(node[cut - 1], top) < 0:
             cut -= 1
         return self._in_band(b, node[:cut], piece.children(node[cut:], p, width))
-
-    def contains(self, node: CanonicalNode) -> bool:
-        return self._split(node) is not None
-
-    def tau_declared(self, node: CanonicalNode) -> Ordinal:
-        b, seg = self._last_segment(node)
-        return add(mul(self.band_rank, b), self.bands[b][1].tau_declared(seg))
 
 
 # nodes a filtered piece may walk through while looking for the covers of one node
@@ -402,9 +319,6 @@ class FilteredPiece(Piece):
     def declared_rank(self) -> Ordinal:
         return self.emap.size
 
-    def _position(self, node: CanonicalNode) -> Ordinal | None:
-        return self.emap.unapply(self.inner.tau_declared(node))
-
     def _frontier(self, seeds: Iterable[Positioned], width: int) -> list[Positioned]:
         """Walk inner samples (with inner positions) down to the kept ones."""
         out: list[Positioned] = []
@@ -426,15 +340,6 @@ class FilteredPiece(Piece):
     def children(self, node: CanonicalNode, pos: Ordinal, width: int) -> list[Positioned]:
         # a kept node's inner position is its position embedded back
         return self._frontier(self.inner.children(node, self.emap.apply(pos), width), width)
-
-    def contains(self, node: CanonicalNode) -> bool:
-        return self.inner.contains(node) and self._position(node) is not None
-
-    def tau_declared(self, node: CanonicalNode) -> Ordinal:
-        pos = self._position(node)
-        if pos is None:
-            raise TransfiniteError("node is not a member of the contracted piece")
-        return pos
 
 
 def piece_window(piece: Piece, depth: int, width: int) -> tuple[FiniteTree, dict[int, Positioned]]:
@@ -558,14 +463,7 @@ def proto_align(tree: CanonicalTree, gamma: "Ordinal | int", layers: Iterable[in
         q, y = left_divide(beta, z)
         return add(mul(gamma, q), inner.apply(y))
 
-    def unapply(x: Ordinal) -> Ordinal | None:
-        q, r = left_divide(gamma, x)
-        y = inner.unapply(r)
-        if y is None or compare(q, zeta) >= 0:
-            return None
-        return add(mul(beta, q), y)
-
-    return EntryPiece(ZERO, EntryMap(mul(beta, zeta), apply, unapply))
+    return EntryPiece(ZERO, EntryMap(mul(beta, zeta), apply))
 
 
 def audit_alignment(tree: CanonicalTree, gamma: "Ordinal | int", layers: Iterable[int],
@@ -613,14 +511,7 @@ def _in_block_separation(tree: CanonicalTree, spec: ContractionSpec, window: Fin
     return True, f"{pairs} pairs checked"
 
 
-# -- graded roots and unions ------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class GradedRoot:
-    root: CanonicalNode
-    eta: Ordinal
-    anchor: CanonicalNode
+# -- grades and unions ------------------------------------------------------------
 
 
 def _grade(eps: Ordinal, q: int) -> Ordinal:
@@ -631,42 +522,6 @@ def _grade(eps: Ordinal, q: int) -> Ordinal:
     if eps.is_successor:
         return omega_pow(mul(omega_pow(eps.predecessor()), q))
     return omega_pow(omega_pow(fundamental_sequence(eps, q)))
-
-
-def pick_graded_roots(tree: CanonicalTree, gamma: "Ordinal | int", count: int) -> list[GradedRoot]:
-    """Roots of strictly increasing grade below a tree of rank gamma * w^(w^e),
-    each with an anchor sitting exactly at the graded depth."""
-    gamma = ordinal(gamma)
-    if not tree.alpha.is_zero:
-        raise TransfiniteError("graded roots need alpha = 0")
-    rho = rank_symbolic(tree)
-    eps = _split_top_factor(rho, gamma)
-    out: list[GradedRoot] = []
-    for q in range(1, count + 1):
-        eta = _grade(eps, q)
-        entry = mul(gamma, eta)
-        if compare(entry, rho) >= 0:  # pragma: no cover - grades stay below the rank
-            break
-        node = (entry,)
-        # the subtree at the root has rank entry+1 > gamma*eta, by construction
-        assert compare(node_tau(tree, node), mul(gamma, eta)) >= 0
-        out.append(GradedRoot(node, eta, node))
-    return out
-
-
-def _split_top_factor(rho: Ordinal, gamma: Ordinal) -> Ordinal:
-    """The e with rho = gamma * w^(w^e); errors when no such e exists."""
-    if not is_additively_indecomposable(rho):
-        raise TransfiniteError(f"rank {rho} is not additively indecomposable")
-    if gamma == ONE:
-        diff = rho.leading_exponent
-    else:
-        if not is_additively_indecomposable(gamma):
-            raise TransfiniteError(f"factor {gamma} is not additively indecomposable")
-        diff = left_subtract(gamma.leading_exponent, rho.leading_exponent)
-    if not is_additively_indecomposable(diff):
-        raise TransfiniteError(f"rank {rho} does not factor as {gamma} * w^(w^e)")
-    return diff.leading_exponent
 
 
 def assemble_union(parts: Sequence[tuple[CanonicalNode, Piece]],

@@ -49,6 +49,16 @@ class TestCompare:
         assert ordinal(3) < w
         assert not (w < ordinal(3))
 
+    def test_operators_agree_with_compare_against_ints(self):
+        # an Ordinal never == an int, so each operator must go through compare
+        rng = random.Random(1207)
+        for _ in range(400):
+            n = rng.randrange(0, 6)
+            x = ordinal(rng.randrange(0, 6)) if rng.random() < 0.5 else random_ordinal(rng)
+            for a, b in ((x, n), (n, x)):
+                c = compare(a, b)
+                assert (a < b, a <= b, a > b, a >= b) == (c < 0, c <= 0, c > 0, c >= 0), (a, b)
+
 
 class TestAdd:
     def test_successor(self):

@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from treeramsey.canonical import CanonicalTree, node_tau, truncate
-from treeramsey.ordinal import OMEGA, ONE, ZERO, left_divide, mul, omega_pow, ordinal
+from treeramsey.ordinal import OMEGA, ONE, ZERO, add, left_divide, mul, omega_pow, ordinal
 from treeramsey.rules import RuleColoring, parse_rule
 from treeramsey.transfinite import (
     AuditFailure,
@@ -13,14 +13,16 @@ from treeramsey.transfinite import (
     EntryMap,
     EntryPiece,
     FilteredPiece,
+    Piece,
     TransfiniteError,
+    _audit_stabilization,
+    _grade,
     assemble_union,
     audit_alignment,
     audit_contraction,
     block_reduce,
     contract,
     digit_embedding,
-    pick_graded_roots,
     piece_window,
     proto_align,
     stabilize_transfinite,
@@ -80,13 +82,13 @@ class TestContract:
 
     def test_low_layer_keeps_small_entries(self, square):
         sub = contract(square, ContractionSpec.of(w2, {0}))
-        window, mapping = sub.window(3, 4)
+        window, mapping = piece_window(sub, 3, 4)
         for node, _ in mapping.values():
             assert all(e < w for e in node)
 
     def test_high_layer_keeps_multiples(self, square):
         sub = contract(square, ContractionSpec.of(w2, {1}))
-        window, mapping = sub.window(3, 4)
+        window, mapping = piece_window(sub, 3, 4)
         for node, _ in mapping.values():
             for e in node:
                 assert left_divide(w, e)[1] == ZERO
@@ -105,7 +107,7 @@ class TestContract:
         for layers in ({0}, {1}, {0, 1}):
             sub = contract(square, ContractionSpec.of(w2, layers))
             for budget in (Budget(2, 2, 4), Budget(3, 4, 4), Budget(4, 3, 4)):
-                window, _ = sub.window(budget.depth, budget.width)
+                window, _ = piece_window(sub, budget.depth, budget.width)
                 assert window.rank() <= reference_window_rank(sub.declared_rank, budget)
 
 
@@ -127,7 +129,7 @@ class TestProtoAlign:
         assert sub.declared_rank == w
         report = audit_alignment(square, w, set(), w, sub, WIDE)
         assert report.ok
-        window, mapping = sub.window(3, 4)
+        window, mapping = piece_window(sub, 3, 4)
         for node, _ in mapping.values():
             for e in node:
                 assert left_divide(w, e)[1] == ZERO
@@ -138,33 +140,19 @@ class TestProtoAlign:
 
 
 class TestGradedRoots:
+    """The grades _stabilize_grades hangs below a top layer w^(w^eps)."""
+
     def test_finite_grades(self):
         tree = CanonicalTree.of(0, mul(w, w))
-        roots = pick_graded_roots(tree, w, 3)
-        assert [r.eta for r in roots] == [ordinal(1), ordinal(2), ordinal(3)]
-        assert [r.root for r in roots] == [(w,), (mul(w, 2),), (mul(w, 3),)]
-        assert all(r.anchor == r.root for r in roots)
-        for r in roots:
-            assert node_tau(tree, r.anchor) == mul(w, r.eta)
-
-    def test_single(self):
-        tree = CanonicalTree.of(0, mul(w, w))
-        assert len(pick_graded_roots(tree, w, 1)) == 1
+        assert [_grade(ZERO, q) for q in (1, 2, 3)] == [ordinal(1), ordinal(2), ordinal(3)]
+        for q in (1, 2, 3):  # the anchor (w*q,) has tau w*q
+            assert node_tau(tree, (mul(w, _grade(ZERO, q)),)) == mul(w, q)
 
     def test_successor_grades(self):
-        tree = CanonicalTree.of(0, omega_pow(w))
-        roots = pick_graded_roots(tree, ONE, 3)
-        assert [str(r.eta) for r in roots] == ["w", "w^2", "w^3"]
+        assert [str(_grade(ONE, q)) for q in (1, 2, 3)] == ["w", "w^2", "w^3"]
 
     def test_limit_grades(self):
-        tree = CanonicalTree.of(0, omega_pow(omega_pow(w)))
-        roots = pick_graded_roots(tree, ONE, 2)
-        assert [str(r.eta) for r in roots] == ["w^w", "w^(w^2)"]
-
-    def test_rejects_bad_factor(self):
-        tree = CanonicalTree.of(0, mul(w, 3))
-        with pytest.raises(TransfiniteError):
-            pick_graded_roots(tree, w, 2)
+        assert [str(_grade(w, q)) for q in (1, 2)] == ["w^w", "w^(w^2)"]
 
 
 class TestAssembleUnion:
@@ -198,12 +186,10 @@ class TestAssembleUnion:
     def test_union_of_graded_segments_attains_reference(self, square):
         # mirror of the graded-roots wrapping: declared rank w^2 certified
         from treeramsey.transfinite import reference_window_rank
-        parts = []
-        for grade in pick_graded_roots(square, w, 3):
-            seg = EntryPiece(ZERO, EntryMap.identity(mul(w, grade.eta)))
-            parts.append((grade.anchor, seg))
+        parts = [((mul(w, q),), EntryPiece(ZERO, EntryMap.identity(mul(w, q))))
+                 for q in (1, 2, 3)]
         union = assemble_union(parts, declared_rank=w2)
-        window, _ = union.window(3, 3)
+        window, _ = piece_window(union, 3, 3)
         assert window.rank() == reference_window_rank(w2, Budget(3, 3, 4))
 
 
@@ -229,10 +215,11 @@ class TestFilteredPiece:
         gamma = omega_pow(rank)
         filtered = FilteredPiece(EntryPiece(ZERO, EntryMap.identity(gamma)),
                                  factorize(gamma), keep)
+        ambient = CanonicalTree.of(0, gamma)
         _, mapping = piece_window(filtered, 3, 3)
         assert len(mapping) > 3
         for node, pos in mapping.values():
-            assert pos is filtered.tau_declared(node)
+            assert pos is filtered.emap.unapply(node_tau(ambient, node))
 
     @pytest.mark.parametrize("keep", [(0,), (1,)])
     def test_separation_enumerates(self, square, keep):
@@ -244,8 +231,8 @@ class TestFilteredPiece:
         ambient = SeparationContext(w2)
         local = SeparationContext(filtered.declared_rank)
         for i_s, i_t in window.ordered_pairs():
-            (s, _), (t, _) = mapping[i_s], mapping[i_t]
-            sq = local.of_taus(filtered.tau_declared(s), filtered.tau_declared(t))
+            (s, pos_s), (t, pos_t) = mapping[i_s], mapping[i_t]
+            sq = local.of_taus(pos_s, pos_t)
             sp = ambient.of_taus(node_tau(square, s), node_tau(square, t))
             assert keep[sq] == sp
 
@@ -371,8 +358,8 @@ class TestStabilizeTransfinite:
         first = stabilize_transfinite(square, rule, BUDGET)
         second = stabilize_transfinite(square, rule, BUDGET)
         assert first.table == second.table
-        win1, map1 = first.subtree.window(3, 3)
-        win2, map2 = second.subtree.window(3, 3)
+        win1, map1 = piece_window(first.subtree, 3, 3)
+        win2, map2 = piece_window(second.subtree, 3, 3)
         assert win1.ids == win2.ids
         assert [map1[i] for i in win1.ids] == [map2[i] for i in win2.ids]
         assert first.to_json() == second.to_json()
@@ -413,6 +400,52 @@ class TestDeclaredRankAudits:
         assert info.value.report.ok is False
 
 
+class ZeroBelowRoots(Piece):
+    """Walks ``inner`` honestly but hands down 0 as the position of every
+    depth-2 node, keeping the true one to walk on below it."""
+
+    def __init__(self, inner: Piece):
+        self.inner, self.declared_rank = inner, inner.declared_rank
+        self.root_nodes, self.true_pos = set(), {}
+
+    def roots(self, width):
+        out = self.inner.roots(width)
+        self.root_nodes.update(node for node, _ in out)
+        return out
+
+    def children(self, node, pos, width):
+        kids = self.inner.children(node, self.true_pos.get(node, pos), width)
+        if node not in self.root_nodes:
+            return kids
+        self.true_pos.update(kids)
+        return [(child, ZERO) for child, _ in kids]
+
+
+class TestMisreportedPositions:
+    """The audits are the only check on carried positions: a piece that
+    walks the honest window but misreports positions fails them."""
+
+    def test_contraction_audit_names_the_pair(self, square):
+        spec = ContractionSpec.of(w2, {0, 1})
+        honest = contract(square, spec)
+        assert audit_contraction(square, spec, honest, WIDE).ok
+        report = audit_contraction(square, spec, ZeroBelowRoots(honest), WIDE)
+        s = (add(mul(w, 3), 3),)
+        t = s + (add(mul(w, 3), 2),)
+        assert report.failed.name == "separation-enumerates"
+        assert report.failed.detail == f"pair ({s},{t}): ambient 0 != mapped 1"
+
+    def test_stabilization_audit_names_the_pair(self, square):
+        rule = RuleColoring.sep_table((1, 0))
+        honest = stabilize_transfinite(square, rule, BUDGET)
+        report = _audit_stabilization(square, ZeroBelowRoots(honest.subtree),
+                                      honest.table, rule, BUDGET)
+        s = (mul(w, 2), add(w, 2), add(w, 1))
+        t = s + (w,)
+        assert report.failed.name == "separation-preserved"
+        assert report.failed.detail == f"pair ({s},{t}): subtree separation 1 != ambient 0"
+
+
 class TestSharpnessCeiling:
     """Window ranks of contractions never exceed the same-budget window of
     the declared-rank reference tree, across a budget matrix."""
@@ -429,7 +462,7 @@ class TestSharpnessCeiling:
         tree = CanonicalTree.of(0, rank)
         sub = contract(tree, ContractionSpec.of(rank, layers))
         for budget in (Budget(2, 2, 4), Budget(2, 3, 4), Budget(3, 3, 4)):
-            window, _ = sub.window(budget.depth, budget.width)
+            window, _ = piece_window(sub, budget.depth, budget.width)
             assert window.rank() <= reference_window_rank(sub.declared_rank, budget)
 
 
@@ -452,7 +485,7 @@ class TestMonochromaticSharpness:
         for j in set(table):
             layers = frozenset(i for i, c in enumerate(table) if c == j)
             sub = contract(square, ContractionSpec.of(w2, layers))
-            expected, _ = sub.window(budget.depth, budget.width)
+            expected, _ = piece_window(sub, budget.depth, budget.width)
             best = max_monochromatic_rank(
                 window.tree, lambda s, t: rule_colors[(s, t)], j)
             assert best.colors[j].rank == expected.rank()
