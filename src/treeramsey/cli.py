@@ -121,12 +121,8 @@ def _cmd_tree(args) -> int:
         artifact["levels"] = [sorted(b) for b in decomposition.blocks]
     if args.enumerate:
         fam = args.enumerate
-        if fam == "lambda2":
-            rows = list(tree.ordered_pairs())
-        elif fam == "e1":
-            rows = list(tree.leaf_chains(1))
-        else:
-            rows = list(tree.pairs_to_leaf())
+        # "pi" (pairs s <= t with t a leaf) and "e1" are the same family
+        rows = list(tree.ordered_pairs() if fam == "lambda2" else tree.leaf_chains(1))
         for row in rows:
             print(" ".join(str(x) for x in row))
         artifact["family"] = {"name": fam, "tuples": [list(r) for r in rows]}
@@ -194,7 +190,7 @@ def _check_coverage(tree: FiniteTree, coloring: Coloring, *arities: str) -> None
     if coloring.arity == "nodes":
         keys = iter(tree.ids)
     elif coloring.arity == "pairs":
-        keys = ((s, t) for t, above in zip(tree.ids, tree.anc) for s in sorted(above))
+        keys = ((s, t) for t in tree.ids for s in sorted(tree.ancestors(t)))
     else:
         keys = tree.leaf_chains(coloring.n)
     missing = next((key for key in keys if key not in coloring.table), None)

@@ -251,8 +251,8 @@ def _greedy_chain(P: FiniteTree) -> list[int]:
     at each step the least child whose tau is one lower, down to a leaf.  A
     descendant whose tau is one lower is always a child, so the walk looks
     only at children."""
-    taus = P.tau_map
-    t = next(s for s in P.ids if taus[s] == P.rank() - 1)
+    taus, top = P.tau_map, P.rank() - 1
+    t = next(s for s in P.ids if taus[s] == top)
     chain = [t]
     while taus[t]:
         t = next(s for s in P.children(t) if taus[s] == taus[t] - 1)

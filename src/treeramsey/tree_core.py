@@ -1,11 +1,14 @@
 """Finite well-founded trees with the derivative / rank / tau calculus.
 
-A tree is a finite poset in which every ancestor set is a chain.  Nodes are
-integer ids; a subtree is an id-subset carrying the induced order, so node
+A tree is a finite poset in which every ancestor set is a chain, stored as
+its parent map: sorted integer ids and, aligned with them, each node's
+parent.  A subtree is an id-subset carrying the induced order, so node
 identities survive every selection and expressions like
 ``Q & (P^i \\ P^(i+1))`` are literal set intersections.  The rank is the
-longest chain and tau(t) the longest chain strictly above t, both read off
-ancestor-set sizes in one pass; the z-th derivative P^z is {t : tau(t) >= z}.
+longest chain and tau(t) the longest chain strictly above t, i.e. the
+height of t, found in one pass from the leaves down; the z-th derivative
+P^z is {t : tau(t) >= z}.  Ancestor sets are a derived view, built only
+when asked for.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ import json
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 from typing import Iterable, Iterator, Mapping, Sequence
 
 
@@ -30,41 +34,35 @@ def exact_int(value) -> int:
 
 @dataclass(frozen=True)
 class FiniteTree:
-    """ids, plus for each id the frozenset of its strict ancestors."""
+    """Sorted ids and, aligned with them, each node's parent (None at a root)."""
 
     ids: tuple[int, ...]
-    anc: tuple[frozenset[int], ...]
+    parents: tuple[int | None, ...]
 
     def __post_init__(self) -> None:
-        if len(self.anc) != len(self.ids):
-            raise TreeError("one ancestor set per node required")
-        if any(a >= b for a, b in zip(self.ids, self.ids[1:])):
-            raise TreeError("node ids must be strictly increasing")
-        members = frozenset(self.ids)
-        for t, above in zip(self.ids, self.anc):
-            if not above <= members or t in above:
-                raise TreeError(f"ancestor set of node {t} escapes the tree")
+        """Nothing to check: every tree is built by ``from_parents``, which
+        validates the parent map."""
 
     # -- construction --------------------------------------------------------
 
     @staticmethod
     def from_parents(parent: Mapping[int, int | None]) -> "FiniteTree":
+        """The tree of a parent map; an unknown parent or a cycle is an error."""
         ids = tuple(sorted(parent))
-        chains: dict[int, frozenset[int]] = {}
-        for t in ids:
-            # climb to a known node or a root, then fill the path top-down
-            path: dict[int, int | None] = {}
-            s: int | None = t
-            while s is not None and s not in chains:
+        checked: set[int] = set()
+        for s in ids:
+            # climb to a checked node or a root
+            path: set[int] = set()
+            while s is not None and s not in checked:
                 if s in path:
                     raise TreeError(f"parent cycle through node {s}")
-                p = path[s] = parent[s]
+                path.add(s)
+                p = parent[s]
                 if p is not None and p not in parent:
                     raise TreeError(f"parent {p} of node {s} is not a node")
                 s = p
-            for u, p in reversed(path.items()):
-                chains[u] = frozenset() if p is None else chains[p] | {p}
-        return FiniteTree(ids, tuple(chains[t] for t in ids))
+            checked |= path
+        return FiniteTree(ids, tuple(parent[t] for t in ids))
 
     @staticmethod
     def chain_tree(n: int, start: int = 0) -> "FiniteTree":
@@ -78,16 +76,21 @@ class FiniteTree:
 
     @staticmethod
     def empty() -> "FiniteTree":
-        return FiniteTree((), ())
+        return FiniteTree.from_parents({})
 
     def restrict(self, keep: Iterable[int]) -> "FiniteTree":
-        """Subtree on an id subset with the induced order."""
+        """Subtree on an id subset with the induced order: a kept node's
+        parent is its nearest kept ancestor."""
         keep_set = frozenset(keep)
         extra = keep_set - self._index.keys()
         if extra:
             raise TreeError(f"unknown node ids {sorted(extra)}")
-        ids = tuple(t for t in self.ids if t in keep_set)
-        return FiniteTree(ids, tuple(self.anc[self._index[t]] & keep_set for t in ids))
+        kept_above: dict[int, int | None] = dict.fromkeys(self.roots())
+        for t in self._topdown:
+            nearest = t if t in keep_set else kept_above[t]
+            for c in self._kids[t]:
+                kept_above[c] = nearest
+        return FiniteTree.from_parents({t: kept_above[t] for t in self.ids if t in keep_set})
 
     # -- basic structure -------------------------------------------------------
 
@@ -104,6 +107,33 @@ class FiniteTree:
     def _index(self) -> dict[int, int]:
         return {t: i for i, t in enumerate(self.ids)}
 
+    @cached_property
+    def _kids(self) -> dict[int, list[int]]:
+        """Children of each node, in id order."""
+        kids: dict[int, list[int]] = {t: [] for t in self.ids}
+        for t, p in zip(self.ids, self.parents):
+            if p is not None:
+                kids[p].append(t)
+        return kids
+
+    @cached_property
+    def _topdown(self) -> list[int]:
+        """Every node after its parent (breadth first from the roots)."""
+        order = list(self.roots())
+        for t in order:
+            order.extend(self._kids[t])
+        return order
+
+    @cached_property
+    def anc(self) -> tuple[frozenset[int], ...]:
+        """Strict ancestors of each node in id order (n * depth ints, on demand)."""
+        above: dict[int, frozenset[int]] = dict.fromkeys(self.roots(), frozenset())
+        for t in self._topdown:
+            with_t = above[t] | {t}
+            for c in self._kids[t]:
+                above[c] = with_t
+        return tuple(above[t] for t in self.ids)
+
     def ancestors(self, t: int) -> frozenset[int]:
         """Strict ancestors of t (always a chain)."""
         return self.anc[self._node(t)]
@@ -117,12 +147,6 @@ class FiniteTree:
     def less(self, s: int, t: int) -> bool:
         return s in self.anc[self._node(t)]
 
-    def leq(self, s: int, t: int) -> bool:
-        return s == t or self.less(s, t)
-
-    def comparable(self, s: int, t: int) -> bool:
-        return s == t or self.less(s, t) or self.less(t, s)
-
     @cached_property
     def _below(self) -> dict[int, tuple[int, ...]]:
         """Strict descendants of each node, in id order."""
@@ -132,42 +156,32 @@ class FiniteTree:
                 out[s].append(t)
         return {t: tuple(v) for t, v in out.items()}
 
-    @cached_property
-    def _parents(self) -> dict[int, int | None]:
-        """The parent is the ancestor with the most ancestors."""
-        depth = dict(zip(self.ids, map(len, self.anc)))
-        return {t: max(above, key=depth.__getitem__, default=None)
-                for t, above in zip(self.ids, self.anc)}
-
     def descendants(self, t: int) -> frozenset[int]:
         self._node(t)
         return frozenset(self._below[t])
 
     def parent(self, t: int) -> int | None:
         """Nearest ancestor inside this tree, if any."""
-        self._node(t)
-        return self._parents[t]
+        return self.parents[self._node(t)]
 
     def children(self, t: int) -> tuple[int, ...]:
-        return tuple(s for s in self._below.get(t, ()) if self._parents[s] == t)
+        return tuple(self._kids.get(t, ()))
 
     def roots(self) -> tuple[int, ...]:
-        return tuple(t for t, a in zip(self.ids, self.anc) if not a)
+        return tuple(t for t, p in zip(self.ids, self.parents) if p is None)
 
     def leaves(self) -> tuple[int, ...]:
-        return tuple(t for t in self.ids if not self._below[t])
+        return tuple(t for t in self.ids if not self._kids[t])
 
     # -- derivatives and rank --------------------------------------------------
 
     @cached_property
     def tau_map(self) -> dict[int, int]:
-        """tau(s) = the longest chain strictly above s = max over leaves t >= s
-        of |anc(t)| - |anc(s)|, since ancestor sets are chains."""
-        depth = dict(zip(self.ids, map(len, self.anc)))
+        """tau(s) = the longest chain strictly above s: 0 at a leaf, else one
+        more than the largest tau of a child, filled in from the leaves down."""
         taus = dict.fromkeys(self.ids, 0)
-        for t in self.leaves():
-            for s in self.ancestors(t):
-                taus[s] = max(taus[s], depth[t] - depth[s])
+        for t in reversed(self._topdown):
+            taus[t] = 1 + max(map(taus.__getitem__, self._kids[t]), default=-1)
         return taus
 
     def rank(self) -> int:
@@ -199,8 +213,9 @@ class FiniteTree:
     def downward_closure(self, m: Iterable[int]) -> frozenset[int]:
         keep: set[int] = set()
         for t in m:
-            keep.add(t)
-            keep |= self.ancestors(t)
+            while t is not None and t not in keep:
+                keep.add(t)
+                t = self.parent(t)
         return frozenset(keep)
 
     def is_downward_closed(self, m: Iterable[int]) -> bool:
@@ -240,10 +255,6 @@ class FiniteTree:
             tips = [s for s in below[top] if not below[s]] if below[top] else [top]
             yield from (chain + (leaf,) for leaf in tips)
 
-    def pairs_to_leaf(self) -> Iterator[tuple[int, int]]:
-        """(s, t) with s <= t and t a leaf."""
-        return self.leaf_chains(1)  # type: ignore[return-value]
-
     def ordered_pairs(self) -> Iterator[tuple[int, int]]:
         """All (s, t) with s < t in the tree order."""
         return self.chains(2)  # type: ignore[return-value]
@@ -253,7 +264,7 @@ class FiniteTree:
     def to_json(self) -> dict:
         return {
             "schema_version": 1,
-            "nodes": [{"id": t, "parent": self.parent(t)} for t in self.ids],
+            "nodes": [{"id": t, "parent": p} for t, p in zip(self.ids, self.parents)],
         }
 
     @staticmethod
@@ -283,25 +294,18 @@ def incomparable_union(parts: Sequence[FiniteTree]) -> FiniteTree:
     order; disjoint inputs keep their ids so subtrees of a common ambient
     tree can be reunited in place.
     """
-    if not parts:
-        return FiniteTree.empty()
     total = sum(len(p) for p in parts)
-    disjoint = total == len(set().union(*(set(p.ids) for p in parts)))
+    disjoint = total == len(set().union(*(p.ids for p in parts)))
     offset = 0
-    ids: list[int] = []
-    anc: list[frozenset[int]] = []
+    parent: dict[int, int | None] = {}
     for part in parts:
-        if disjoint:
-            shift = 0
-        else:
-            shift = offset - (min(part.ids) if part.ids else 0)
-        for t, a in zip(part.ids, part.anc):
-            ids.append(t + shift)
-            anc.append(frozenset(s + shift for s in a))
-        if part.ids:
-            offset = max(offset, max(t + shift for t in part.ids) + 1)
-    order = sorted(range(len(ids)), key=lambda i: ids[i])
-    return FiniteTree(tuple(ids[i] for i in order), tuple(anc[i] for i in order))
+        if not part.ids:
+            continue
+        shift = 0 if disjoint else offset - part.ids[0]
+        for t, p in zip(part.ids, part.parents):
+            parent[t + shift] = None if p is None else p + shift
+        offset = max(offset, part.ids[-1] + shift + 1)
+    return FiniteTree.from_parents(parent)
 
 
 def graft(base: FiniteTree, attach: Mapping[int, FiniteTree]) -> FiniteTree:
@@ -320,25 +324,19 @@ def graft(base: FiniteTree, attach: Mapping[int, FiniteTree]) -> FiniteTree:
         raise TreeError(f"attachments must share one rank, got {sorted(ranks)}")
     if not leaves or ranks == {0}:
         return base
-    ids = list(base.ids)
-    anc = list(base.anc)
-    used = set(base.ids)
-    fresh = (max(used) + 1) if used else 0
+    parent = dict(zip(base.ids, base.parents))
+    fresh = base.ids[-1] + 1
     for leaf in leaves:
         part = attach[leaf]
-        if used & set(part.ids):
+        if parent.keys().isdisjoint(part.ids):
+            remap = {t: t for t in part.ids}
+        else:
             # collision: move the whole attachment to a fresh id range
             remap = {t: fresh + i for i, t in enumerate(part.ids)}
-        else:
-            remap = {t: t for t in part.ids}
-        below = base.ancestors(leaf) | {leaf}
-        for t, above in zip(part.ids, part.anc):
-            ids.append(remap[t])
-            anc.append(frozenset(remap[s] for s in above) | below)
-        used |= set(remap.values())
-        fresh = max(used) + 1
-    order = sorted(range(len(ids)), key=lambda i: ids[i])
-    return FiniteTree(tuple(ids[i] for i in order), tuple(anc[i] for i in order))
+        for t, p in zip(part.ids, part.parents):
+            parent[remap[t]] = leaf if p is None else remap[p]
+        fresh = max(fresh, remap[part.ids[-1]] + 1)
+    return FiniteTree.from_parents(parent)
 
 
 @dataclass(frozen=True)
@@ -357,13 +355,6 @@ class LevelDecomposition:
     def count(self) -> int:
         return len(self.blocks)
 
-    def level_of(self, t: int) -> int:
-        tau = self.tree.tau(t)
-        for i in range(self.count):
-            if self.boundaries[i] <= tau < self.boundaries[i + 1]:
-                return i
-        raise TreeError(f"tau {tau} outside every level")  # pragma: no cover
-
 
 def levels(tree: FiniteTree, summands: Sequence[int] | None = None) -> LevelDecomposition:
     """Split ``tree`` into blocks whose ranks are the declared summands."""
@@ -374,25 +365,24 @@ def levels(tree: FiniteTree, summands: Sequence[int] | None = None) -> LevelDeco
         raise TreeError("summands must be positive")
     if sum(summands) != r:
         raise TreeError(f"summands {list(summands)} do not add up to rank {r}")
-    bounds = [0]
-    for s in summands:
-        bounds.append(bounds[-1] + s)
+    bounds = (0, *accumulate(summands))
+    block_of = [i for i, s in enumerate(summands) for _ in range(s)]
+    blocks: list[list[int]] = [[] for _ in summands]
     taus = tree.tau_map
-    blocks = tuple(
-        frozenset(t for t in tree.ids if bounds[i] <= taus[t] < bounds[i + 1])
-        for i in range(len(summands)))
-    return LevelDecomposition(tree, tuple(bounds), blocks)
+    for t in tree.ids:
+        blocks[block_of[taus[t]]].append(t)
+    return LevelDecomposition(tree, bounds, tuple(map(frozenset, blocks)))
 
 
 def select_level_subset(tree: FiniteTree, picked: Iterable[int]) -> FiniteTree:
     """Union of the chosen tau classes; empty selection warns and yields the
     empty tree (the empty-sum convention)."""
-    chosen = sorted(set(picked))
+    chosen = set(picked)
     if not chosen:
         warnings.warn("empty level selection yields the empty tree", stacklevel=2)
         return tree.restrict(())
     r = tree.rank()
-    bad = [i for i in chosen if not 0 <= i < r]
+    bad = sorted(i for i in chosen if not 0 <= i < r)
     if bad:
         raise TreeError(f"levels {bad} outside 0..{r - 1}")
     taus = tree.tau_map

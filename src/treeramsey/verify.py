@@ -1,8 +1,9 @@
 """Brute-force oracles and obstruction colorings.
 
-Everything here recomputes tree structure from the raw (ids, ancestors)
+Everything here recomputes tree structure from the raw (ids, parents)
 data with its own helpers instead of calling the constructive modules, so
-a bug upstream cannot vouch for itself.  The pair oracle is a longest
+a bug upstream cannot vouch for itself: ``_ancestor_map`` climbs the parents
+itself and reads no ancestor set, height or index that ``tree_core`` built.  The pair oracle is a longest
 monochromatic chain search, exhaustive within a node budget and saying so;
 the leaf-peeling ``_rank_of``/``_tau_of`` are what ``cross_validate`` trusts.
 ``cross_validate`` records into the shared ``report.Report``, which is a
@@ -28,7 +29,20 @@ class VerificationError(AssertionError):
 
 
 def _ancestor_map(tree: FiniteTree) -> dict[int, frozenset[int]]:
-    return {t: a for t, a in zip(tree.ids, tree.anc)}
+    """Strict ancestors of every node, climbing the stored parents up to a root
+    or to a node whose set is already known."""
+    up = dict(zip(tree.ids, tree.parents))
+    anc: dict[int, frozenset[int]] = {}
+    for s in tree.ids:
+        path: list[int] = []
+        while s is not None and s not in anc:
+            path.append(s)
+            s = up[s]
+        above = frozenset() if s is None else anc[s] | {s}
+        for u in reversed(path):
+            anc[u] = above
+            above = above | {u}
+    return anc
 
 
 def _maximal(ids: frozenset[int], anc: Mapping[int, frozenset[int]]) -> frozenset[int]:

@@ -334,11 +334,14 @@ class TestResultDocuments:
 class TestDeepChains:
     """The greedy chain is a loop, so rank is not bounded by the recursion limit."""
 
-    def test_levels_and_leaf_chains_on_a_1100_node_chain(self):
-        chain = FiniteTree.chain_tree(1100)
+    def test_levels_and_leaf_chains_on_a_100000_node_descending_chain(self):
+        # the root carries the largest id, so the top of the greedy chain is
+        # found last, and tau(t) = t
+        n = 100_000
+        chain = FiniteTree.from_parents({t: t + 1 if t + 1 < n else None for t in range(n)})
         levels = stabilize_levels(chain, Coloring.of_nodes(chain, lambda t: t % 3, k=2))
         assert levels.subtree.ids == chain.ids and levels.certificate.ok
-        assert levels.reduced[:3] == (1099 % 3, 1098 % 3, 1097 % 3)
+        assert levels.reduced[:4] == (0, 1, 2, 0)
         leaf = Coloring.of_leaf_chains(chain, 0, lambda t: 1, k=1)
         res = stabilize_leaf_chains(chain, 0, leaf)
         assert res.subtree.ids == chain.ids and res.reduced == {(): 1}

@@ -67,10 +67,16 @@ class TestConstruction:
             FiniteTree.from_json(doc)
 
     def test_deep_descending_chain(self):
-        tree = FiniteTree.from_json(descending_chain_doc(1500))
-        assert tree.rank() == 1500
-        assert tree.tau(1499) == 1499 and tree.parent(0) == 1 and tree.children(1) == (0,)
-        assert tree.leaves() == (0,) and tree.roots() == (1499,)
+        n = 100_000
+        tree = FiniteTree.from_json(descending_chain_doc(n))
+        assert tree.rank() == n
+        assert tree.tau(n - 1) == n - 1 and tree.parent(0) == 1 and tree.children(1) == (0,)
+        assert tree.leaves() == (0,) and tree.roots() == (n - 1,)
+        assert levels(tree).blocks[:3] == (frozenset({0}), frozenset({1}), frozenset({2}))
+        top = tree.iterated_derivative(50_000)
+        assert top.ids == tuple(range(50_000, n)) and top.roots() == (n - 1,)
+        odd = tree.restrict(range(1, n, 2))
+        assert odd.rank() == n // 2 and odd.parent(1) == 3 and odd.parent(n - 1) is None
 
     def test_from_parents_names_the_cycle_node(self):
         with pytest.raises(TreeError, match="parent cycle through node 1"):
@@ -192,7 +198,7 @@ class TestClosures:
             assert tree.downward_closure(tree.leaves()) == frozenset(tree.ids)
             for t in tree.ids:
                 above = tree.subtree_at(t)
-                assert any(tree.leq(t, leaf) for leaf in tree.leaves())
+                assert any(t == leaf or tree.less(t, leaf) for leaf in tree.leaves())
                 assert set(above.leaves()) <= set(tree.leaves())
 
 
@@ -223,7 +229,8 @@ class TestLevels:
         taus = i03.tau_map
         for i, block in enumerate(decomposition.blocks):
             assert block == frozenset(t for t in i03.ids if taus[t] == i)
-            assert all(decomposition.level_of(t) == i for t in block)
+            bounds = decomposition.boundaries
+            assert all(bounds[i] <= taus[t] < bounds[i + 1] for t in block)
 
     def test_single_node(self):
         assert levels(FiniteTree.from_parents({0: None}), [1]).count == 1
@@ -231,8 +238,7 @@ class TestLevels:
     def test_chain_two(self):
         two = FiniteTree.chain_tree(2)
         decomposition = levels(two, [1, 1])
-        assert decomposition.level_of(1) == 0
-        assert decomposition.level_of(0) == 1
+        assert decomposition.blocks == (frozenset({1}), frozenset({0}))
 
     def test_wide_summands(self):
         four = FiniteTree.chain_tree(4)
@@ -320,15 +326,40 @@ def _relabelled(rng, tree):
         {perm[t]: None if tree.parent(t) is None else perm[tree.parent(t)] for t in tree.ids})
 
 
+def _climbed(tree):
+    """Strict ancestor sets of every node, by climbing ``parent`` step by step."""
+    out = {}
+    for t in tree.ids:
+        above, s = set(), tree.parent(t)
+        while s is not None:
+            above.add(s)
+            s = tree.parent(s)
+        out[t] = frozenset(above)
+    return out
+
+
+def _assert_order(tree, anc):
+    """``tree`` has exactly the ancestor sets ``anc``, derived and climbed,
+    and each node's parent is its deepest ancestor."""
+    assert tree.ids == tuple(sorted(anc))
+    assert dict(zip(tree.ids, tree.anc)) == anc == _climbed(tree)
+    assert all(tree.parent(t) == max(anc[t], key=lambda s: len(anc[s]), default=None)
+               for t in tree.ids)
+
+
 class TestCalculusAgainstOracle:
     """The one-pass calculus against verify's leaf-peeling definitions and
-    brute-force, id-lexicographic enumerations built from ``anc``."""
+    brute-force, id-lexicographic enumerations built from ancestor sets
+    climbed off the parents; the parent-map edits (restrict, union, graft)
+    against ancestor sets computed by hand."""
 
     def test_random_trees(self):
         rng = random.Random(7)
+        pick = random.Random(11)  # subsets and attachments, so rng draws only the trees
         for _ in range(300):
             tree = _relabelled(rng, random_tree(rng, max_nodes=40))
-            anc = dict(zip(tree.ids, tree.anc))
+            anc = _climbed(tree)
+            _assert_order(tree, anc)
             ids = frozenset(tree.ids)
             taus = _tau_of(ids, anc)
             assert tree.tau_map == taus
@@ -344,5 +375,35 @@ class TestCalculusAgainstOracle:
             leaves = [t for t in tree.ids if not any(t in anc[u] for u in tree.ids)]
             assert list(tree.leaf_chains(1)) == [(s, t) for s in tree.ids for t in leaves
                                                  if s == t or s in anc[t]]
-            assert all(tree.parent(t) == max(anc[t], key=lambda s: len(anc[s]), default=None)
-                       for t in tree.ids)
+
+            # restrict: the induced order on a random id subset
+            keep = frozenset(t for t in tree.ids if pick.random() < 0.5)
+            _assert_order(tree.restrict(keep), {t: anc[t] & keep for t in keep})
+
+            # union of colliding parts: each part shifted to the next fresh range
+            parts = [tree, _relabelled(pick, tree), tree]
+            expected, offset = {}, 0
+            for part in parts:
+                shift = offset - min(part.ids)
+                expected.update({t + shift: frozenset(s + shift for s in above)
+                                 for t, above in _climbed(part).items()})
+                offset = max(part.ids) + shift + 1
+            _assert_order(incomparable_union(parts), expected)
+
+            # graft: base ids stay put; above each leaf, an order-preserving
+            # relabelling of its attachment
+            tops = [random_tree(pick, max_nodes=6) for _ in leaves]
+            z = min(top.rank() for top in tops)
+            attach = {leaf: _relabelled(pick, top.iterated_derivative(top.rank() - z))
+                      for leaf, top in zip(leaves, tops)}
+            grafted = graft(tree, attach)
+            new_anc = _climbed(grafted)
+            expected = dict(anc)
+            for leaf in leaves:
+                part = attach[leaf]
+                mine = sorted(t for t in grafted.ids if t not in ids and leaf in new_anc[t])
+                assert len(mine) == len(part)
+                m = dict(zip(part.ids, mine))
+                expected.update({m[t]: frozenset(m[s] for s in above) | anc[leaf] | {leaf}
+                                 for t, above in _climbed(part).items()})
+            _assert_order(grafted, expected)

@@ -230,6 +230,23 @@ class TestCrossValidation:
         with pytest.raises(VerificationError, match="^subtree-containment: "):
             cross_validate(broken)
 
+    def test_reads_no_ancestor_sets_of_tree_core(self, i03, monkeypatch):
+        """verify climbs the raw parents itself: with ``FiniteTree.anc``
+        broken, its checks still run and pass."""
+        taus = i03.tau_map
+        results = [
+            stabilize_levels(i03, Coloring.of_nodes(i03, lambda t: taus[t] % 2, k=1)),
+            stabilize_pairs_by_level(i03, Coloring.of_pairs(i03, lambda s, t: (s + t) % 2, k=1)),
+        ]
+
+        def broken(tree):
+            raise AssertionError("FiniteTree.anc was read")
+
+        monkeypatch.setattr(FiniteTree, "anc", property(broken))
+        assert [cross_validate(result).ok for result in results] == [True, True]
+        report = max_monochromatic_rank(i03, multiplicative_obstruction(i03, 2), 0)
+        assert report.exhaustive and report.colors[0].rank == 2
+
     def test_empty_result_passes_vacuously(self):
         from treeramsey.stabilize import StabilizationResult
         empty = FiniteTree.empty()
