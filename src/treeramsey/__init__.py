@@ -55,12 +55,9 @@ from .transfinite import (
     Budget,
     ContractionSpec,
     assemble_union,
-    audit_alignment,
     audit_contraction,
     audit_declared_rank,
-    block_reduce,
     contract,
-    proto_align,
     stabilize_transfinite,
 )
 from .tree_core import (
@@ -93,10 +90,8 @@ __all__ = [
     "ramsey_reduce_levels", "select_leafset", "select_levels",
     "stabilize_leaf_chains", "stabilize_levels", "stabilize_pairs_by_level",
     "RuleColoring", "parse_rule",
-    "Budget", "ContractionSpec", "assemble_union",
-    "audit_alignment", "audit_contraction", "audit_declared_rank",
-    "block_reduce", "contract", "proto_align",
-    "stabilize_transfinite",
+    "Budget", "ContractionSpec", "assemble_union", "audit_contraction",
+    "audit_declared_rank", "contract", "stabilize_transfinite",
     "SearchReport", "additive_obstruction", "check_R2_membership",
     "cross_validate", "max_monochromatic_rank", "max_monochromatic_rank_nodes",
     "multiplicative_obstruction",

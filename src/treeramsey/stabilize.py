@@ -29,10 +29,9 @@ class StabilizeError(ValueError):
 class RamseyBudgetError(RuntimeError):
     """The exhaustive search would exceed the configured size budget."""
 
-    def __init__(self, message: str, lower_bound: int, upper_bound: int | None = None):
+    def __init__(self, message: str, lower_bound: int):
         super().__init__(message)
         self.lower_bound = lower_bound
-        self.upper_bound = upper_bound
 
 
 # -- colorings ---------------------------------------------------------------

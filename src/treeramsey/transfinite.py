@@ -5,21 +5,24 @@ sampled roots and children, each with its declared position, under a
 declared symbolic rank.  Every construction returns its piece, and
 ``piece_window(piece, depth, width)`` materializes the sampled finite
 window, each node with the declared position its sampler handed down the
-walk.
-A contraction is the one-block (zeta = 1) case of the blockwise alignment.
+walk.  A contraction keeps the entries whose digits lie on chosen layers.
+The stabilizer recurses on the top layer: a finite one keeps, by
+pigeonhole, ``width`` blocks that share a table and stacks them below
+graded anchors; successor and limit layers join recursively stabilized
+grades in a union.
 
 Declared data are claims, not proofs; every public construction is paired
 with an audit that materializes a finite window at the given budget and
 rechecks the claims pair by pair, comparing window ranks against
-equal-budget windows of reference trees.  An operation either returns with an all-pass audit or fails naming
-the step that could not be certified.
+equal-budget windows of reference trees.  An operation either returns with
+an all-pass audit or fails naming the step that could not be certified.
 """
 
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass, field
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .canonical import (
     CanonicalNode,
@@ -320,11 +323,12 @@ class FilteredPiece(Piece):
         return self.emap.size
 
     def _frontier(self, seeds: Iterable[Positioned], width: int) -> list[Positioned]:
-        """Walk inner samples (with inner positions) down to the kept ones."""
+        """Walk inner samples (with inner positions) down to the first
+        ``width`` kept ones."""
         out: list[Positioned] = []
         queue = list(seeds)
         spent = 0
-        while queue and spent < FRONTIER_CAP:
+        while queue and spent < FRONTIER_CAP and len(out) < width:
             node, inner_pos = queue.pop(0)
             spent += 1
             pos = self.emap.unapply(inner_pos)
@@ -434,59 +438,23 @@ class ContractionSpec:
 
 def contract(tree: CanonicalTree, spec: ContractionSpec) -> EntryPiece:
     """The subtree whose entries use only digits on the chosen layers; its
-    separation values enumerate back into the ambient ones.  This is the
-    one-block alignment, ``proto_align`` at zeta = 1."""
-    return proto_align(tree, spec.gamma, spec.layers, ONE)
+    separation values enumerate back into the ambient ones."""
+    if not tree.alpha.is_zero:
+        raise TransfiniteError("contraction and alignment are defined on trees with alpha = 0")
+    if rank_symbolic(tree) != spec.gamma:
+        raise TransfiniteError(f"tree rank {rank_symbolic(tree)} is not {spec.gamma}")
+    return EntryPiece(ZERO, digit_embedding(spec.fact, spec.enumeration))
 
 
 def audit_contraction(tree: CanonicalTree, spec: ContractionSpec,
                       sub: Piece, budget: Budget) -> Audit:
     report, window, at = _audit_window("contraction", sub, budget)
-    report.add("separation-enumerates", *_in_block_separation(tree, spec, window, at, "ambient"))
-    return report
-
-
-def proto_align(tree: CanonicalTree, gamma: "Ordinal | int", layers: Iterable[int],
-                zeta: "Ordinal | int") -> EntryPiece:
-    """Blockwise contraction of a tree of rank gamma*zeta: each gamma-block
-    is contracted to the chosen layers, preserving the block grid."""
-    gamma, zeta = ordinal(gamma), ordinal(zeta)
-    if not tree.alpha.is_zero:
-        raise TransfiniteError("contraction and alignment are defined on trees with alpha = 0")
-    if rank_symbolic(tree) != mul(gamma, zeta):
-        raise TransfiniteError(f"tree rank {rank_symbolic(tree)} is not {mul(gamma, zeta)}")
-    spec = ContractionSpec.of(gamma, layers)
-    inner = digit_embedding(spec.fact, spec.enumeration)
-    beta = inner.size
-
-    def apply(z: Ordinal) -> Ordinal:
-        q, y = left_divide(beta, z)
-        return add(mul(gamma, q), inner.apply(y))
-
-    return EntryPiece(ZERO, EntryMap(mul(beta, zeta), apply))
-
-
-def audit_alignment(tree: CanonicalTree, gamma: "Ordinal | int", layers: Iterable[int],
-                    zeta: "Ordinal | int", sub: Piece, budget: Budget) -> Audit:
-    spec = ContractionSpec.of(gamma, layers)
-    gamma, beta = spec.gamma, spec.target
-    report, window, at = _audit_window("block-alignment", sub, budget)
-    grid_ok, detail = True, ""
-    for node, pos in at.values():
-        q_r = left_divide(beta, pos)[0]
-        q_p = left_divide(gamma, node_tau(tree, node))[0]
-        if q_r != q_p:
-            grid_ok = False
-            detail = f"node {node}: block {q_r} vs ambient block {q_p}"
-            break
-    report.add("block-grid-preserved", grid_ok, detail)
-    report.add("in-block-separation-enumerates",
-               *_in_block_separation(tree, spec, window, at, "block separation"))
+    report.add("separation-enumerates", *_in_block_separation(tree, spec, window, at))
     return report
 
 
 def _in_block_separation(tree: CanonicalTree, spec: ContractionSpec, window: FiniteTree,
-                         at: dict[int, Positioned], what: str) -> tuple[bool, str]:
+                         at: dict[int, Positioned]) -> tuple[bool, str]:
     """Blocks of rank spec.target stay in order, and inside one block the
     declared separation enumerates into the ambient gamma-block separation."""
     gamma, beta, enum = spec.gamma, spec.target, spec.enumeration
@@ -507,7 +475,7 @@ def _in_block_separation(tree: CanonicalTree, spec: ContractionSpec, window: Fin
         sp = ctx_g.of_taus(left_subtract(base_p, node_tau(tree, s)),
                            left_subtract(base_p, node_tau(tree, t)))
         if enum[sq] != sp:
-            return False, f"pair ({s},{t}): {what} {sp} != mapped {enum[sq]}"
+            return False, f"pair ({s},{t}): ambient {sp} != mapped {enum[sq]}"
     return True, f"{pairs} pairs checked"
 
 
@@ -541,77 +509,6 @@ def assemble_union(parts: Sequence[tuple[CanonicalNode, Piece]],
             if compare(declared_rank, piece.declared_rank) < 0:
                 declared_rank = piece.declared_rank
     return UnionPiece(tuple((tuple(a), piece) for a, piece in parts), ordinal(declared_rank))
-
-
-# -- block reduction ----------------------------------------------------------------
-
-
-def block_reduce(tree: CanonicalTree, n: int, rule: RuleColoring,
-                 budget: Budget) -> tuple[StackPiece, tuple[int, ...], Audit]:
-    """Stabilize every block of a tree of rank gamma*(N+1), pigeonhole the
-    per-block tables, and keep n+1 agreeing blocks stacked in order."""
-    if not tree.alpha.is_zero:
-        raise TransfiniteError("block reduction needs alpha = 0")
-    rho = rank_symbolic(tree)
-    if len(rho.terms) != 1:
-        raise TransfiniteError(f"rank {rho} is not of the shape gamma*(N+1)")
-    gamma = omega_pow(rho.leading_exponent)
-    blocks = rho.terms[0][1]
-    n_blocks_needed = n * (rule.k + 1) ** factorize(gamma).lam
-    if blocks - 1 <= n_blocks_needed:
-        raise TransfiniteError(
-            f"need more than {n_blocks_needed + 1} blocks for n={n}, k={rule.k}; "
-            f"tree has {blocks}")
-    tables: dict[tuple[int, ...], list[int]] = {}
-    bands: list[tuple[Ordinal, Piece]] = []
-    chosen: tuple[int, ...] | None = None
-    stabilized = _stabilize_blocks(tree, ZERO, (), gamma, blocks, rule, budget, budget.cap)
-    for delta, (b_base, piece, table) in enumerate(stabilized):
-        bands.append((b_base, piece))
-        hits = tables.setdefault(tuple(table), [])
-        hits.append(delta)
-        if len(hits) == n + 1 and chosen is None:
-            chosen = tuple(table)
-    if chosen is None:  # pragma: no cover - excluded by the block-count bound
-        raise BudgetExhausted("block-table-pigeonhole",
-                              f"no table repeated {n + 1} times across {blocks} blocks")
-    picked = tuple(tables[chosen][: n + 1])
-    sub = StackPiece(tuple(bands[d] for d in picked), gamma)
-    report = _audit_block_reduction(tree, sub, gamma, picked, chosen, rule, budget)
-    return sub, chosen, report.require()
-
-
-def _audit_block_reduction(tree: CanonicalTree, sub: StackPiece, gamma: Ordinal,
-                           picked: tuple[int, ...], table: tuple[int, ...],
-                           rule: RuleColoring, budget: Budget) -> Audit:
-    report, window, at = _audit_window("block-reduction", sub, budget)
-    grid_ok, detail = True, ""
-    for node, pos in at.values():
-        mine = left_divide(gamma, pos)[0].as_int()
-        ambient = left_divide(gamma, node_tau(tree, node))[0].as_int()
-        if picked[mine] != ambient:
-            grid_ok = False
-            detail = f"node {node}: level {mine} should sit in block {picked[mine]}, found {ambient}"
-            break
-    report.add("levels-map-to-picked-blocks", grid_ok, detail)
-    ctx = SeparationContext(gamma) if factorize(gamma).lam else None
-    colors_ok, detail_c, pairs = True, "", 0
-    for i_s, i_t in window.ordered_pairs():
-        (s, pos_s), (t, pos_t) = at[i_s], at[i_t]
-        if left_divide(gamma, pos_s)[0] != left_divide(gamma, pos_t)[0]:
-            continue  # cross-block colors are not constrained here
-        eta = left_divide(gamma, node_tau(tree, s))[0]
-        loc_s = left_subtract(mul(gamma, eta), node_tau(tree, s))
-        loc_t = left_subtract(mul(gamma, eta), node_tau(tree, t))
-        sep_idx = ctx.of_taus(loc_s, loc_t)
-        pairs += 1
-        if rule.value(tree, s, t) != table[sep_idx]:
-            colors_ok = False
-            detail_c = f"pair ({s},{t}): color {rule.value(tree, s, t)} != table[{sep_idx}]"
-            break
-    report.add("in-block-colors-recovered", colors_ok,
-               detail_c or f"{pairs} pairs checked")
-    return report
 
 
 # -- the budgeted stabilizer ---------------------------------------------------------
@@ -706,16 +603,6 @@ def _stabilize_segment(tree: CanonicalTree, base: Ordinal, prefix: CanonicalNode
     return _segment_limit(rho, grades)
 
 
-def _stabilize_blocks(tree: CanonicalTree, base: Ordinal, prefix: CanonicalNode,
-                      gamma: Ordinal, count: int, rule: RuleColoring, budget: Budget,
-                      cap: int) -> Iterator[tuple[Ordinal, Piece, tuple[int, ...]]]:
-    """Stabilize ``count`` consecutive gamma-blocks from ``base``, one at a
-    time, yielding each block's base, piece and table."""
-    for delta in range(count):
-        b_base = add(base, mul(gamma, delta))
-        yield (b_base, *_stabilize_segment(tree, b_base, prefix, gamma, rule, budget, cap))
-
-
 def _stabilize_grades(tree, base, prefix, gamma_p, eps, rule, budget, cap):
     """Stabilize, for q = 1..width, the segment of rank gamma_p * eta_q hung
     below the anchor entry base + gamma_p * eta_q."""
@@ -730,23 +617,31 @@ def _stabilize_grades(tree, base, prefix, gamma_p, eps, rule, budget, cap):
 
 
 def _segment_finite_top(tree, base, prefix, rho, gamma_p, rule, budget, cap):
-    anchors = [(add(base, mul(gamma_p, _grade(ZERO, q))),) for q in range(1, budget.width + 1)]
-    blocks = _stabilize_blocks(tree, base, prefix + anchors[-1], gamma_p, len(anchors),
-                               rule, budget, cap - 1)
-    bands: list[tuple[Ordinal, Piece]] = []
-    band_table: tuple[int, ...] | None = None
-    for delta, (b_base, piece, table) in enumerate(blocks):
-        if band_table is None:
-            band_table = table
-        elif table != band_table:
-            raise BudgetExhausted(
-                "level-table-unanimity",
-                f"blocks disagree: {table} vs {band_table} at block {delta}")
-        bands.append((b_base, piece))
-    union = assemble_union([(anchor, StackPiece(tuple(bands[:q]), gamma_p))
-                            for q, anchor in enumerate(anchors, 1)], rho)
+    """Stack ``width`` gamma_p-blocks that share a table below graded anchors.
+
+    Blocks from ``base`` are stabilized one at a time, all under one prefix
+    above every candidate block, until one table has come up ``width``
+    times; with (k+1)^lam tables that takes at most (k+1)^lam * (width-1) + 1
+    blocks.  The q-th part hangs the first q kept blocks below the entry
+    just above the q-th of them.
+    """
+    width = budget.width
+    bound = (rule.k + 1) ** factorize(gamma_p).lam * (width - 1) + 1
+    above = prefix + (add(base, mul(gamma_p, bound)),)
+    hits: dict[tuple[int, ...], list[tuple[int, Ordinal, Piece]]] = {}
+    for delta in range(bound):
+        b_base = add(base, mul(gamma_p, delta))
+        piece, table = _stabilize_segment(tree, b_base, above, gamma_p, rule, budget, cap - 1)
+        kept = hits.setdefault(table, [])
+        kept.append((delta, b_base, piece))
+        if len(kept) == width:
+            break
+    bands = [(b_base, piece) for _, b_base, piece in kept]
+    union = assemble_union([((add(base, mul(gamma_p, delta + 1)),),
+                             StackPiece(tuple(bands[:q]), gamma_p))
+                            for q, (delta, _, _) in enumerate(kept, 1)], rho)
     j = _cross_color(tree, union, prefix, gamma_p, rule, budget)
-    return union, band_table + (j,)
+    return union, table + (j,)
 
 
 def _cross_color(tree, union: UnionPiece, prefix: CanonicalNode, gamma_p: Ordinal,

@@ -71,6 +71,20 @@ def _tau_of(ids: frozenset[int], anc: Mapping[int, frozenset[int]]) -> dict[int,
     return out
 
 
+# (tree, ancestor map, heights) of the last tree climbed: an oracle job
+# builds its obstruction coloring and then searches each color on one tree
+_last_climb: tuple = (None, {}, {})
+
+
+def _climb(tree: FiniteTree) -> tuple[dict[int, frozenset[int]], dict[int, int]]:
+    """Ancestor map and heights of ``tree``, remembered for the last tree only."""
+    global _last_climb
+    if _last_climb[0] is not tree:
+        anc = _ancestor_map(tree)
+        _last_climb = (tree, anc, _tau_of(frozenset(tree.ids), anc))
+    return _last_climb[1], _last_climb[2]
+
+
 # -- search reports ------------------------------------------------------------
 
 
@@ -123,8 +137,7 @@ def max_monochromatic_rank(tree: FiniteTree, coloring, j: int,
     is pruned when the chain through it, at most len(chain) + 1 + height(t)
     long, cannot beat the best found.
     """
-    anc = _ancestor_map(tree)
-    height = _tau_of(frozenset(tree.ids), anc)
+    anc, height = _climb(tree)
     below: dict[int, list[int]] = {t: [] for t in tree.ids}
     for t in tree.ids:
         for s in anc[t]:
@@ -159,7 +172,7 @@ def max_monochromatic_rank_nodes(tree: FiniteTree, coloring, j: int) -> SearchRe
     """Node-coloring variant: the color class itself is the best subtree,
     since dropping nodes never raises rank."""
     color = _color_fn(coloring, pairs=False)
-    anc = _ancestor_map(tree)
+    anc = _climb(tree)[0]
     keep = frozenset(t for t in tree.ids if color(t) == j)
     return SearchReport(colors={j: ColorBest(_rank_of(keep, anc), tuple(sorted(keep)))},
                         explored=len(tree.ids))
@@ -181,7 +194,7 @@ def multiplicative_obstruction(tree: FiniteTree, alpha: int):
     derivatives, 1 across blocks."""
     if alpha < 1:
         raise ValueError("alpha must be at least 1")
-    taus = _tau_of(frozenset(tree.ids), _ancestor_map(tree))
+    taus = _climb(tree)[1]
 
     def color(s: int, t: int) -> int:
         return 0 if taus[s] // alpha == taus[t] // alpha else 1
@@ -191,7 +204,7 @@ def multiplicative_obstruction(tree: FiniteTree, alpha: int):
 
 def additive_obstruction(tree: FiniteTree):
     """Node coloring by tau class (level index)."""
-    taus = _tau_of(frozenset(tree.ids), _ancestor_map(tree))
+    taus = _climb(tree)[1]
     return lambda t: taus[t]
 
 

@@ -538,11 +538,17 @@ def test_parser_fuzz(capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("rule,code", [("tau(w, s)", 2), ("F[tau(w, t)] with F=(0,1)", 2),
-                                       ("tau(1, s)", 1)])
+# tau(b, .) is an ordinal quotient: finite values are colors, infinite ones an
+# error; the w-block index reaches 2 at the third block the stabilizer visits
+ORDINAL_RULE_ERRORS = {
+    "tau(w, s)": "rule produced color 2 outside palette 0..1",
+    "F[tau(w, t)] with F=(0,1)": "table index 2 outside 0..1",
+    "tau(1, s)": "w + 1 is infinite",
+}
+
+
+@pytest.mark.parametrize("rule,code", [(rule, 1) for rule in ORDINAL_RULE_ERRORS])
 def test_ordinal_valued_rule(rule, code, capsys):
-    # tau(b, .) is an ordinal quotient: finite values are colors, infinite ones an error
     assert main(["transfinite", "--tree", "I(0,w^2)", "--stabilize", "--rule", rule,
                  "-k", "1", "--budget", "2,2,2"]) == code
-    if code == 1:
-        assert capsys.readouterr().err == "error: w + 1 is infinite\n"
+    assert capsys.readouterr().err == f"error: {ORDINAL_RULE_ERRORS[rule]}\n"

@@ -14,18 +14,15 @@ Regenerate (only when an output change is intended) with:
 import json
 from pathlib import Path
 
-from treeramsey.canonical import CanonicalTree, node_tau, node_to_text
-from treeramsey.ordinal import OMEGA, ONE, left_divide, mul, omega_pow, parse_ordinal
-from treeramsey.rules import RuleColoring
+from treeramsey.canonical import CanonicalTree, node_to_text
+from treeramsey.ordinal import omega_pow, parse_ordinal
+from treeramsey.rules import RuleColoring, parse_rule
 from treeramsey.transfinite import (
     Budget,
     ContractionSpec,
-    audit_alignment,
     audit_contraction,
-    block_reduce,
     contract,
     piece_window,
-    proto_align,
     stabilize_transfinite,
 )
 
@@ -37,6 +34,16 @@ STABILIZER_CASES = (
     ("w^w", (1,), (2, 2, 6)),
     ("w^(w+1)", (1, 0), (2, 2, 6)),
     ("w^2", (1, 0), (3, 2, 6)),
+)
+# (beta, rule, k, budget): a successor layer that filters its grades, filtered
+# blocks below a finite top, a limit layer, and the pigeonhole over block
+# tables (kept blocks 0, 2, 4; with three colors 0, 3, 6)
+RULE_CASES = (
+    ("w^w", "if tau(w, s) > tau(w, t) then 1 else 0", 1, (3, 3, 6)),
+    ("w^(w+1)", "tau(1, s) mod 2", 1, (2, 2, 6)),
+    ("w^(w^w)", "F[sep] with F=(1)", 1, (2, 2, 16)),
+    ("w^2", "if tau(w, s) == tau(w, t) then tau(w, s) mod 2 else 0", 1, (3, 3, 6)),
+    ("w^2", "if tau(w, s) == tau(w, t) then tau(w, s) mod 3 else 0", 2, (3, 3, 6)),
 )
 
 
@@ -51,11 +58,6 @@ def _record(sub, budget, report, table=None) -> dict:
     }
 
 
-def _same_block(tree, s, t):
-    return 1 if left_divide(OMEGA, node_tau(tree, s))[0] == \
-        left_divide(OMEGA, node_tau(tree, t))[0] else 0
-
-
 def _cases():
     """(name, piece, budget, report, table) for every golden case."""
     square = CanonicalTree.of(0, omega_pow(2))
@@ -63,24 +65,16 @@ def _cases():
         spec = ContractionSpec.of(omega_pow(2), layers)
         sub = contract(square, spec)
         yield f"contract {layers}", sub, WIDE, audit_contraction(square, spec, sub, WIDE), None
-    for name, tree, gamma, layers, zeta in (
-        ("single-block", square, omega_pow(2), {0, 1}, ONE),
-        ("blockwise-low", CanonicalTree.of(0, omega_pow(3)), omega_pow(2), {0}, OMEGA),
-        ("empty-layers", square, OMEGA, set(), OMEGA),
-    ):
-        sub = proto_align(tree, gamma, layers, zeta)
-        yield (f"proto_align {name}", sub, WIDE,
-               audit_alignment(tree, gamma, layers, zeta, sub, WIDE), None)
-    budget = Budget(3, 3, 4)
-    sub, table, report = block_reduce(
-        CanonicalTree.of(0, mul(OMEGA, 4)), 1,
-        RuleColoring(1, _same_block, "same-block"), budget)
-    yield "block_reduce same-block", sub, budget, report, table
     for text, table, dims in STABILIZER_CASES:
         budget = Budget(*dims)
         res = stabilize_transfinite(CanonicalTree.of(0, parse_ordinal(text)),
                                     RuleColoring.sep_table(table), budget)
         yield f"stabilize I(0,{text}) F={table}", res.subtree, budget, res.report, res.table
+    for text, rule, k, dims in RULE_CASES:
+        budget = Budget(*dims)
+        res = stabilize_transfinite(CanonicalTree.of(0, parse_ordinal(text)),
+                                    parse_rule(rule, k=k), budget)
+        yield f"stabilize I(0,{text}) {rule} k={k}", res.subtree, budget, res.report, res.table
 
 
 def snapshot() -> dict:

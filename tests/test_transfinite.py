@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from treeramsey import transfinite
 from treeramsey.canonical import CanonicalTree, node_tau, truncate
 from treeramsey.ordinal import OMEGA, ONE, ZERO, add, left_divide, mul, omega_pow, ordinal
 from treeramsey.rules import RuleColoring, parse_rule
@@ -18,13 +19,10 @@ from treeramsey.transfinite import (
     _audit_stabilization,
     _grade,
     assemble_union,
-    audit_alignment,
     audit_contraction,
-    block_reduce,
     contract,
     digit_embedding,
     piece_window,
-    proto_align,
     stabilize_transfinite,
 )
 
@@ -111,34 +109,6 @@ class TestContract:
                 assert window.rank() <= reference_window_rank(sub.declared_rank, budget)
 
 
-class TestProtoAlign:
-    def test_single_block_is_contraction(self, square):
-        sub = proto_align(square, w2, {0, 1}, ONE)
-        assert sub.declared_rank == w2
-        assert audit_alignment(square, w2, {0, 1}, ONE, sub, WIDE).ok
-
-    def test_blockwise_low_layer(self):
-        cube = CanonicalTree.of(0, omega_pow(3))
-        sub = proto_align(cube, w2, {0}, w)
-        assert sub.declared_rank == w2  # beta = w per block, times zeta = w
-        report = audit_alignment(cube, w2, {0}, w, sub, WIDE)
-        assert report.ok, report.to_json()
-
-    def test_empty_layers_chain_of_blocks(self, square):
-        sub = proto_align(square, w, set(), w)
-        assert sub.declared_rank == w
-        report = audit_alignment(square, w, set(), w, sub, WIDE)
-        assert report.ok
-        window, mapping = piece_window(sub, 3, 4)
-        for node, _ in mapping.values():
-            for e in node:
-                assert left_divide(w, e)[1] == ZERO
-
-    def test_rank_mismatch(self, square):
-        with pytest.raises(TransfiniteError):
-            proto_align(square, w, {0}, ordinal(3))
-
-
 class TestGradedRoots:
     """The grades _stabilize_grades hangs below a top layer w^(w^eps)."""
 
@@ -198,6 +168,15 @@ class TestFilteredPiece:
     contraction (transit prefixes survive) but realizes the same declared
     rank and the same separation mapping."""
 
+    def test_samples_at_most_width_children(self):
+        from treeramsey.ordinal import factorize
+        cube = omega_pow(3)
+        filtered = FilteredPiece(EntryPiece(ZERO, EntryMap.identity(cube)),
+                                 factorize(cube), (0, 2))
+        window, _ = piece_window(filtered, 3, 3)
+        assert len(window.roots()) <= 3
+        assert max(len(window.children(t)) for t in window.ids) <= 3
+
     @pytest.mark.parametrize("keep", [(0,), (1,)])
     def test_same_window_rank_as_closed_form(self, square, keep):
         from treeramsey.ordinal import factorize
@@ -237,51 +216,72 @@ class TestFilteredPiece:
             assert keep[sq] == sp
 
 
+def _same_block(tree, s, t):
+    return 1 if left_divide(w, node_tau(tree, s))[0] == left_divide(w, node_tau(tree, t))[0] else 0
+
+
+# inside one w-block, pairs take the block index mod m; across blocks, 0
+BLOCK_PARITY = "if tau(w, s) == tau(w, t) then tau(w, s) mod {m} else 0"
+
+
 class TestBlockReduce:
-    def test_blockwise_rule(self):
-        tree = CanonicalTree.of(0, mul(w, 4))
-        rule = RuleColoring(
-            1,
-            lambda tr, s, t: 1 if left_divide(w, node_tau(tr, s))[0] ==
-            left_divide(w, node_tau(tr, t))[0] else 0,
-            "same-block")
-        sub, table, report = block_reduce(tree, 1, rule, BUDGET)
-        assert table == (1,)
-        assert sub.declared_rank == mul(w, 2)
-        assert report.ok
+    """The finite top layer stabilizes w-blocks of I(0, w^2) in order and
+    keeps the first ``width`` that share a table."""
 
-    def test_alternating_blocks_majority(self):
-        # per-block tables alternate (0,), (1,); the first table to repeat
-        # n+1 times wins and its blocks are kept in increasing order
-        tree = CanonicalTree.of(0, mul(w, 5))
+    @staticmethod
+    def _kept(res):
+        # the last part of the union stacks every kept block below its anchor
+        anchors = [anchor for anchor, _ in res.subtree.parts]
+        return [base for base, _ in res.subtree.parts[-1][1].bands], anchors
 
-        def blockwise(tr, s, t):
-            qs = left_divide(w, node_tau(tr, s))[0]
-            qt = left_divide(w, node_tau(tr, t))[0]
-            return 0 if qs != qt else qs.as_int() % 2
+    def test_blockwise_rule(self, square):
+        # every block has table (1,): the first width blocks are kept
+        res = stabilize_transfinite(square, RuleColoring(1, _same_block, "same-block"), BUDGET)
+        assert res.table == (1, 0) and res.report.ok
+        assert self._kept(res) == ([ZERO, w, mul(w, 2)], [(w,), (mul(w, 2),), (mul(w, 3),)])
 
-        rule = RuleColoring(1, blockwise, "alternating-blocks")
-        sub, table, report = block_reduce(tree, 1, rule, BUDGET)
-        assert table == (0,)
-        assert report.ok
-        picked = [left_divide(w, base)[0].as_int() for base, _ in sub.bands]
-        assert picked == [0, 2]
+    def test_alternating_blocks_majority(self, square):
+        # block tables alternate (0,), (1,); the first table to come up
+        # width times wins, and each anchor sits just above its block
+        res = stabilize_transfinite(square, parse_rule(BLOCK_PARITY.format(m=2), k=1),
+                                    Budget(3, 3, 6))
+        assert res.table == (0, 0) and res.report.ok
+        assert self._kept(res) == ([ZERO, mul(w, 2), mul(w, 4)],
+                                   [(w,), (mul(w, 3),), (mul(w, 5),)])
 
-    def test_single_color(self):
-        tree = CanonicalTree.of(0, mul(w, 4))
-        sub, table, report = block_reduce(tree, 2, RuleColoring.constant(0, k=0), BUDGET)
-        assert table == (0,) and report.ok
+    def test_bound_enforced(self, square):
+        # three tables need (k+1)^lam * (width-1) + 1 = 7 blocks; the kept
+        # blocks 0, 3 and 6 reach the last of them
+        res = stabilize_transfinite(square, parse_rule(BLOCK_PARITY.format(m=3), k=2),
+                                    Budget(3, 3, 6))
+        assert res.table == (0, 0) and res.report.ok
+        assert self._kept(res)[0] == [ZERO, mul(w, 3), mul(w, 6)]
 
-    def test_bound_enforced(self):
-        tree = CanonicalTree.of(0, mul(w, 4))
-        rule = RuleColoring.sep_table((0,), k=1)
-        with pytest.raises(TransfiniteError, match="blocks"):
-            block_reduce(tree, 3, rule, BUDGET)
+    def test_single_color(self, square):
+        res = stabilize_transfinite(square, RuleColoring.constant(0, k=1), BUDGET)
+        assert res.table == (0, 0) and res.report.ok
+        assert self._kept(res)[0] == [ZERO, w, mul(w, 2)]
 
-    def test_rejects_indecomposable_rank(self):
-        tree = CanonicalTree.of(0, w2 + w)
-        with pytest.raises(TransfiniteError):
-            block_reduce(tree, 1, RuleColoring.constant(0, k=0), BUDGET)
+
+class TestFilteredPaths:
+    """Rules whose upper-layer colors split, so that a successor layer
+    filters its grades; the canonical separation tables never do."""
+
+    def test_successor_filters_upper_layers(self):
+        tower = CanonicalTree.of(0, omega_pow(w))
+        res = stabilize_transfinite(
+            tower, parse_rule("if tau(w, s) > tau(w, t) then 1 else 0", k=1), Budget(3, 3, 6))
+        assert res.table == (0,) and res.report.ok
+        assert any(isinstance(p, FilteredPiece) for _, p in res.subtree.parts)
+
+    def test_filtered_blocks_below_finite_top(self):
+        tree = CanonicalTree.of(0, omega_pow(w + 1))
+        res = stabilize_transfinite(tree, parse_rule("tau(1, s) mod 2", k=1), Budget(2, 2, 6))
+        assert res.table == (1, 0) and res.report.ok
+        # each kept w^w-block is a successor union with a filtered grade
+        stack = res.subtree.parts[-1][1]
+        assert all(any(isinstance(p, FilteredPiece) for _, p in band.parts)
+                   for _, band in stack.bands)
 
 
 class TestStabilizeTransfinite:
@@ -307,11 +307,19 @@ class TestStabilizeTransfinite:
                                     Budget(3, 3, 6))
         assert res.table == (1,) and res.report.ok
 
-    def test_limit_layer(self):
+    def test_limit_layer(self, monkeypatch):
+        segment_limit, calls = transfinite._segment_limit, []
+
+        def spy(rho, grades):
+            calls.append(rho)
+            return segment_limit(rho, grades)
+
+        monkeypatch.setattr(transfinite, "_segment_limit", spy)
         tower = CanonicalTree.of(0, omega_pow(omega_pow(w)))
         res = stabilize_transfinite(tower, RuleColoring.sep_table((1,), k=1),
                                     Budget(2, 2, 16))
         assert res.table == (1,) and res.report.ok
+        assert calls == [omega_pow(omega_pow(w))]
 
     def test_three_layers(self):
         cube = CanonicalTree.of(0, omega_pow(3))

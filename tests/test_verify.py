@@ -168,6 +168,18 @@ class TestObstructions:
         coloring = additive_obstruction(chain)
         assert [coloring(t) for t in chain.ids] == [2, 1, 0]
 
+    def test_interleaved_trees(self):
+        # only the last tree's climb is remembered: switching trees re-climbs
+        chain, flat = FiniteTree.chain_tree(4), FiniteTree.antichain(4)
+        on_chain = multiplicative_obstruction(chain, 2)
+        on_flat = multiplicative_obstruction(flat, 2)
+        assert max_monochromatic_rank(chain, on_chain, 0).colors[0].rank == 2
+        assert max_monochromatic_rank(flat, on_flat, 0).colors[0].rank == 1
+        assert max_monochromatic_rank(chain, on_chain, 1).colors[1].rank == 2
+        assert [additive_obstruction(chain)(t) for t in chain.ids] == [3, 2, 1, 0]
+        assert max_monochromatic_rank_nodes(flat, additive_obstruction(flat), 0) \
+            .colors[0].rank == 1
+
     def test_rank_exclusion_at_small_ranks(self):
         rng = random.Random(41)
         for n in (3, 4, 5):
