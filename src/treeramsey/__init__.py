@@ -9,7 +9,6 @@ independent brute-force verification oracles.
 from .canonical import (
     CanonicalNode,
     CanonicalTree,
-    SeparationContext,
     Truncation,
     instantiate,
     node_tau,
@@ -83,7 +82,7 @@ __all__ = [
     "is_multiplicatively_indecomposable", "left_divide", "left_subtract",
     "mul", "omega_pow", "ordinal", "parse_ordinal", "sum_decompose",
     "FiniteTree", "LevelDecomposition", "graft", "incomparable_union", "levels",
-    "CanonicalNode", "CanonicalTree", "SeparationContext", "Truncation",
+    "CanonicalNode", "CanonicalTree", "Truncation",
     "instantiate", "node_tau", "node_tau_beta", "rank_symbolic", "separation",
     "truncate",
     "Coloring", "StabilizationResult", "extract_monochromatic", "finite_ramsey",

@@ -10,9 +10,9 @@ last entry and no finite materialization is ever required for exactness.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
 
 from .ordinal import (
+    ONE,
     ZERO,
     Ordinal,
     compare,
@@ -94,42 +94,22 @@ def node_tau_beta(tree: CanonicalTree, beta: "Ordinal | int",
     return delta
 
 
-@dataclass(frozen=True)
-class SeparationContext:
-    """Resolution ladder for a tree of additively indecomposable rank.
+def require_below(s: CanonicalNode, t: CanonicalNode) -> None:
+    """Raise unless s < t, that is, s is a proper prefix of t."""
+    if len(s) >= len(t) or tuple(t[: len(s)]) != tuple(s):
+        raise CanonicalError("separation needs s < t (s a proper prefix of t)")
 
-    ``alphas[i]`` is the rank of the i-th resolution; two comparable nodes
-    separate at the first resolution whose blocks contain them both.
-    """
 
-    gamma: Ordinal
-
-    @cached_property
-    def _fact(self):
-        if not is_additively_indecomposable(self.gamma):
-            raise CanonicalError(
-                f"separation needs an additively indecomposable rank, got {self.gamma}")
-        return factorize(self.gamma)
-
-    @property
-    def lam(self) -> int:
-        return self._fact.lam
-
-    @property
-    def alphas(self) -> tuple[Ordinal, ...]:
-        return self._fact.factors
-
-    @property
-    def cofactors(self) -> tuple[Ordinal, ...]:
-        return self._fact.cofactors
-
-    def of_taus(self, tau_s: Ordinal, tau_t: Ordinal) -> int:
-        """Least i with the two tau values in the same alpha_i block."""
-        for i, a in enumerate(self.alphas):
-            if left_divide(a, tau_s)[0] == left_divide(a, tau_t)[0]:
-                return i
+def separation_of_taus(gamma: Ordinal, tau_s: Ordinal, tau_t: Ordinal) -> int:
+    """Least i whose prefix product ``factorize(gamma).factors[i]`` puts the
+    two tau values in one block; gamma must be additively indecomposable."""
+    if not is_additively_indecomposable(gamma):
         raise CanonicalError(
-            f"taus {tau_s}, {tau_t} do not meet below rank {self.gamma}")
+            f"separation needs an additively indecomposable rank, got {gamma}")
+    for i, a in enumerate(factorize(gamma).factors):
+        if left_divide(a, tau_s)[0] == left_divide(a, tau_t)[0]:
+            return i
+    raise CanonicalError(f"taus {tau_s}, {tau_t} do not meet below rank {gamma}")
 
 
 def separation(tree: CanonicalTree, s: CanonicalNode, t: CanonicalNode) -> int:
@@ -140,19 +120,12 @@ def separation(tree: CanonicalTree, s: CanonicalNode, t: CanonicalNode) -> int:
     """
     if not tree.alpha.is_zero:
         raise CanonicalError("separation is defined on trees with alpha = 0")
-    ctx = _separation_context(rank_symbolic(tree))
-    if ctx.lam == 0:
+    gamma = rank_symbolic(tree)
+    if gamma == ONE:
         raise CanonicalError("rank 1 trees have no comparable pairs")
-    if len(s) >= len(t) or tuple(t[: len(s)]) != tuple(s):
-        raise CanonicalError("separation needs s < t (s a proper prefix of t)")
+    require_below(s, t)
     # node_tau rejects a node outside the tree
-    return ctx.of_taus(node_tau(tree, s), node_tau(tree, t))
-
-
-@lru_cache(maxsize=64)
-def _separation_context(gamma: Ordinal) -> SeparationContext:
-    """One context per rank, so its factorization is computed once."""
-    return SeparationContext(gamma)
+    return separation_of_taus(gamma, node_tau(tree, s), node_tau(tree, t))
 
 
 @dataclass(frozen=True)
@@ -209,15 +182,11 @@ def truncate(tree: CanonicalTree, depth: int, width: int) -> Truncation:
             child = node + (z,)
             expand(child, emit(child, me), level + 1)
 
-    root_count = _full_child_count(tree.beta, tree.alpha)
     for x in descend_below(tree.beta, width, tree.alpha):
         node = (x,)
         expand(node, emit(node, None), 1)
     finite = FiniteTree.from_parents(parents)
-    trunc = Truncation(finite, tree, to_node, complete)
-    # record whether the root rank itself was fully covered
-    trunc.complete[-1] = root_count is not None and root_count <= width
-    return trunc
+    return Truncation(finite, tree, to_node, complete)
 
 
 def instantiate(n: int) -> Truncation:

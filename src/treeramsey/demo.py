@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from . import stabilize, transfinite, verify
-from .canonical import CanonicalTree, SeparationContext, node_tau, truncate
+from .canonical import CanonicalTree, node_tau, separation_of_taus, truncate
 from .generate import random_ordinal, random_tree, random_tree_of_rank
 from .ordinal import (
     ONE,
@@ -180,9 +180,7 @@ def check_block_local_separation(rng: random.Random, quick: bool = False) -> str
     pairs = 0
     for rank, gammas in cases:
         window = truncate(CanonicalTree.of(0, rank), depth=3, width=4)
-        ambient = SeparationContext(rank)
         for gamma in gammas:
-            local = SeparationContext(gamma)
             for i_s, i_t in window.tree.ordered_pairs():
                 s, t = window.node_of(i_s), window.node_of(i_t)
                 tau_s, tau_t = node_tau(window.source, s), node_tau(window.source, t)
@@ -190,9 +188,9 @@ def check_block_local_separation(rng: random.Random, quick: bool = False) -> str
                 eta_t, _ = left_divide(gamma, tau_t)
                 if eta_s != eta_t:
                     continue
-                inside = local.of_taus(left_subtract(mul(gamma, eta_s), tau_s),
-                                       left_subtract(mul(gamma, eta_s), tau_t))
-                outside = ambient.of_taus(tau_s, tau_t)
+                inside = separation_of_taus(gamma, left_subtract(mul(gamma, eta_s), tau_s),
+                                            left_subtract(mul(gamma, eta_s), tau_t))
+                outside = separation_of_taus(rank, tau_s, tau_t)
                 assert inside == outside, \
                     f"block-local separation {inside} != ambient {outside} at ({s},{t})"
                 pairs += 1

@@ -11,8 +11,8 @@ hash-consing", 2006): constructing a term list returns the one live
 equality is identity.  The hash is structural, computed once, and the same
 in every run.  ``_less``, ``add``, ``mul``, ``left_subtract`` and
 ``left_divide`` remember their results in tables keyed on the interned
-operands; each table holds at most ``MEMO_CAP`` entries and is emptied
-when it fills.
+operands, and ``factorize`` in one keyed on its interned argument; each
+table holds at most ``MEMO_CAP`` entries and is emptied when it fills.
 """
 
 from __future__ import annotations
@@ -379,15 +379,26 @@ class IndecomposableFactorization:
         return tuple(reversed(out))
 
 
+# serial of g -> factorize(g), at most MEMO_CAP entries
+_FACTORIZED: dict[int, IndecomposableFactorization] = {}
+
+
 def factorize(g: "Ordinal | int") -> IndecomposableFactorization:
-    """Decompose an additively indecomposable g into multiplicative layers."""
+    """Decompose an additively indecomposable g into multiplicative layers;
+    the result is remembered per interned g, like the binary operations."""
     g = _coerce(g)
+    hit = _FACTORIZED.get(g._serial)
+    if hit is not None:
+        return hit
     if not is_additively_indecomposable(g):
         raise OrdinalError(f"{g} is not additively indecomposable")
     xi = g.leading_exponent
-    if xi.is_zero:
-        return IndecomposableFactorization(g, ())
-    return IndecomposableFactorization(g, tuple(sum_decompose(xi).exponents))
+    fact = IndecomposableFactorization(
+        g, () if xi.is_zero else tuple(sum_decompose(xi).exponents))
+    if len(_FACTORIZED) >= MEMO_CAP:
+        _FACTORIZED.clear()
+    _FACTORIZED[g._serial] = fact
+    return fact
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ import re
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .canonical import CanonicalNode, CanonicalTree, node_tau, separation
+from .canonical import CanonicalNode, CanonicalTree, node_tau_beta, separation
 from .ordinal import Ordinal, left_divide, ordinal, parse_ordinal
 
 
@@ -234,11 +234,7 @@ class _Parser:
             which = self._take()
             self._take(")")
 
-            def fn(ctx, beta=beta, which=which):
-                tau = node_tau(ctx.tree, ctx.node(which))
-                return left_divide(beta, tau)[0]
-
-            return fn
+            return lambda ctx: node_tau_beta(ctx.tree, beta, ctx.node(which))
         if tok.isdigit():
             self._take()
             value = int(tok)

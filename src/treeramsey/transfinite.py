@@ -21,16 +21,15 @@ an all-pass audit or fails naming the step that could not be certified.
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass, field
-from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
 from .canonical import (
     CanonicalNode,
     CanonicalTree,
-    SeparationContext,
     node_tau,
     rank_symbolic,
-    separation,
+    require_below,
+    separation_of_taus,
     truncate,
 )
 from .ordinal import (
@@ -45,7 +44,6 @@ from .ordinal import (
     fundamental_sequence,
     is_additively_indecomposable,
     left_divide,
-    left_subtract,
     mul,
     omega_pow,
     ordinal,
@@ -157,9 +155,10 @@ def digit_embedding(fact: IndecomposableFactorization, keep: Sequence[int]) -> E
     if any(i < 0 or i >= fact.lam for i in keep):
         raise TransfiniteError(f"layers {keep} outside 0..{fact.lam - 1}")
     full = fact.factors
-    sub_fact = IndecomposableFactorization(
-        _subproduct(fact, keep), tuple(fact.epsilons[i] for i in keep))
-    sub = sub_fact.factors
+    sub_rank = ONE
+    for i in keep:
+        sub_rank = mul(sub_rank, omega_pow(omega_pow(fact.epsilons[i])))
+    sub = factorize(sub_rank).factors
 
     def apply(y: Ordinal) -> Ordinal:
         ys = _mixed_digits(y, sub)
@@ -178,14 +177,7 @@ def digit_embedding(fact: IndecomposableFactorization, keep: Sequence[int]) -> E
             return None
         return _mixed_value([digits[i] for i in keep], sub)
 
-    return EntryMap(sub_fact.gamma, apply, unapply)
-
-
-def _subproduct(fact: IndecomposableFactorization, keep: Sequence[int]) -> Ordinal:
-    out = ONE
-    for i in keep:
-        out = mul(out, omega_pow(omega_pow(fact.epsilons[i])))
-    return out
+    return EntryMap(sub_rank, apply, unapply)
 
 
 # -- lazy pieces -------------------------------------------------------------------
@@ -408,13 +400,37 @@ def audit_declared_rank(piece: Piece, budget: Budget) -> Audit:
     return _audit_window("declared-rank", piece, budget)[0]
 
 
+def _separation_check(tree: CanonicalTree, declared_rank: Ordinal, window: FiniteTree,
+                      at: dict[int, Positioned], enum: Sequence[int], mismatch: str):
+    """Map each window pair's declared separation, read off the carried
+    positions, through the layer enumeration ``enum`` and compare it with
+    the ambient separation, reading node_tau once per window node.
+
+    Returns every pair s < t as (s, t, declared separation), the verdict,
+    and its detail: ``mismatch`` filled in for the first failing pair.
+    """
+    gamma = rank_symbolic(tree)
+    tau = {i: node_tau(tree, node) for i, (node, _) in at.items()}
+    pairs: list[tuple[CanonicalNode, CanonicalNode, int]] = []
+    failed = None
+    for i_s, i_t in window.ordered_pairs():
+        (s, pos_s), (t, pos_t) = at[i_s], at[i_t]
+        require_below(s, t)
+        sq = separation_of_taus(declared_rank, pos_s, pos_t)
+        sp = separation_of_taus(gamma, tau[i_s], tau[i_t])
+        if failed is None and enum[sq] != sp:
+            failed = mismatch.format(s=s, t=t, mapped=enum[sq], ambient=sp)
+        pairs.append((s, t, sq))
+    return pairs, failed is None, failed or f"{len(pairs)} pairs checked"
+
+
 # -- contractions -------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class ContractionSpec:
     """Layer subset A of an additively indecomposable rank, with the
-    enumeration of A and the contracted target rank (1 for empty A)."""
+    enumeration of A."""
 
     gamma: Ordinal
     layers: frozenset[int]
@@ -423,17 +439,9 @@ class ContractionSpec:
     def of(gamma: "Ordinal | int", layers: Iterable[int]) -> "ContractionSpec":
         return ContractionSpec(ordinal(gamma), frozenset(int(i) for i in layers))
 
-    @cached_property
-    def fact(self) -> IndecomposableFactorization:
-        return factorize(self.gamma)
-
     @property
     def enumeration(self) -> tuple[int, ...]:
         return tuple(sorted(self.layers))
-
-    @property
-    def target(self) -> Ordinal:
-        return _subproduct(self.fact, self.enumeration)
 
 
 def contract(tree: CanonicalTree, spec: ContractionSpec) -> EntryPiece:
@@ -443,50 +451,25 @@ def contract(tree: CanonicalTree, spec: ContractionSpec) -> EntryPiece:
         raise TransfiniteError("contraction and alignment are defined on trees with alpha = 0")
     if rank_symbolic(tree) != spec.gamma:
         raise TransfiniteError(f"tree rank {rank_symbolic(tree)} is not {spec.gamma}")
-    return EntryPiece(ZERO, digit_embedding(spec.fact, spec.enumeration))
+    return EntryPiece(ZERO, digit_embedding(factorize(spec.gamma), spec.enumeration))
 
 
 def audit_contraction(tree: CanonicalTree, spec: ContractionSpec,
                       sub: Piece, budget: Budget) -> Audit:
     report, window, at = _audit_window("contraction", sub, budget)
-    report.add("separation-enumerates", *_in_block_separation(tree, spec, window, at))
+    _, ok, detail = _separation_check(
+        tree, sub.declared_rank, window, at, spec.enumeration,
+        "pair ({s},{t}): ambient {ambient} != mapped {mapped}")
+    report.add("separation-enumerates", ok, detail)
     return report
-
-
-def _in_block_separation(tree: CanonicalTree, spec: ContractionSpec, window: FiniteTree,
-                         at: dict[int, Positioned]) -> tuple[bool, str]:
-    """Blocks of rank spec.target stay in order, and inside one block the
-    declared separation enumerates into the ambient gamma-block separation."""
-    gamma, beta, enum = spec.gamma, spec.target, spec.enumeration
-    ctx_g = SeparationContext(gamma)
-    ctx_b = SeparationContext(beta) if enum else None
-    pairs = 0
-    for i_s, i_t in window.ordered_pairs():
-        (s, pos_s), (t, pos_t) = at[i_s], at[i_t]
-        qs = left_divide(beta, pos_s)[0]
-        qt = left_divide(beta, pos_t)[0]
-        pairs += 1
-        if compare(qt, qs) < 0:
-            continue  # blocks strictly ordered: nothing more to check
-        if qs != qt:
-            return False, f"pair ({s},{t}): block order inverted"
-        base_r, base_p = mul(beta, qs), mul(gamma, qs)
-        sq = ctx_b.of_taus(left_subtract(base_r, pos_s), left_subtract(base_r, pos_t))
-        sp = ctx_g.of_taus(left_subtract(base_p, node_tau(tree, s)),
-                           left_subtract(base_p, node_tau(tree, t)))
-        if enum[sq] != sp:
-            return False, f"pair ({s},{t}): ambient {sp} != mapped {enum[sq]}"
-    return True, f"{pairs} pairs checked"
 
 
 # -- grades and unions ------------------------------------------------------------
 
 
 def _grade(eps: Ordinal, q: int) -> Ordinal:
-    """The q-th grade below a top layer w^(w^eps): q when eps = 0,
+    """The q-th grade below a top layer w^(w^eps) with eps > 0:
     w^(w^d * q) when eps = d + 1, and w^(w^eps[q]) when eps is a limit."""
-    if eps.is_zero:
-        return ordinal(q)
     if eps.is_successor:
         return omega_pow(mul(omega_pow(eps.predecessor()), q))
     return omega_pow(omega_pow(fundamental_sequence(eps, q)))
@@ -558,28 +541,21 @@ def stabilize_transfinite(tree: CanonicalTree, rule: RuleColoring,
 def _audit_stabilization(tree: CanonicalTree, sub: Piece, table: tuple[int, ...],
                          rule: RuleColoring, budget: Budget) -> Audit:
     report, window, at = _audit_window("stabilization", sub, budget, nonempty=True)
-    ctx = SeparationContext(sub.declared_rank)
-    report.add("table-spans-layers", len(table) == ctx.lam,
-               f"table size {len(table)} vs {ctx.lam} layers")
-    sep_ok, col_ok = True, True
-    detail_s, detail_c = "", ""
-    pairs = 0
-    for i_s, i_t in window.ordered_pairs():
-        (s, pos_s), (t, pos_t) = at[i_s], at[i_t]
-        sq = ctx.of_taus(pos_s, pos_t)
-        sp = separation(tree, s, t)
-        pairs += 1
-        if sq != sp and sep_ok:
-            sep_ok = False
-            detail_s = f"pair ({s},{t}): subtree separation {sq} != ambient {sp}"
-        if table[sq] != rule.value(tree, s, t) and col_ok:
-            col_ok = False
-            detail_c = (f"pair ({s},{t}): table[{sq}]={table[sq]} "
-                        f"!= color {rule.value(tree, s, t)}")
-        if not sep_ok and not col_ok:
+    lam = factorize(sub.declared_rank).lam
+    report.add("table-spans-layers", len(table) == lam,
+               f"table size {len(table)} vs {lam} layers")
+    pairs, ok, detail = _separation_check(
+        tree, sub.declared_rank, window, at, range(lam),
+        "pair ({s},{t}): subtree separation {mapped} != ambient {ambient}")
+    report.add("separation-preserved", ok, detail)
+    for s, t, sq in pairs:
+        color = rule.value(tree, s, t)
+        if table[sq] != color:
+            report.add("colors-recovered", False,
+                       f"pair ({s},{t}): table[{sq}]={table[sq]} != color {color}")
             break
-    report.add("separation-preserved", sep_ok, detail_s or f"{pairs} pairs checked")
-    report.add("colors-recovered", col_ok, detail_c or f"{pairs} pairs checked")
+    else:
+        report.add("colors-recovered", True, f"{len(pairs)} pairs checked")
     return report
 
 

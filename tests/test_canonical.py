@@ -1,9 +1,10 @@
+import random
+
 import pytest
 
 from treeramsey.canonical import (
     CanonicalError,
     CanonicalTree,
-    SeparationContext,
     instantiate,
     node_from_text,
     node_tau,
@@ -11,9 +12,23 @@ from treeramsey.canonical import (
     node_to_text,
     rank_symbolic,
     separation,
+    separation_of_taus,
     truncate,
 )
-from treeramsey.ordinal import OMEGA, ONE, ZERO, mul, omega_pow, ordinal
+from treeramsey.generate import random_ordinal
+from treeramsey.ordinal import (
+    OMEGA,
+    ONE,
+    ZERO,
+    add,
+    compare,
+    factorize,
+    is_additively_indecomposable,
+    left_divide,
+    mul,
+    omega_pow,
+    ordinal,
+)
 
 w = OMEGA
 w2 = omega_pow(2)
@@ -110,12 +125,74 @@ class TestSeparation:
         with pytest.raises(CanonicalError):
             separation(bumpy, (w,), (w, ONE))
 
-    def test_context_layers(self):
-        ctx = SeparationContext(omega_pow(3))
-        assert ctx.lam == 3
-        assert ctx.alphas == (w, w2, omega_pow(3))
-        assert ctx.of_taus(mul(w2, 2) + w, mul(w2, 2) + 1) == 1
-        assert ctx.of_taus(mul(w2, 2), w2) == 2
+    def test_of_taus_layers(self):
+        assert factorize(omega_pow(3)).factors == (w, w2, omega_pow(3))
+        assert separation_of_taus(omega_pow(3), mul(w2, 2) + w, mul(w2, 2) + 1) == 1
+        assert separation_of_taus(omega_pow(3), mul(w2, 2), w2) == 2
+
+
+def _reference_of_taus(gamma, tau_s, tau_t):
+    """The former per-rank context's loop: check indecomposability, then
+    scan the prefix products for the first shared block."""
+    if not is_additively_indecomposable(gamma):
+        raise CanonicalError(
+            f"separation needs an additively indecomposable rank, got {gamma}")
+    for i, a in enumerate(factorize(gamma).factors):
+        if left_divide(a, tau_s)[0] == left_divide(a, tau_t)[0]:
+            return i
+    raise CanonicalError(f"taus {tau_s}, {tau_t} do not meet below rank {gamma}")
+
+
+class TestSeparationOfTaus:
+    @staticmethod
+    def _digit(rng, layer):
+        """A random ordinal below the layer, finite if no draw fits."""
+        for _ in range(20):
+            d = random_ordinal(rng, height=2, max_terms=2, max_coeff=3)
+            if compare(d, layer) < 0:
+                return d
+        return ordinal(rng.randrange(6))
+
+    def _draws(self, count):
+        """Seeded indecomposable ranks of 1-4 layers with two taus below,
+        built digit by digit; the second tau redraws a random set of the
+        first one's digits, so every separation index turns up."""
+        rng = random.Random(2018)
+        out = []
+        while len(out) < count:
+            xi = random_ordinal(rng, height=2, max_terms=3, max_coeff=2)
+            if xi.is_zero or not 1 <= factorize(omega_pow(xi)).lam <= 4:
+                continue
+            gamma = omega_pow(xi)
+            fact = factorize(gamma)
+            layers = [omega_pow(omega_pow(e)) for e in fact.epsilons]
+            ds = [self._digit(rng, layer) for layer in layers]
+            dt = [self._digit(rng, layer) if rng.random() < 0.5 else d
+                  for d, layer in zip(ds, layers)]
+            taus = []
+            for digits in (ds, dt):
+                tau = ZERO
+                for i in range(fact.lam - 1, -1, -1):
+                    scale = fact.factors[i - 1] if i else ONE
+                    tau = add(tau, mul(scale, digits[i]))
+                assert compare(tau, gamma) < 0
+                taus.append(tau)
+            out.append((gamma, *taus))
+        return out
+
+    def test_matches_reference_loop(self):
+        draws = self._draws(300)
+        assert {factorize(g).lam for g, _, _ in draws} == {1, 2, 3, 4}
+        assert {separation_of_taus(*d) for d in draws} == {0, 1, 2, 3}
+        for gamma, tau_s, tau_t in draws:
+            assert separation_of_taus(gamma, tau_s, tau_t) == \
+                _reference_of_taus(gamma, tau_s, tau_t), (gamma, tau_s, tau_t)
+
+    @pytest.mark.parametrize("gamma", [mul(w, 2), w + 1, ZERO])
+    def test_decomposable_rank_rejected(self, gamma):
+        for fn in (separation_of_taus, _reference_of_taus):
+            with pytest.raises(CanonicalError, match="additively indecomposable"):
+                fn(gamma, ONE, ZERO)
 
 
 class TestTruncation:
@@ -124,6 +201,10 @@ class TestTruncation:
         assert len(window.tree) == 7
         assert window.tree.rank() == 3
         assert all(window.complete.values())
+
+    def test_complete_marks_exactly_the_window_nodes(self):
+        window = truncate(CanonicalTree.of(0, w2), 3, 3)
+        assert set(window.complete) == set(window.tree.ids)
 
     def test_depth_one(self):
         window = truncate(CanonicalTree.of(0, w), 1, 4)
@@ -145,10 +226,10 @@ class TestTruncation:
         # on a fully materialized window, symbolic separation matches the
         # index computed from finite tau values block by block
         window = truncate(CanonicalTree.of(0, w2), 3, 4)
-        ctx = SeparationContext(w2)
         for i_s, i_t in window.tree.ordered_pairs():
             s, t = window.node_of(i_s), window.node_of(i_t)
-            expected = ctx.of_taus(node_tau(window.source, s), node_tau(window.source, t))
+            expected = separation_of_taus(w2, node_tau(window.source, s),
+                                          node_tau(window.source, t))
             assert separation(window.source, s, t) == expected
 
     def test_truncation_respects_alpha_floor(self):

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from treeramsey.ordinal import (
+    _FACTORIZED,
     _INTERNED,
     MEMO_CAP,
     OMEGA,
@@ -447,3 +448,13 @@ class TestHashConsing:
             fn(ordinal(i + 1), OMEGA)
             assert len(fn.memo) <= MEMO_CAP
         assert fn.memo
+
+    def test_factorize_memo_stays_within_its_cap(self):
+        for i in range(MEMO_CAP + 10):
+            g = omega_pow(omega_pow(i))
+            assert factorize(g) is factorize(g)
+            assert factorize(g).epsilons == (ordinal(i),)
+            assert len(_FACTORIZED) <= MEMO_CAP
+        for _ in range(2):  # a rejected argument is not remembered
+            with pytest.raises(OrdinalError):
+                factorize(mul(w, 2))

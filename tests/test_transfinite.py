@@ -3,8 +3,14 @@ import itertools
 import pytest
 
 from treeramsey import transfinite
-from treeramsey.canonical import CanonicalTree, node_tau, truncate
-from treeramsey.ordinal import OMEGA, ONE, ZERO, add, left_divide, mul, omega_pow, ordinal
+from treeramsey.canonical import (
+    CanonicalError,
+    CanonicalTree,
+    node_tau,
+    separation_of_taus,
+    truncate,
+)
+from treeramsey.ordinal import OMEGA, ONE, ZERO, add, descend_below, left_divide, mul, omega_pow
 from treeramsey.rules import RuleColoring, parse_rule
 from treeramsey.transfinite import (
     AuditFailure,
@@ -112,12 +118,6 @@ class TestContract:
 class TestGradedRoots:
     """The grades _stabilize_grades hangs below a top layer w^(w^eps)."""
 
-    def test_finite_grades(self):
-        tree = CanonicalTree.of(0, mul(w, w))
-        assert [_grade(ZERO, q) for q in (1, 2, 3)] == [ordinal(1), ordinal(2), ordinal(3)]
-        for q in (1, 2, 3):  # the anchor (w*q,) has tau w*q
-            assert node_tau(tree, (mul(w, _grade(ZERO, q)),)) == mul(w, q)
-
     def test_successor_grades(self):
         assert [str(_grade(ONE, q)) for q in (1, 2, 3)] == ["w", "w^2", "w^3"]
 
@@ -202,17 +202,14 @@ class TestFilteredPiece:
 
     @pytest.mark.parametrize("keep", [(0,), (1,)])
     def test_separation_enumerates(self, square, keep):
-        from treeramsey.canonical import SeparationContext
         from treeramsey.ordinal import factorize
         identity = EntryPiece(ZERO, EntryMap.identity(w2))
         filtered = FilteredPiece(identity, factorize(w2), keep)
         window, mapping = piece_window(filtered, 3, 3)
-        ambient = SeparationContext(w2)
-        local = SeparationContext(filtered.declared_rank)
         for i_s, i_t in window.ordered_pairs():
             (s, pos_s), (t, pos_t) = mapping[i_s], mapping[i_t]
-            sq = local.of_taus(pos_s, pos_t)
-            sp = ambient.of_taus(node_tau(square, s), node_tau(square, t))
+            sq = separation_of_taus(filtered.declared_rank, pos_s, pos_t)
+            sp = separation_of_taus(w2, node_tau(square, s), node_tau(square, t))
             assert keep[sq] == sp
 
 
@@ -429,6 +426,20 @@ class ZeroBelowRoots(Piece):
         return [(child, ZERO) for child, _ in kids]
 
 
+class ChildrenBesideParent(Piece):
+    """Samples single-entry nodes (x,) of I(0, w^2) at their true position
+    x, and hands down (z,) with z < x as the children of (x,): members of
+    the tree, but none extends its parent."""
+
+    declared_rank = w2
+
+    def roots(self, width):
+        return [((x,), x) for x in descend_below(w2, width)]
+
+    def children(self, node, pos, width):
+        return [((z,), z) for z in descend_below(node[-1], width)]
+
+
 class TestMisreportedPositions:
     """The audits are the only check on carried positions: a piece that
     walks the honest window but misreports positions fails them."""
@@ -452,6 +463,15 @@ class TestMisreportedPositions:
         t = s + (w,)
         assert report.failed.name == "separation-preserved"
         assert report.failed.detail == f"pair ({s},{t}): subtree separation 1 != ambient 0"
+
+    def test_children_must_extend_their_parent(self, square):
+        piece = ChildrenBesideParent()
+        window, _ = piece_window(piece, BUDGET.depth, BUDGET.width)
+        assert list(window.ordered_pairs())
+        with pytest.raises(CanonicalError, match="separation needs s < t"):
+            audit_contraction(square, ContractionSpec.of(w2, {0, 1}), piece, BUDGET)
+        with pytest.raises(CanonicalError, match="separation needs s < t"):
+            _audit_stabilization(square, piece, (0, 0), RuleColoring.sep_table((0, 0)), BUDGET)
 
 
 class TestSharpnessCeiling:
