@@ -13,6 +13,7 @@ from .canonical import (
     instantiate,
     node_tau,
     node_tau_beta,
+    pair_facts,
     rank_symbolic,
     separation,
     truncate,
@@ -84,7 +85,7 @@ __all__ = [
     "FiniteTree", "LevelDecomposition", "graft", "incomparable_union", "levels",
     "CanonicalNode", "CanonicalTree", "Truncation",
     "instantiate", "node_tau", "node_tau_beta", "rank_symbolic", "separation",
-    "truncate",
+    "pair_facts", "truncate",
     "Coloring", "StabilizationResult", "extract_monochromatic", "finite_ramsey",
     "ramsey_reduce_levels", "select_leafset", "select_levels",
     "stabilize_leaf_chains", "stabilize_levels", "stabilize_pairs_by_level",

@@ -10,6 +10,7 @@ last entry and no finite materialization is ever required for exactness.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable, NamedTuple
 
 from .ordinal import (
     ONE,
@@ -100,16 +101,62 @@ def require_below(s: CanonicalNode, t: CanonicalNode) -> None:
         raise CanonicalError("separation needs s < t (s a proper prefix of t)")
 
 
+class NodeFacts(NamedTuple):
+    """What a pair colour reads of one node: its tau, its depth, and its
+    block signature ``sig``, the block of tau at each layer of ``rank``.
+    Where separation is undefined, ``sig`` is the reason instead."""
+
+    tau: Ordinal
+    depth: int
+    rank: Ordinal
+    sig: "tuple[Ordinal, ...] | str"
+
+
+def tau_facts(rank: Ordinal, tau: Ordinal, depth: int = 0, why: str | None = None) -> NodeFacts:
+    """The facts of tau under ``rank``: its quotient by each prefix product
+    ``factorize(rank).factors[i]``, unless separation is undefined."""
+    if why is None and not is_additively_indecomposable(rank):
+        why = f"separation needs an additively indecomposable rank, got {rank}"
+    return NodeFacts(tau, depth, rank,
+                     why or tuple(left_divide(a, tau)[0] for a in factorize(rank).factors))
+
+
+def separation_of_facts(s: NodeFacts, t: NodeFacts) -> int:
+    """Least layer at which the two block signatures agree; blocks are
+    interned ordinals, so agreement is identity."""
+    if isinstance(s.sig, str):
+        raise CanonicalError(s.sig)
+    for i, (a, b) in enumerate(zip(s.sig, t.sig)):
+        if a is b:
+            return i
+    raise CanonicalError(f"taus {s.tau}, {t.tau} do not meet below rank {s.rank}")
+
+
 def separation_of_taus(gamma: Ordinal, tau_s: Ordinal, tau_t: Ordinal) -> int:
     """Least i whose prefix product ``factorize(gamma).factors[i]`` puts the
     two tau values in one block; gamma must be additively indecomposable."""
-    if not is_additively_indecomposable(gamma):
-        raise CanonicalError(
-            f"separation needs an additively indecomposable rank, got {gamma}")
-    for i, a in enumerate(factorize(gamma).factors):
-        if left_divide(a, tau_s)[0] == left_divide(a, tau_t)[0]:
-            return i
-    raise CanonicalError(f"taus {tau_s}, {tau_t} do not meet below rank {gamma}")
+    return separation_of_facts(tau_facts(gamma, tau_s), tau_facts(gamma, tau_t))
+
+
+def _separation_undefined(tree: CanonicalTree) -> str | None:
+    if not tree.alpha.is_zero:
+        return "separation is defined on trees with alpha = 0"
+    if tree.beta == ONE:
+        return "rank 1 trees have no comparable pairs"
+    return None
+
+
+def node_facts(tree: CanonicalTree, nodes: Iterable[CanonicalNode]) -> list[NodeFacts]:
+    """The facts of each node, checking its membership once."""
+    why = _separation_undefined(tree)
+    return [tau_facts(tree.beta, node_tau(tree, node), len(node), why) for node in nodes]
+
+
+def pair_facts(tree: CanonicalTree, s: CanonicalNode,
+               t: CanonicalNode) -> tuple[NodeFacts, NodeFacts]:
+    """The facts of a pair s < t, checking s < t and both memberships."""
+    require_below(s, t)
+    return tuple(node_facts(tree, (s, t)))
 
 
 def separation(tree: CanonicalTree, s: CanonicalNode, t: CanonicalNode) -> int:
@@ -118,14 +165,10 @@ def separation(tree: CanonicalTree, s: CanonicalNode, t: CanonicalNode) -> int:
     Defined for trees starting at 0 whose rank is additively indecomposable
     and greater than 1; always lands in range(number of layers).
     """
-    if not tree.alpha.is_zero:
-        raise CanonicalError("separation is defined on trees with alpha = 0")
-    gamma = rank_symbolic(tree)
-    if gamma == ONE:
-        raise CanonicalError("rank 1 trees have no comparable pairs")
-    require_below(s, t)
-    # node_tau rejects a node outside the tree
-    return separation_of_taus(gamma, node_tau(tree, s), node_tau(tree, t))
+    why = _separation_undefined(tree)
+    if why:
+        raise CanonicalError(why)
+    return separation_of_facts(*pair_facts(tree, s, t))
 
 
 @dataclass(frozen=True)

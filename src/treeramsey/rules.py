@@ -16,11 +16,12 @@ Text examples::
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .canonical import CanonicalNode, CanonicalTree, node_tau_beta, separation
+from .canonical import NodeFacts, separation_of_facts
 from .ordinal import Ordinal, left_divide, ordinal, parse_ordinal
 
 
@@ -30,14 +31,15 @@ class RuleError(ValueError):
 
 @dataclass(frozen=True)
 class RuleColoring:
-    """Pair coloring evaluated by a closure over (tree, s, t)."""
+    """Pair coloring evaluated by a closure over the facts of s and t
+    (``canonical.pair_facts``), so a pair costs no membership check."""
 
     k: int
-    fn: Callable[[CanonicalTree, CanonicalNode, CanonicalNode], int]
+    fn: Callable[[NodeFacts, NodeFacts], int]
     source: str = ""
 
-    def value(self, tree: CanonicalTree, s: CanonicalNode, t: CanonicalNode) -> int:
-        c = self.fn(tree, s, t)
+    def value(self, s: NodeFacts, t: NodeFacts) -> int:
+        c = self.fn(s, t)
         if not 0 <= c <= self.k:
             raise RuleError(f"rule produced color {c} outside palette 0..{self.k}")
         return c
@@ -49,14 +51,14 @@ class RuleColoring:
         kk = max(table) if k is None else k
         text = f"F[sep] with F=({','.join(map(str, table))})"
 
-        def fn(tree, s, t):
-            return table[separation(tree, s, t)]
+        def fn(s, t):
+            return table[separation_of_facts(s, t)]
 
         return RuleColoring(kk, fn, text)
 
     @staticmethod
     def constant(c: int, k: int | None = None) -> "RuleColoring":
-        return RuleColoring(c if k is None else k, lambda tree, s, t: c, str(c))
+        return RuleColoring(c if k is None else k, lambda s, t: c, str(c))
 
 
 # -- tiny expression language -------------------------------------------------
@@ -69,22 +71,12 @@ def _align(a, b):
     return a, b
 
 
+_CMP = {"==": operator.eq, "!=": operator.ne, "<": operator.lt, ">": operator.gt,
+        "<=": operator.le, ">=": operator.ge}
+
+
 def _cmp(op: str, a, b) -> bool:
-    a, b = _align(a, b)
-    if op == "==":
-        return a == b
-    if op == "!=":
-        return a != b
-    if op == "<":
-        return a < b
-    if op == ">":
-        return a > b
-    if op == "<=":
-        return a <= b
-    return a >= b
-
-
-_CMP = frozenset({"==", "!=", "<", ">", "<=", ">="})
+    return _CMP[op](*_align(a, b))
 
 
 def parse_rule(text: str, k: int | None = None) -> RuleColoring:
@@ -95,20 +87,10 @@ def parse_rule(text: str, k: int | None = None) -> RuleColoring:
         raise RuleError("rule nested too deeply") from None
     kk = k if k is not None else max(colors, default=0)
 
-    def fn(tree, s, t):
-        return _finite(expr(_Ctx(tree, s, t)))
+    def fn(s, t):
+        return _finite(expr((s, t)))
 
     return RuleColoring(kk, fn, text.strip())
-
-
-@dataclass
-class _Ctx:
-    tree: CanonicalTree
-    s: CanonicalNode
-    t: CanonicalNode
-
-    def node(self, which: str) -> CanonicalNode:
-        return self.s if which == "s" else self.t
 
 
 class _Parser:
@@ -216,13 +198,13 @@ class _Parser:
             raise RuleError("unexpected end of rule")
         if tok == "sep":
             self._take()
-            return lambda ctx: separation(ctx.tree, ctx.s, ctx.t)
+            return lambda ctx: separation_of_facts(*ctx)
         if tok == "depth":
             self._take()
             self._take("(")
-            which = self._take()
+            which = 0 if self._take() == "s" else 1
             self._take(")")
-            return lambda ctx: len(ctx.node(which))
+            return lambda ctx: ctx[which].depth
         if tok == "tau":
             self._take()
             self._take("(")
@@ -231,10 +213,9 @@ class _Parser:
                 beta_toks.append(self._take())
             beta = parse_ordinal(" ".join(beta_toks))
             self._take(",")
-            which = self._take()
+            which = 0 if self._take() == "s" else 1
             self._take(")")
-
-            return lambda ctx: node_tau_beta(ctx.tree, beta, ctx.node(which))
+            return lambda ctx: left_divide(beta, ctx[which].tau)[0]
         if tok.isdigit():
             self._take()
             value = int(tok)

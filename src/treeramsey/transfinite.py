@@ -26,10 +26,11 @@ from typing import Callable, Iterable, Sequence
 from .canonical import (
     CanonicalNode,
     CanonicalTree,
-    node_tau,
+    node_facts,
     rank_symbolic,
     require_below,
-    separation_of_taus,
+    separation_of_facts,
+    tau_facts,
     truncate,
 )
 from .ordinal import (
@@ -404,24 +405,24 @@ def _separation_check(tree: CanonicalTree, declared_rank: Ordinal, window: Finit
                       at: dict[int, Positioned], enum: Sequence[int], mismatch: str):
     """Map each window pair's declared separation, read off the carried
     positions, through the layer enumeration ``enum`` and compare it with
-    the ambient separation, reading node_tau once per window node.
+    the ambient separation, building each side's facts once per node.
 
-    Returns every pair s < t as (s, t, declared separation), the verdict,
-    and its detail: ``mismatch`` filled in for the first failing pair.
+    Returns the ambient facts and every pair s < t as (s, t, declared
+    separation), both by window id, the verdict, and its detail.
     """
-    gamma = rank_symbolic(tree)
-    tau = {i: node_tau(tree, node) for i, (node, _) in at.items()}
-    pairs: list[tuple[CanonicalNode, CanonicalNode, int]] = []
+    facts = dict(zip(at, node_facts(tree, [node for node, _ in at.values()])))
+    declared = {i: tau_facts(declared_rank, pos) for i, (_, pos) in at.items()}
+    pairs: list[tuple[int, int, int]] = []
     failed = None
     for i_s, i_t in window.ordered_pairs():
-        (s, pos_s), (t, pos_t) = at[i_s], at[i_t]
+        s, t = at[i_s][0], at[i_t][0]
         require_below(s, t)
-        sq = separation_of_taus(declared_rank, pos_s, pos_t)
-        sp = separation_of_taus(gamma, tau[i_s], tau[i_t])
+        sq = separation_of_facts(declared[i_s], declared[i_t])
+        sp = separation_of_facts(facts[i_s], facts[i_t])
         if failed is None and enum[sq] != sp:
             failed = mismatch.format(s=s, t=t, mapped=enum[sq], ambient=sp)
-        pairs.append((s, t, sq))
-    return pairs, failed is None, failed or f"{len(pairs)} pairs checked"
+        pairs.append((i_s, i_t, sq))
+    return facts, pairs, failed is None, failed or f"{len(pairs)} pairs checked"
 
 
 # -- contractions -------------------------------------------------------------------
@@ -457,7 +458,7 @@ def contract(tree: CanonicalTree, spec: ContractionSpec) -> EntryPiece:
 def audit_contraction(tree: CanonicalTree, spec: ContractionSpec,
                       sub: Piece, budget: Budget) -> Audit:
     report, window, at = _audit_window("contraction", sub, budget)
-    _, ok, detail = _separation_check(
+    _, _, ok, detail = _separation_check(
         tree, sub.declared_rank, window, at, spec.enumeration,
         "pair ({s},{t}): ambient {ambient} != mapped {mapped}")
     report.add("separation-enumerates", ok, detail)
@@ -544,13 +545,14 @@ def _audit_stabilization(tree: CanonicalTree, sub: Piece, table: tuple[int, ...]
     lam = factorize(sub.declared_rank).lam
     report.add("table-spans-layers", len(table) == lam,
                f"table size {len(table)} vs {lam} layers")
-    pairs, ok, detail = _separation_check(
+    facts, pairs, ok, detail = _separation_check(
         tree, sub.declared_rank, window, at, range(lam),
         "pair ({s},{t}): subtree separation {mapped} != ambient {ambient}")
     report.add("separation-preserved", ok, detail)
-    for s, t, sq in pairs:
-        color = rule.value(tree, s, t)
+    for i_s, i_t, sq in pairs:
+        color = rule.value(facts[i_s], facts[i_t])
         if table[sq] != color:
+            s, t = at[i_s][0], at[i_t][0]
             report.add("colors-recovered", False,
                        f"pair ({s},{t}): table[{sq}]={table[sq]} != color {color}")
             break
@@ -623,12 +625,14 @@ def _segment_finite_top(tree, base, prefix, rho, gamma_p, rule, budget, cap):
 def _cross_color(tree, union: UnionPiece, prefix: CanonicalNode, gamma_p: Ordinal,
                  rule: RuleColoring, budget: Budget) -> int:
     window, at = piece_window(union, budget.depth, budget.width)
+    facts = dict(zip(at, node_facts(tree, [prefix + node for node, _ in at.values()])))
     level = {i: left_divide(gamma_p, pos)[0] for i, (_, pos) in at.items()}
     seen: int | None = None
     for i_s, i_t in window.ordered_pairs():
         if level[i_s] == level[i_t]:
             continue
-        c = rule.value(tree, prefix + at[i_s][0], prefix + at[i_t][0])
+        require_below(at[i_s][0], at[i_t][0])
+        c = rule.value(facts[i_s], facts[i_t])
         if seen is None:
             seen = c
         elif c != seen:

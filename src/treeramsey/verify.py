@@ -2,10 +2,11 @@
 
 Everything here recomputes tree structure from the raw (ids, parents)
 data with its own helpers instead of calling the constructive modules, so
-a bug upstream cannot vouch for itself: ``_ancestor_map`` climbs the parents
-itself and reads no ancestor set, height or index that ``tree_core`` built.  The pair oracle is a longest
-monochromatic chain search, exhaustive within a node budget and saying so;
-the leaf-peeling ``_rank_of``/``_tau_of`` are what ``cross_validate`` trusts.
+a bug upstream cannot vouch for itself: ``_ancestor_map`` and ``_heights``
+walk the parents themselves and read no ancestor set, height or index that
+``tree_core`` built.  The pair oracle is a longest monochromatic chain
+search, exhaustive within a node budget and saying so; the bottom-up
+``_heights`` pass is what ``cross_validate`` trusts for tau and rank.
 ``cross_validate`` records into the shared ``report.Report``, which is a
 bare list of named checks: every check is still computed here, so no tree,
 ordinal or checking code is shared with the constructive modules.
@@ -45,30 +46,29 @@ def _ancestor_map(tree: FiniteTree) -> dict[int, frozenset[int]]:
     return anc
 
 
-def _maximal(ids: frozenset[int], anc: Mapping[int, frozenset[int]]) -> frozenset[int]:
-    covered = set()
-    for t in ids:
-        covered.update(anc[t] & ids)
-    return frozenset(ids - covered)
+def _heights(tree: FiniteTree, ids: frozenset[int]) -> dict[int, int]:
+    """Height of each node of ``ids`` in the forest that ``ids`` induces,
+    where a node hangs below its nearest kept ancestor: one pass down the
+    raw parents in breadth-first order finds that ancestor, and heights
+    fill in bottom-up in the reverse order."""
+    kids: dict[int, list[int]] = {t: [] for t in tree.ids}
+    order = []
+    for t, p in zip(tree.ids, tree.parents):
+        (order if p is None else kids[p]).append(t)
+    near: dict[int, int | None] = dict.fromkeys(order)
+    for t in order:  # the list grows while it is read: breadth-first
+        for u in kids[t]:
+            near[u] = t if t in ids else near[t]
+            order.append(u)
+    height = dict.fromkeys(ids, 0)
+    for t in reversed(order):
+        if t in ids and near[t] is not None:
+            height[near[t]] = max(height[near[t]], height[t] + 1)
+    return height
 
 
-def _rank_of(ids: frozenset[int], anc: Mapping[int, frozenset[int]]) -> int:
-    cur, n = frozenset(ids), 0
-    while cur:
-        cur = cur - _maximal(cur, anc)
-        n += 1
-    return n
-
-
-def _tau_of(ids: frozenset[int], anc: Mapping[int, frozenset[int]]) -> dict[int, int]:
-    out: dict[int, int] = {}
-    cur, z = frozenset(ids), 0
-    while cur:
-        for t in _maximal(cur, anc):
-            out[t] = z
-        cur = cur - _maximal(cur, anc)
-        z += 1
-    return out
+def _rank_of(heights: Mapping[int, int]) -> int:
+    return max(heights.values(), default=-1) + 1
 
 
 # (tree, ancestor map, heights) of the last tree climbed: an oracle job
@@ -81,7 +81,7 @@ def _climb(tree: FiniteTree) -> tuple[dict[int, frozenset[int]], dict[int, int]]
     global _last_climb
     if _last_climb[0] is not tree:
         anc = _ancestor_map(tree)
-        _last_climb = (tree, anc, _tau_of(frozenset(tree.ids), anc))
+        _last_climb = (tree, anc, _heights(tree, frozenset(tree.ids)))
     return _last_climb[1], _last_climb[2]
 
 
@@ -172,9 +172,9 @@ def max_monochromatic_rank_nodes(tree: FiniteTree, coloring, j: int) -> SearchRe
     """Node-coloring variant: the color class itself is the best subtree,
     since dropping nodes never raises rank."""
     color = _color_fn(coloring, pairs=False)
-    anc = _climb(tree)[0]
     keep = frozenset(t for t in tree.ids if color(t) == j)
-    return SearchReport(colors={j: ColorBest(_rank_of(keep, anc), tuple(sorted(keep)))},
+    rank = _rank_of(_heights(tree, keep))
+    return SearchReport(colors={j: ColorBest(rank, tuple(sorted(keep)))},
                         explored=len(tree.ids))
 
 
@@ -234,7 +234,8 @@ def cross_validate(result, node_budget: int = DEFAULT_NODE_BUDGET) -> Report:
 
     ambient: FiniteTree = result.ambient
     sub: FiniteTree = result.subtree
-    anc = _ancestor_map(ambient)
+    # ancestor sets only where pairs are checked: on a chain they are quadratic
+    anc = _ancestor_map(ambient) if result.mode in ("pairs", "ramsey-reduce") else {}
     q_ids = frozenset(sub.ids)
     p_ids = frozenset(ambient.ids)
     record("subtree-nonempty", bool(q_ids) or not p_ids,
@@ -242,12 +243,12 @@ def cross_validate(result, node_budget: int = DEFAULT_NODE_BUDGET) -> Report:
     record("subtree-containment", q_ids <= p_ids,
            f"{sorted(q_ids - p_ids)} outside the ambient tree")
 
-    rank_q = _rank_of(q_ids, anc)
+    tau_p = _heights(ambient, p_ids)
+    tau_q = _heights(ambient, q_ids)
+    rank_q = _rank_of(tau_q)
     record("rank-preserved", rank_q == result.expected_rank,
            f"rank {rank_q} != required {result.expected_rank}")
 
-    tau_p = _tau_of(p_ids, anc)
-    tau_q = _tau_of(q_ids, anc)
     if result.mode in ("levels", "pairs", "leaf-chains"):
         mismatch = [t for t in q_ids if tau_q[t] != tau_p[t]]
         record("tau-compatible", not mismatch,
@@ -267,7 +268,7 @@ def cross_validate(result, node_budget: int = DEFAULT_NODE_BUDGET) -> Report:
                 opt = max_monochromatic_rank_nodes(ambient, color, j)
                 record(
                     f"extraction-within-optimum[{j}]",
-                    _rank_of(picked, anc) <= opt.colors[j].rank,
+                    _rank_of(_heights(ambient, picked)) <= opt.colors[j].rank,
                     "extracted class outranks the exhaustive search")
     elif result.mode == "pairs":
         table = result.reduced
@@ -286,7 +287,7 @@ def cross_validate(result, node_budget: int = DEFAULT_NODE_BUDGET) -> Report:
         record("chain-colors-agree", not bad,
                f"chains {bad[:3]} disagree with the reduced function")
         record("leaves-survive",
-               _maximal(q_ids, anc) <= frozenset(ambient.leaves()),
+               {t for t in q_ids if tau_q[t] == 0} <= set(ambient.leaves()),
                "subtree leaves are not ambient leaves")
     elif result.mode == "ramsey-reduce":
         j = result.reduced["color"]

@@ -6,13 +6,17 @@ from treeramsey.canonical import (
     CanonicalError,
     CanonicalTree,
     instantiate,
+    node_facts,
     node_from_text,
     node_tau,
     node_tau_beta,
     node_to_text,
+    pair_facts,
     rank_symbolic,
     separation,
+    separation_of_facts,
     separation_of_taus,
+    tau_facts,
     truncate,
 )
 from treeramsey.generate import random_ordinal
@@ -28,6 +32,7 @@ from treeramsey.ordinal import (
     mul,
     omega_pow,
     ordinal,
+    parse_ordinal,
 )
 
 w = OMEGA
@@ -143,20 +148,36 @@ def _reference_of_taus(gamma, tau_s, tau_t):
     raise CanonicalError(f"taus {tau_s}, {tau_t} do not meet below rank {gamma}")
 
 
-class TestSeparationOfTaus:
-    @staticmethod
-    def _digit(rng, layer):
-        """A random ordinal below the layer, finite if no draw fits."""
-        for _ in range(20):
-            d = random_ordinal(rng, height=2, max_terms=2, max_coeff=3)
-            if compare(d, layer) < 0:
-                return d
-        return ordinal(rng.randrange(6))
+def _digit(rng, layer):
+    """A random ordinal below the layer, finite if no draw fits."""
+    for _ in range(20):
+        d = random_ordinal(rng, height=2, max_terms=2, max_coeff=3)
+        if compare(d, layer) < 0:
+            return d
+    return ordinal(rng.randrange(6))
 
+
+def _tau_pair(rng, gamma):
+    """Two taus below gamma built digit by digit; the second redraws a
+    random set of the first one's digits, so every separation index turns up."""
+    fact = factorize(gamma)
+    layers = [omega_pow(omega_pow(e)) for e in fact.epsilons]
+    ds = [_digit(rng, layer) for layer in layers]
+    dt = [_digit(rng, layer) if rng.random() < 0.5 else d for d, layer in zip(ds, layers)]
+    taus = []
+    for digits in (ds, dt):
+        tau = ZERO
+        for i in range(fact.lam - 1, -1, -1):
+            scale = fact.factors[i - 1] if i else ONE
+            tau = add(tau, mul(scale, digits[i]))
+        assert compare(tau, gamma) < 0
+        taus.append(tau)
+    return tuple(taus)
+
+
+class TestSeparationOfTaus:
     def _draws(self, count):
-        """Seeded indecomposable ranks of 1-4 layers with two taus below,
-        built digit by digit; the second tau redraws a random set of the
-        first one's digits, so every separation index turns up."""
+        """Seeded indecomposable ranks of 1-4 layers with two taus below."""
         rng = random.Random(2018)
         out = []
         while len(out) < count:
@@ -164,20 +185,7 @@ class TestSeparationOfTaus:
             if xi.is_zero or not 1 <= factorize(omega_pow(xi)).lam <= 4:
                 continue
             gamma = omega_pow(xi)
-            fact = factorize(gamma)
-            layers = [omega_pow(omega_pow(e)) for e in fact.epsilons]
-            ds = [self._digit(rng, layer) for layer in layers]
-            dt = [self._digit(rng, layer) if rng.random() < 0.5 else d
-                  for d, layer in zip(ds, layers)]
-            taus = []
-            for digits in (ds, dt):
-                tau = ZERO
-                for i in range(fact.lam - 1, -1, -1):
-                    scale = fact.factors[i - 1] if i else ONE
-                    tau = add(tau, mul(scale, digits[i]))
-                assert compare(tau, gamma) < 0
-                taus.append(tau)
-            out.append((gamma, *taus))
+            out.append((gamma, *_tau_pair(rng, gamma)))
         return out
 
     def test_matches_reference_loop(self):
@@ -193,6 +201,51 @@ class TestSeparationOfTaus:
         for fn in (separation_of_taus, _reference_of_taus):
             with pytest.raises(CanonicalError, match="additively indecomposable"):
                 fn(gamma, ONE, ZERO)
+
+
+class TestBlockSignatures:
+    """Separation read off two block signatures agrees with the pairwise
+    definition, and undefined separation raises the same errors."""
+
+    @pytest.mark.parametrize("text", ["w^2", "w^3", "w^w", "w^(w+1)", "w^(w*2)", "w^(w^w)"])
+    def test_matches_reference_loop(self, text):
+        gamma = parse_ordinal(text)
+        rng = random.Random(1805)
+        seen = set()
+        for _ in range(150):
+            tau_s, tau_t = _tau_pair(rng, gamma)
+            sep = separation_of_facts(tau_facts(gamma, tau_s), tau_facts(gamma, tau_t))
+            assert sep == _reference_of_taus(gamma, tau_s, tau_t), (tau_s, tau_t)
+            seen.add(sep)
+        assert seen == set(range(factorize(gamma).lam))
+
+    def test_signature_is_the_block_at_each_layer(self):
+        cube = omega_pow(3)
+        tau = add(mul(w2, 2), mul(w, 4)) + 1
+        assert tau_facts(cube, tau, 2) == (tau, 2, cube, (add(mul(w, 2), 4), ordinal(2), ZERO))
+
+    def test_taus_that_do_not_meet(self):
+        with pytest.raises(CanonicalError, match="do not meet below rank w"):
+            separation_of_facts(tau_facts(w, w), tau_facts(w, mul(w, 2)))
+
+    @pytest.mark.parametrize("tree,message", [
+        (CanonicalTree.of(1, w2), "alpha = 0"),
+        (CanonicalTree.of(0, mul(w, 2)), r"additively indecomposable rank, got w\*2"),
+    ])
+    def test_undefined_separation_raises_at_the_pair(self, tree, message):
+        s = (w + 3,)
+        facts = node_facts(tree, (s, s + (ordinal(2),)))
+        assert [f.depth for f in facts] == [1, 2]
+        with pytest.raises(CanonicalError, match=message):
+            separation_of_facts(*facts)
+        with pytest.raises(CanonicalError, match=message):
+            separation(tree, s, s + (ordinal(2),))
+
+    def test_pair_facts_checks_order_and_membership(self, square):
+        with pytest.raises(CanonicalError, match="separation needs s < t"):
+            pair_facts(square, (w,), (w + 1,))
+        with pytest.raises(CanonicalError, match=r"is not in I\(0, w\^2\)"):
+            pair_facts(square, (w,), (w, w + 1))
 
 
 class TestTruncation:

@@ -1,7 +1,14 @@
 import pytest
 
-from treeramsey.canonical import CanonicalTree
-from treeramsey.ordinal import OMEGA, ONE, mul, omega_pow, ordinal
+from treeramsey.canonical import (
+    CanonicalError,
+    CanonicalTree,
+    node_facts,
+    pair_facts,
+    separation,
+    truncate,
+)
+from treeramsey.ordinal import OMEGA, ONE, mul, omega_pow, ordinal, parse_ordinal
 from treeramsey.rules import RuleColoring, RuleError, parse_rule
 
 w = OMEGA
@@ -28,45 +35,45 @@ class TestSepTable:
     def test_lookup(self, square, pair_same_block, pair_cross_block):
         rule = RuleColoring.sep_table((1, 0))
         assert rule.k == 1
-        assert rule.value(square, *pair_same_block) == 1
-        assert rule.value(square, *pair_cross_block) == 0
+        assert rule.value(*pair_facts(square, *pair_same_block)) == 1
+        assert rule.value(*pair_facts(square, *pair_cross_block)) == 0
 
     def test_constant(self, square, pair_same_block):
         rule = RuleColoring.constant(2, k=2)
-        assert rule.value(square, *pair_same_block) == 2
+        assert rule.value(*pair_facts(square, *pair_same_block)) == 2
 
     def test_palette_guard(self, square, pair_same_block):
-        rule = RuleColoring(0, lambda tree, s, t: 1, "bad")
+        rule = RuleColoring(0, lambda s, t: 1, "bad")
         with pytest.raises(RuleError):
-            rule.value(square, *pair_same_block)
+            rule.value(*pair_facts(square, *pair_same_block))
 
 
 class TestParser:
     def test_table_form(self, square, pair_same_block, pair_cross_block):
         rule = parse_rule("F[sep] with F=(1,0)")
         assert rule.k == 1
-        assert rule.value(square, *pair_same_block) == 1
-        assert rule.value(square, *pair_cross_block) == 0
+        assert rule.value(*pair_facts(square, *pair_same_block)) == 1
+        assert rule.value(*pair_facts(square, *pair_cross_block)) == 0
 
     def test_tau_mod(self, square, pair_same_block):
         rule = parse_rule("tau(w, s) mod 2")
         assert rule.k == 1
-        assert rule.value(square, *pair_same_block) == 0
+        assert rule.value(*pair_facts(square, *pair_same_block)) == 0
         high = (mul(w, 3) + 1,)
-        assert rule.value(square, high, high + (ONE,)) == 1
+        assert rule.value(*pair_facts(square, high, high + (ONE,))) == 1
 
     def test_depth(self, square, pair_same_block):
         rule = parse_rule("if depth(t) > 1 then 1 else 0")
-        assert rule.value(square, *pair_same_block) == 1
+        assert rule.value(*pair_facts(square, *pair_same_block)) == 1
 
     def test_comparison_between_primitives(self, square, pair_same_block, pair_cross_block):
         rule = parse_rule("if tau(w, s) == tau(w, t) then 0 else 1")
-        assert rule.value(square, *pair_same_block) == 0
-        assert rule.value(square, *pair_cross_block) == 1
+        assert rule.value(*pair_facts(square, *pair_same_block)) == 0
+        assert rule.value(*pair_facts(square, *pair_cross_block)) == 1
 
     def test_nested_if(self, square, pair_cross_block):
         rule = parse_rule("if sep == 0 then 0 else if depth(t) > 5 then 1 else 2", k=2)
-        assert rule.value(square, *pair_cross_block) == 2
+        assert rule.value(*pair_facts(square, *pair_cross_block)) == 2
 
     def test_round_trips_spec_format(self):
         rule = parse_rule("F[sep] with F=(2,1)")
@@ -87,4 +94,52 @@ class TestParser:
     def test_table_index_guard(self, square, pair_cross_block):
         rule = parse_rule("F[sep] with F=(1)")
         with pytest.raises(RuleError):
-            rule.value(square, *pair_cross_block)
+            rule.value(*pair_facts(square, *pair_cross_block))
+
+
+# the rules of the verdict sweep (tools/sweep_transfinite.py), with their k
+SWEEP_RULES = (
+    ("F[sep] with F=(1,0)", 1),
+    ("tau(w, s) mod 2", 1),
+    ("tau(w^2, t) mod 2", 1),
+    ("depth(t) mod 2", 1),
+    ("if depth(s) > 1 then 1 else 0", 1),
+    ("tau(w, t) mod 3", 2),
+    ("if tau(w^w, t) == tau(w^w, s) then 0 else 1", 1),
+    ("tau(w^w, t) mod 2", 1),
+    ("if tau(w, s) > tau(w, t) then 1 else 0", 1),
+)
+
+
+class TestNodeFacts:
+    @pytest.mark.parametrize("text", ["w^w", "w^(w+1)"])
+    def test_window_facts_match_the_pair_helper(self, text):
+        """Facts built once per window node give every rule the colour that
+        the checked per-pair helper gives."""
+        tree = CanonicalTree.of(0, parse_ordinal(text))
+        window = truncate(tree, 3, 3)
+        ids = window.tree.ids
+        facts = dict(zip(ids, node_facts(tree, [window.node_of(i) for i in ids])))
+        pairs = [(i_s, i_t, window.node_of(i_s), window.node_of(i_t))
+                 for i_s, i_t in window.tree.ordered_pairs()]
+        assert len(pairs) > 20
+        for source, k in SWEEP_RULES:
+            rule = parse_rule(source, k=k)
+            colors = {rule.value(facts[i_s], facts[i_t]) for i_s, i_t, _, _ in pairs}
+            assert colors <= set(range(k + 1))
+            for i_s, i_t, s, t in pairs:
+                assert rule.value(facts[i_s], facts[i_t]) == rule.value(*pair_facts(tree, s, t))
+
+    def test_sep_is_the_separation(self, square):
+        window = truncate(square, 3, 3)
+        rule = parse_rule("sep mod 2")
+        for i_s, i_t in window.tree.ordered_pairs():
+            s, t = window.node_of(i_s), window.node_of(i_t)
+            assert rule.value(*pair_facts(square, s, t)) == separation(square, s, t)
+
+    def test_undefined_sep_raises_only_when_read(self):
+        shifted = CanonicalTree.of(1, omega_pow(2))
+        pair = pair_facts(shifted, (mul(w, 2),), (mul(w, 2), ordinal(3)))
+        assert parse_rule("depth(t) mod 2").value(*pair) == 0
+        with pytest.raises(CanonicalError, match="alpha = 0"):
+            parse_rule("F[sep] with F=(1,0)").value(*pair)

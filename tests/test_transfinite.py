@@ -213,8 +213,8 @@ class TestFilteredPiece:
             assert keep[sq] == sp
 
 
-def _same_block(tree, s, t):
-    return 1 if left_divide(w, node_tau(tree, s))[0] == left_divide(w, node_tau(tree, t))[0] else 0
+def _same_block(s, t):
+    return 1 if left_divide(w, s.tau)[0] == left_divide(w, t.tau)[0] else 0
 
 
 # inside one w-block, pairs take the block index mod m; across blocks, 0
@@ -472,6 +472,59 @@ class TestMisreportedPositions:
             audit_contraction(square, ContractionSpec.of(w2, {0, 1}), piece, BUDGET)
         with pytest.raises(CanonicalError, match="separation needs s < t"):
             _audit_stabilization(square, piece, (0, 0), RuleColoring.sep_table((0, 0)), BUDGET)
+
+
+class RootAtBeta(Piece):
+    """Samples the root (w^2,), one entry too high for I(0, w^2), with one
+    child, declaring positions on two levels of w-blocks."""
+
+    declared_rank = w2
+
+    def roots(self, width):
+        return [((w2,), mul(w, 2))]
+
+    def children(self, node, pos, width):
+        return [] if len(node) > 1 else [(node + (ONE,), ONE)]
+
+
+class TestNodeFactsOncePerNode:
+    """Rules and separation read facts built once per window node: the
+    membership check runs once per node and still runs."""
+
+    def test_membership_checked_once_per_window_node(self, monkeypatch):
+        counts = {"contains": 0, "nodes": 0, "evals": 0}
+        contains, window, value = (CanonicalTree.__contains__, transfinite.piece_window,
+                                   RuleColoring.value)
+
+        def counted_contains(tree, node):
+            counts["contains"] += 1
+            return contains(tree, node)
+
+        def counted_window(piece, depth, width):
+            out = window(piece, depth, width)
+            counts["nodes"] += len(out[1])
+            return out
+
+        def counted_value(rule, s, t):
+            counts["evals"] += 1
+            return value(rule, s, t)
+
+        monkeypatch.setattr(CanonicalTree, "__contains__", counted_contains)
+        monkeypatch.setattr(transfinite, "piece_window", counted_window)
+        monkeypatch.setattr(RuleColoring, "value", counted_value)
+        res = stabilize_transfinite(CanonicalTree.of(0, omega_pow(3)),
+                                    RuleColoring.sep_table((2, 0, 1)), Budget(4, 3, 6))
+        assert res.table == (2, 0, 1) and res.report.ok
+        assert counts["evals"] > counts["nodes"] > 0
+        assert 0 < counts["contains"] <= counts["nodes"]
+
+    def test_node_outside_the_tree_still_raises(self, square):
+        rule = RuleColoring.sep_table((1, 0))
+        outside = r"node \(w\^2\) is not in I\(0, w\^2\)"
+        with pytest.raises(CanonicalError, match=outside):
+            _audit_stabilization(square, RootAtBeta(), (1, 0), rule, BUDGET)
+        with pytest.raises(CanonicalError, match=outside):
+            transfinite._cross_color(square, RootAtBeta(), (), w, rule, BUDGET)
 
 
 class TestSharpnessCeiling:

@@ -12,7 +12,37 @@ from treeramsey.tree_core import (
     levels,
     select_level_subset,
 )
-from treeramsey.verify import _rank_of, _tau_of
+from treeramsey.verify import _heights, _rank_of
+
+
+def _maximal(ids, anc):
+    covered = set()
+    for t in ids:
+        covered.update(anc[t] & ids)
+    return frozenset(ids - covered)
+
+
+def _peeled_rank(ids, anc):
+    """Reference rank: the number of rounds that peel every node off."""
+    cur, n = frozenset(ids), 0
+    while cur:
+        cur = cur - _maximal(cur, anc)
+        n += 1
+    return n
+
+
+def _peeled_taus(ids, anc):
+    """Reference tau: the round in which a node is peeled off as maximal;
+    with ``_peeled_rank``, the leaf-peeling pair that verify's height pass
+    replaced."""
+    out = {}
+    cur, z = frozenset(ids), 0
+    while cur:
+        for t in _maximal(cur, anc):
+            out[t] = z
+        cur = cur - _maximal(cur, anc)
+        z += 1
+    return out
 
 
 def descending_chain_doc(n):
@@ -348,7 +378,8 @@ def _assert_order(tree, anc):
 
 
 class TestCalculusAgainstOracle:
-    """The one-pass calculus against verify's leaf-peeling definitions and
+    """The one-pass calculus and verify's height pass against the
+    leaf-peeling definitions, on every node and on random id subsets, and
     brute-force, id-lexicographic enumerations built from ancestor sets
     climbed off the parents; the parent-map edits (restrict, union, graft)
     against ancestor sets computed by hand."""
@@ -361,9 +392,9 @@ class TestCalculusAgainstOracle:
             anc = _climbed(tree)
             _assert_order(tree, anc)
             ids = frozenset(tree.ids)
-            taus = _tau_of(ids, anc)
-            assert tree.tau_map == taus
-            assert tree.rank() == _rank_of(ids, anc)
+            taus = _peeled_taus(ids, anc)
+            assert tree.tau_map == taus == _heights(tree, ids)
+            assert tree.rank() == _peeled_rank(ids, anc) == _rank_of(taus)
             for z in range(tree.rank() + 2):
                 derived = tree.iterated_derivative(z)
                 assert derived.ids == tuple(t for t in tree.ids if taus[t] >= z)
@@ -378,6 +409,9 @@ class TestCalculusAgainstOracle:
 
             # restrict: the induced order on a random id subset
             keep = frozenset(t for t in tree.ids if pick.random() < 0.5)
+            kept_taus = _heights(tree, keep)
+            assert kept_taus == _peeled_taus(keep, anc)
+            assert _rank_of(kept_taus) == _peeled_rank(keep, anc)
             _assert_order(tree.restrict(keep), {t: anc[t] & keep for t in keep})
 
             # union of colliding parts: each part shifted to the next fresh range

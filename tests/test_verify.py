@@ -10,6 +10,7 @@ from treeramsey.stabilize import Coloring, stabilize_levels, stabilize_pairs_by_
 from treeramsey.tree_core import FiniteTree
 from treeramsey.verify import (
     VerificationError,
+    _heights,
     _rank_of,
     additive_obstruction,
     check_R2_membership,
@@ -83,10 +84,10 @@ def _subset_search_rank(tree, pair_color, j):
 
     def dfs(idx, chosen):
         nonlocal best
-        if _rank_of(frozenset(chosen) | frozenset(tree.ids[idx:]), anc) <= best:
+        if _rank_of(_heights(tree, frozenset(chosen) | frozenset(tree.ids[idx:]))) <= best:
             return
         if idx == len(tree.ids):
-            best = _rank_of(frozenset(chosen), anc)
+            best = _rank_of(_heights(tree, frozenset(chosen)))
             return
         t = tree.ids[idx]
         if compatible(t, chosen):
