@@ -10,7 +10,7 @@ last entry and no finite materialization is ever required for exactness.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 from .ordinal import (
     ONE,
@@ -64,12 +64,24 @@ class CanonicalTree:
     def __contains__(self, node: CanonicalNode) -> bool:
         if not node:
             return False
-        if compare(node[0], self.beta) >= 0 or compare(node[-1], self.alpha) < 0:
-            return False
-        return all(compare(b, a) < 0 for a, b in zip(node, node[1:]))
+        return compare(node[0], self.beta) < 0 and self._continues(node, 1)
 
-    def _require(self, node: CanonicalNode) -> None:
-        if node not in self:
+    def _continues(self, node: CanonicalNode, k: int) -> bool:
+        """Whether the entries of the node from index k on continue its
+        first k inside the tree: each below the one before, the last at
+        least alpha."""
+        if compare(node[-1], self.alpha) < 0:
+            return False
+        for i in range(k, len(node)):
+            if compare(node[i], node[i - 1]) >= 0:
+                return False
+        return True
+
+    def _require(self, node: CanonicalNode, known: int = 0) -> None:
+        """Raise unless the node is a member; when its first ``known``
+        entries are known to form one, only the entries after them are
+        checked."""
+        if not (self._continues(node, known) if known else node in self):
             raise CanonicalError(f"node ({node_to_text(node)}) is not in {self}")
 
     def __str__(self) -> str:
@@ -150,6 +162,30 @@ def node_facts(tree: CanonicalTree, nodes: Iterable[CanonicalNode]) -> list[Node
     """The facts of each node, checking its membership once."""
     why = _separation_undefined(tree)
     return [tau_facts(tree.beta, node_tau(tree, node), len(node), why) for node in nodes]
+
+
+def window_facts(tree: CanonicalTree, nodes: Sequence[CanonicalNode],
+                 parents: Sequence[int | None]) -> list[NodeFacts]:
+    """``node_facts(tree, nodes)`` for the nodes of a window, where
+    ``parents[i]`` is the index of node i's parent, listed before it.
+
+    A node that extends its parent is checked on the entries it adds below
+    it, any other node in full, so a membership error names the same first
+    node; the block signature is computed once per tau."""
+    why = _separation_undefined(tree)
+    alpha, beta = tree.alpha, tree.beta
+    sigs: dict[Ordinal, tuple[Ordinal, ...] | str] = {}
+    out: list[NodeFacts] = []
+    for node, p in zip(nodes, parents):
+        above = () if p is None else nodes[p]
+        k = len(above)
+        tree._require(node, k if 0 < k < len(node) and node[:k] == above else 0)
+        tau = left_subtract(alpha, node[-1])
+        sig = sigs.get(tau)
+        if sig is None:
+            sig = sigs[tau] = tau_facts(beta, tau, why=why).sig
+        out.append(NodeFacts(tau, len(node), beta, sig))
+    return out
 
 
 def pair_facts(tree: CanonicalTree, s: CanonicalNode,

@@ -11,7 +11,8 @@ hash-consing", 2006): constructing a term list returns the one live
 equality is identity.  The hash is structural, computed once, and the same
 in every run.  ``_less``, ``add``, ``mul``, ``left_subtract`` and
 ``left_divide`` remember their results in tables keyed on the interned
-operands, and ``factorize`` in one keyed on its interned argument; each
+operands, ``factorize`` in one keyed on its interned argument, and
+``descend_below`` in one keyed on its interned bounds and width; each
 table holds at most ``MEMO_CAP`` entries and is emptied when it fills.
 """
 
@@ -439,6 +440,10 @@ def fundamental_sequence(o: "Ordinal | int", n: int) -> Ordinal:
     return add(base, omega_pow(fundamental_sequence(e, n)))
 
 
+# (serial of bound, width, serial of floor) -> descend_below's values, at most MEMO_CAP entries
+_DESCENDED: dict[tuple[int, int, int], tuple[Ordinal, ...]] = {}
+
+
 def descend_below(bound: "Ordinal | int", width: int,
                   floor: "Ordinal | int" = ZERO) -> list[Ordinal]:
     """Up to ``width`` strictly decreasing ordinals in [floor, bound).
@@ -448,6 +453,10 @@ def descend_below(bound: "Ordinal | int", width: int,
     emitted values sit just below canonical limit points.
     """
     bound, floor = _coerce(bound), _coerce(floor)
+    key = (bound._serial, width, floor._serial)
+    hit = _DESCENDED.get(key)
+    if hit is not None:
+        return list(hit)
     out: list[Ordinal] = []
     cur = bound
     while len(out) < width and _less(floor, cur):
@@ -457,6 +466,9 @@ def descend_below(bound: "Ordinal | int", width: int,
                 out.append(cur)
         else:
             cur = fundamental_sequence(cur, width)
+    if len(_DESCENDED) >= MEMO_CAP:
+        _DESCENDED.clear()
+    _DESCENDED[key] = tuple(out)
     return out
 
 

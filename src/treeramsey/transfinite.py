@@ -5,17 +5,19 @@ sampled roots and children, each with its declared position, under a
 declared symbolic rank.  Every construction returns its piece, and
 ``piece_window(piece, depth, width)`` materializes the sampled finite
 window, each node with the declared position its sampler handed down the
-walk.  A contraction keeps the entries whose digits lie on chosen layers.
-The stabilizer recurses on the top layer: a finite one keeps, by
-pigeonhole, ``width`` blocks that share a table and stacks them below
-graded anchors; successor and limit layers join recursively stabilized
-grades in a union.
+walk.  A union's window is its parts' windows; a window is built once
+per piece and budget.  A contraction keeps the entries whose digits lie
+on chosen layers.  The stabilizer recurses on the top layer: a finite one
+keeps, by pigeonhole, ``width`` blocks that share a table and stacks them
+below graded anchors; successor and limit layers join recursively
+stabilized grades in a union.
 
 Declared data are claims, not proofs; every public construction is paired
 with an audit that materializes a finite window at the given budget and
-rechecks the claims pair by pair, comparing window ranks against
-equal-budget windows of reference trees.  An operation either returns with
-an all-pass audit or fails naming the step that could not be certified.
+rechecks the claims pair by pair, comparing window ranks against the
+ranks of equal-budget windows of reference trees.  An operation either
+returns with an all-pass audit or fails naming the step that could not be
+certified.
 """
 
 from __future__ import annotations
@@ -26,12 +28,13 @@ from typing import Callable, Iterable, Sequence
 from .canonical import (
     CanonicalNode,
     CanonicalTree,
-    node_facts,
+    NodeFacts,
+    node_to_text,
     rank_symbolic,
     require_below,
     separation_of_facts,
     tau_facts,
-    truncate,
+    window_facts,
 )
 from .ordinal import (
     ONE,
@@ -78,6 +81,11 @@ class Budget:
     depth: int = 3
     width: int = 3
     cap: int = 4
+
+    def __post_init__(self) -> None:
+        # a window has at least one level and samples at least one child per node
+        if self.depth < 1 or self.width < 1:
+            raise TransfiniteError(f"budget depth and width must be at least 1: {self}")
 
     @staticmethod
     def parse(text: str) -> "Budget":
@@ -190,6 +198,8 @@ def digit_embedding(fact: IndecomposableFactorization, keep: Sequence[int]) -> E
 
 # a node with its declared position
 Positioned = tuple[CanonicalNode, Ordinal]
+# a window by id: each node's parent id, and each node with its declared position
+Window = tuple[list[int | None], list[Positioned]]
 
 
 class Piece:
@@ -231,10 +241,23 @@ class EntryPiece(Piece):
 
 @dataclass(frozen=True)
 class UnionPiece(Piece):
-    """Incomparable union of pieces hung below pairwise incomparable anchors."""
+    """Incomparable union of pieces hung below pairwise incomparable anchors.
+
+    Its window is its parts' windows side by side, kept in ``windows`` per
+    (depth, width) once built."""
 
     parts: tuple[tuple[CanonicalNode, Piece], ...]
     rank: Ordinal
+    windows: dict[tuple[int, int], Window] = field(
+        default_factory=dict, init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        anchors = [a for a, _ in self.parts]
+        for i, a in enumerate(anchors):
+            for b in anchors[i + 1:]:
+                la = min(len(a), len(b))
+                if a[:la] == b[:la]:
+                    raise TransfiniteError(f"anchors {a} and {b} are comparable")
 
     @property
     def declared_rank(self) -> Ordinal:
@@ -343,18 +366,37 @@ def piece_window(piece: Piece, depth: int, width: int) -> tuple[FiniteTree, dict
     """Materialize the sampled window as a finite tree plus the node map
     window id -> (node, declared position), each position as the walk
     emitted it."""
-    parents: dict[int, int | None] = {}
-    mapping: dict[int, Positioned] = {}
+    parents, at = _window(piece, depth, width)
+    return FiniteTree.from_parents(dict(enumerate(parents))), dict(enumerate(at))
+
+
+def _window(piece: Piece, depth: int, width: int) -> Window:
+    """The window of a union is its parts' windows side by side, ids
+    offset and anchors prefixed, built once per budget; any other piece is
+    walked depth first from its roots, each node once."""
+    if isinstance(piece, UnionPiece):
+        hit = piece.windows.get((depth, width))
+        if hit is None:
+            parents: list[int | None] = []
+            at: list[Positioned] = []
+            for anchor, part in piece.parts:
+                part_parents, part_at = _window(part, depth, width)
+                off = len(at)
+                parents.extend(None if p is None else p + off for p in part_parents)
+                at.extend((anchor + node, pos) for node, pos in part_at)
+            hit = piece.windows[depth, width] = (parents, at)
+        return hit
+    parents = []
+    at = []
     seen: set[CanonicalNode] = set()
 
     def emit(node: CanonicalNode, pos: Ordinal, parent: int | None) -> int | None:
         if node in seen:
             return None
         seen.add(node)
-        i = len(mapping)
-        parents[i] = parent
-        mapping[i] = (node, pos)
-        return i
+        parents.append(parent)
+        at.append((node, pos))
+        return len(at) - 1
 
     def expand(node: CanonicalNode, pos: Ordinal, me: int, level: int) -> None:
         if level >= depth:
@@ -368,14 +410,24 @@ def piece_window(piece: Piece, depth: int, width: int) -> tuple[FiniteTree, dict
         ri = emit(root, pos, None)
         if ri is not None:
             expand(root, pos, ri, 1)
-    return FiniteTree.from_parents(parents), mapping
+    return parents, at
 
 
 def reference_window_rank(rank: Ordinal, budget: Budget) -> int:
-    """Window rank of the canonical tree of the given rank at this budget."""
-    if rank.is_zero:
-        return 0
-    return truncate(CanonicalTree.of(0, rank), budget.depth, budget.width).tree.rank()
+    """Window rank of the canonical tree of the given rank at this budget,
+    the rank of ``truncate(CanonicalTree.of(0, rank), depth, width).tree``,
+    read off ``descend_below`` without materializing that window."""
+    heights: dict[tuple[Ordinal, int], int] = {}
+
+    def height(x: Ordinal, levels: int) -> int:
+        # longest chain down from a node ending in x with ``levels`` window levels left
+        key = (x, levels)
+        if key not in heights:
+            below = descend_below(x, budget.width) if levels > 1 else ()
+            heights[key] = 1 + max((height(z, levels - 1) for z in below), default=0)
+        return heights[key]
+
+    return max((height(x, budget.depth) for x in descend_below(rank, budget.width)), default=0)
 
 
 def _audit_window(construction: str, piece: Piece, budget: Budget,
@@ -405,13 +457,19 @@ def _separation_check(tree: CanonicalTree, declared_rank: Ordinal, window: Finit
                       at: dict[int, Positioned], enum: Sequence[int], mismatch: str):
     """Map each window pair's declared separation, read off the carried
     positions, through the layer enumeration ``enum`` and compare it with
-    the ambient separation, building each side's facts once per node.
+    the ambient separation, building each side's facts once per node (the
+    declared ones once per position).
 
     Returns the ambient facts and every pair s < t as (s, t, declared
     separation), both by window id, the verdict, and its detail.
     """
-    facts = dict(zip(at, node_facts(tree, [node for node, _ in at.values()])))
-    declared = {i: tau_facts(declared_rank, pos) for i, (_, pos) in at.items()}
+    facts = window_facts(tree, [node for node, _ in at.values()], window.parents)
+    records: dict[Ordinal, NodeFacts] = {}
+    declared: list[NodeFacts] = []
+    for _, pos in at.values():
+        if pos not in records:
+            records[pos] = tau_facts(declared_rank, pos)
+        declared.append(records[pos])
     pairs: list[tuple[int, int, int]] = []
     failed = None
     for i_s, i_t in window.ordered_pairs():
@@ -420,7 +478,8 @@ def _separation_check(tree: CanonicalTree, declared_rank: Ordinal, window: Finit
         sq = separation_of_facts(declared[i_s], declared[i_t])
         sp = separation_of_facts(facts[i_s], facts[i_t])
         if failed is None and enum[sq] != sp:
-            failed = mismatch.format(s=s, t=t, mapped=enum[sq], ambient=sp)
+            failed = mismatch.format(s=node_to_text(s), t=node_to_text(t),
+                                     mapped=enum[sq], ambient=sp)
         pairs.append((i_s, i_t, sq))
     return facts, pairs, failed is None, failed or f"{len(pairs)} pairs checked"
 
@@ -460,7 +519,7 @@ def audit_contraction(tree: CanonicalTree, spec: ContractionSpec,
     report, window, at = _audit_window("contraction", sub, budget)
     _, _, ok, detail = _separation_check(
         tree, sub.declared_rank, window, at, spec.enumeration,
-        "pair ({s},{t}): ambient {ambient} != mapped {mapped}")
+        "pair (({s}), ({t})): ambient {ambient} != mapped {mapped}")
     report.add("separation-enumerates", ok, detail)
     return report
 
@@ -478,15 +537,9 @@ def _grade(eps: Ordinal, q: int) -> Ordinal:
 
 def assemble_union(parts: Sequence[tuple[CanonicalNode, Piece]],
                    declared_rank: "Ordinal | None" = None) -> UnionPiece:
-    """Incomparable union of pieces below distinct anchors.  The declared
-    rank defaults to the largest part rank; pass the intended limit when the
-    parts form a cofinal family."""
-    anchors = [tuple(a) for a, _ in parts]
-    for i, a in enumerate(anchors):
-        for b in anchors[i + 1:]:
-            la = min(len(a), len(b))
-            if a[:la] == b[:la]:
-                raise TransfiniteError(f"anchors {a} and {b} are comparable")
+    """Incomparable union of pieces below pairwise incomparable anchors.
+    The declared rank defaults to the largest part rank; pass the intended
+    limit when the parts form a cofinal family."""
     if declared_rank is None:
         declared_rank = ZERO
         for _, piece in parts:
@@ -547,14 +600,14 @@ def _audit_stabilization(tree: CanonicalTree, sub: Piece, table: tuple[int, ...]
                f"table size {len(table)} vs {lam} layers")
     facts, pairs, ok, detail = _separation_check(
         tree, sub.declared_rank, window, at, range(lam),
-        "pair ({s},{t}): subtree separation {mapped} != ambient {ambient}")
+        "pair (({s}), ({t})): subtree separation {mapped} != ambient {ambient}")
     report.add("separation-preserved", ok, detail)
     for i_s, i_t, sq in pairs:
         color = rule.value(facts[i_s], facts[i_t])
         if table[sq] != color:
-            s, t = at[i_s][0], at[i_t][0]
+            s, t = node_to_text(at[i_s][0]), node_to_text(at[i_t][0])
             report.add("colors-recovered", False,
-                       f"pair ({s},{t}): table[{sq}]={table[sq]} != color {color}")
+                       f"pair (({s}), ({t})): table[{sq}]={table[sq]} != color {color}")
             break
     else:
         report.add("colors-recovered", True, f"{len(pairs)} pairs checked")
@@ -615,6 +668,10 @@ def _segment_finite_top(tree, base, prefix, rho, gamma_p, rule, budget, cap):
         if len(kept) == width:
             break
     bands = [(b_base, piece) for _, b_base, piece in kept]
+    for _, piece in bands:
+        # a band is walked through its children: its own window is not read again
+        if isinstance(piece, UnionPiece):
+            piece.windows.clear()
     union = assemble_union([((add(base, mul(gamma_p, delta + 1)),),
                              StackPiece(tuple(bands[:q]), gamma_p))
                             for q, (delta, _, _) in enumerate(kept, 1)], rho)
@@ -625,7 +682,7 @@ def _segment_finite_top(tree, base, prefix, rho, gamma_p, rule, budget, cap):
 def _cross_color(tree, union: UnionPiece, prefix: CanonicalNode, gamma_p: Ordinal,
                  rule: RuleColoring, budget: Budget) -> int:
     window, at = piece_window(union, budget.depth, budget.width)
-    facts = dict(zip(at, node_facts(tree, [prefix + node for node, _ in at.values()])))
+    facts = window_facts(tree, [prefix + node for node, _ in at.values()], window.parents)
     level = {i: left_divide(gamma_p, pos)[0] for i, (_, pos) in at.items()}
     seen: int | None = None
     for i_s, i_t in window.ordered_pairs():

@@ -256,8 +256,9 @@ class FiniteTree:
             yield from (chain + (leaf,) for leaf in tips)
 
     def ordered_pairs(self) -> Iterator[tuple[int, int]]:
-        """All (s, t) with s < t in the tree order."""
-        return self.chains(2)  # type: ignore[return-value]
+        """All (s, t) with s < t in the tree order, id-lexicographic."""
+        below = self._below
+        return ((s, t) for s in self.ids for t in below[s])
 
     # -- serialization ---------------------------------------------------------
 

@@ -9,9 +9,17 @@ change them unnoticed.
 Regenerate (only when an output change is intended) with:
 
     PYTHONPATH=src python tests/test_golden.py
+
+``data/sweep_verdicts.jsonl`` records the output of
+``tools/sweep_transfinite.py`` (verdict, table and audit pair count of 90
+stabilizer cases); regenerate it the same way with:
+
+    python3 tools/sweep_transfinite.py > tests/data/sweep_verdicts.jsonl
 """
 
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 from treeramsey.canonical import CanonicalTree, node_to_text
@@ -27,6 +35,8 @@ from treeramsey.transfinite import (
 )
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "transfinite_golden.json"
+SWEEP = Path(__file__).resolve().parent / "data" / "sweep_verdicts.jsonl"
+SWEEP_TOOL = Path(__file__).resolve().parent.parent / "tools" / "sweep_transfinite.py"
 WIDE = Budget(3, 4, 4)
 # the four benchmark trees at their smoke budgets
 STABILIZER_CASES = (
@@ -88,6 +98,16 @@ def test_outputs_match_golden():
     assert list(got) == list(expected)
     for name in expected:
         assert got[name] == expected[name], name
+
+
+def test_verdict_sweep_matches_record():
+    run = subprocess.run([sys.executable, str(SWEEP_TOOL)], capture_output=True, text=True,
+                         timeout=600)
+    assert run.returncode == 0, run.stderr
+    got, expected = run.stdout.splitlines(), SWEEP.read_text().splitlines()
+    for number, (line, want) in enumerate(zip(got, expected), 1):
+        assert line == want, f"line {number}"
+    assert len(got) == len(expected)
 
 
 if __name__ == "__main__":

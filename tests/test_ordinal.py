@@ -5,6 +5,7 @@ import random
 import pytest
 
 from treeramsey.ordinal import (
+    _DESCENDED,
     _FACTORIZED,
     _INTERNED,
     MEMO_CAP,
@@ -458,3 +459,15 @@ class TestHashConsing:
         for _ in range(2):  # a rejected argument is not remembered
             with pytest.raises(OrdinalError):
                 factorize(mul(w, 2))
+
+    def test_descend_below_memo_stays_within_its_cap(self):
+        for i in range(MEMO_CAP + 10):
+            assert descend_below(i + 1, 1) == [ordinal(i)]
+            assert len(_DESCENDED) <= MEMO_CAP
+        assert _DESCENDED
+
+    def test_descend_below_returns_a_fresh_list(self):
+        first = descend_below(w2, 3)
+        first.append(ZERO)
+        again = descend_below(w2, 3)
+        assert again == [mul(w, 2) + 2, mul(w, 2) + 1, mul(w, 2)] and again is not first

@@ -1,16 +1,34 @@
 import itertools
+import json
+import random
 
 import pytest
+from test_golden import SWEEP
+from test_golden import _cases as golden_cases
 
 from treeramsey import transfinite
 from treeramsey.canonical import (
     CanonicalError,
     CanonicalTree,
+    node_facts,
     node_tau,
     separation_of_taus,
     truncate,
+    window_facts,
 )
-from treeramsey.ordinal import OMEGA, ONE, ZERO, add, descend_below, left_divide, mul, omega_pow
+from treeramsey.generate import random_ordinal
+from treeramsey.ordinal import (
+    OMEGA,
+    ONE,
+    ZERO,
+    add,
+    descend_below,
+    left_divide,
+    mul,
+    omega_pow,
+    ordinal,
+    parse_ordinal,
+)
 from treeramsey.rules import RuleColoring, parse_rule
 from treeramsey.transfinite import (
     AuditFailure,
@@ -21,7 +39,9 @@ from treeramsey.transfinite import (
     EntryPiece,
     FilteredPiece,
     Piece,
+    StackPiece,
     TransfiniteError,
+    UnionPiece,
     _audit_stabilization,
     _grade,
     assemble_union,
@@ -29,8 +49,10 @@ from treeramsey.transfinite import (
     contract,
     digit_embedding,
     piece_window,
+    reference_window_rank,
     stabilize_transfinite,
 )
+from treeramsey.tree_core import FiniteTree
 
 w = OMEGA
 w2 = omega_pow(2)
@@ -449,20 +471,17 @@ class TestMisreportedPositions:
         honest = contract(square, spec)
         assert audit_contraction(square, spec, honest, WIDE).ok
         report = audit_contraction(square, spec, ZeroBelowRoots(honest), WIDE)
-        s = (add(mul(w, 3), 3),)
-        t = s + (add(mul(w, 3), 2),)
         assert report.failed.name == "separation-enumerates"
-        assert report.failed.detail == f"pair ({s},{t}): ambient 0 != mapped 1"
+        assert report.failed.detail == "pair ((w*3 + 3), (w*3 + 3, w*3 + 2)): ambient 0 != mapped 1"
 
     def test_stabilization_audit_names_the_pair(self, square):
         rule = RuleColoring.sep_table((1, 0))
         honest = stabilize_transfinite(square, rule, BUDGET)
         report = _audit_stabilization(square, ZeroBelowRoots(honest.subtree),
                                       honest.table, rule, BUDGET)
-        s = (mul(w, 2), add(w, 2), add(w, 1))
-        t = s + (w,)
         assert report.failed.name == "separation-preserved"
-        assert report.failed.detail == f"pair ({s},{t}): subtree separation 1 != ambient 0"
+        assert report.failed.detail == \
+            "pair ((w*2, w + 2, w + 1), (w*2, w + 2, w + 1, w)): subtree separation 1 != ambient 0"
 
     def test_children_must_extend_their_parent(self, square):
         piece = ChildrenBesideParent()
@@ -570,3 +589,174 @@ class TestMonochromaticSharpness:
             best = max_monochromatic_rank(
                 window.tree, lambda s, t: rule_colors[(s, t)], j)
             assert best.colors[j].rank == expected.rank()
+
+
+class TestReferenceWindowRank:
+    """The reference rank is read off descend_below; truncate materializes
+    the window it stands for."""
+
+    @pytest.mark.parametrize("depth", range(1, 7))
+    def test_equals_the_truncated_window_rank(self, depth):
+        rng = random.Random(depth)
+        ranks = [random_ordinal(rng, height=1) for _ in range(8)] + [ZERO, ONE, ordinal(3), w]
+        for width in range(1, 6):
+            budget = Budget(depth, width, 4)
+            for rank in ranks:
+                window = truncate(CanonicalTree.of(0, rank), depth, width).tree
+                assert reference_window_rank(rank, budget) == window.rank(), (str(rank), width)
+            assert reference_window_rank(w, budget) == min(depth, width)
+
+    @pytest.mark.parametrize("dims", [(0, 3, 4), (3, 0, 4)])
+    def test_a_window_needs_a_level_and_a_child(self, dims):
+        with pytest.raises(TransfiniteError, match="depth and width must be at least 1"):
+            Budget(*dims)
+
+
+def _walk_window(piece, depth, width):
+    """Reference: the depth-first walk of a piece's own roots and children,
+    each node once, which is how every window was built before a union's
+    window became its parts' windows."""
+    parents, mapping, seen = {}, {}, set()
+
+    def emit(node, pos, parent):
+        if node in seen:
+            return None
+        seen.add(node)
+        i = len(mapping)
+        parents[i], mapping[i] = parent, (node, pos)
+        return i
+
+    def expand(node, pos, me, level):
+        if level >= depth:
+            return
+        for child, cpos in piece.children(node, pos, width):
+            ci = emit(child, cpos, me)
+            if ci is not None:
+                expand(child, cpos, ci, level + 1)
+
+    for root, pos in piece.roots(width):
+        ri = emit(root, pos, None)
+        if ri is not None:
+            expand(root, pos, ri, 1)
+    return FiniteTree.from_parents(parents), mapping
+
+
+def _inner_pieces(piece):
+    """The piece and every piece inside it, once each: union parts, stack
+    bands and filtered inners."""
+    out, seen, todo = [], set(), [piece]
+    while todo:
+        p = todo.pop()
+        if id(p) in seen:
+            continue
+        seen.add(id(p))
+        out.append(p)
+        if isinstance(p, UnionPiece):
+            todo.extend(part for _, part in p.parts)
+        elif isinstance(p, StackPiece):
+            todo.extend(band for _, band in p.bands)
+        elif isinstance(p, FilteredPiece):
+            todo.append(p.inner)
+    return out
+
+
+@pytest.fixture(scope="module")
+def certified_pieces():
+    """(name, ambient tree, piece, budget) for every golden case and every
+    case the recorded verdict sweep certified."""
+    out = []
+    for name, sub, budget, _, _ in golden_cases():
+        rank = omega_pow(2) if name.startswith("contract") else sub.declared_rank
+        out.append((name, CanonicalTree.of(0, rank), sub, budget))
+    for line in SWEEP.read_text().splitlines():
+        case = json.loads(line)
+        if case["verdict"] == "ok":
+            tree = CanonicalTree.of(0, parse_ordinal(case["tree"]))
+            budget = Budget(*case["budget"])
+            res = stabilize_transfinite(tree, parse_rule(case["rule"], k=case["k"]), budget)
+            out.append((f"{case['tree']} {case['rule']} {budget}", tree, res.subtree, budget))
+    assert len(out) == 13 + 40
+    return out
+
+
+class TestComposedWindows:
+    """A union's window is its parts' windows side by side, built once per
+    budget; it equals the depth-first walk of the union's own roots and
+    children, and its window facts equal the node-by-node ones."""
+
+    def test_windows_equal_the_depth_first_walk(self, certified_pieces):
+        for name, _, piece, budget in certified_pieces:
+            for sub in _inner_pieces(piece):
+                window, at = piece_window(sub, budget.depth, budget.width)
+                ref, ref_at = _walk_window(sub, budget.depth, budget.width)
+                assert window.ids == ref.ids and window.parents == ref.parents, name
+                assert [at[i] for i in window.ids] == [ref_at[i] for i in ref.ids], name
+
+    def test_window_facts_equal_node_facts(self, certified_pieces):
+        for name, tree, piece, budget in certified_pieces:
+            window, at = piece_window(piece, budget.depth, budget.width)
+            nodes = [node for node, _ in at.values()]
+            assert window_facts(tree, nodes, window.parents) == node_facts(tree, nodes), name
+
+    def test_union_window_is_built_once_per_budget(self):
+        parts = [((mul(w, q),), EntryPiece(ZERO, EntryMap.identity(mul(w, q)))) for q in (1, 2)]
+        union = assemble_union(parts, declared_rank=w2)
+        first, at = piece_window(union, 3, 3)
+        assert union.windows.keys() == {(3, 3)}
+        again, at_again = piece_window(union, 3, 3)
+        assert again == first and at_again == at
+        piece_window(union, 2, 3)
+        assert union.windows.keys() == {(3, 3), (2, 3)}
+        assert union == assemble_union(parts, declared_rank=w2)
+
+    def test_union_rejects_comparable_anchors(self):
+        seg = EntryPiece(ZERO, EntryMap.identity(w))
+        with pytest.raises(TransfiniteError, match="are comparable"):
+            UnionPiece((((w,), seg), ((w, ONE), seg)), w2)
+
+    def test_bands_release_their_windows(self):
+        res = stabilize_transfinite(CanonicalTree.of(0, omega_pow(3)),
+                                    RuleColoring.sep_table((2, 0, 1)), Budget(3, 3, 6))
+        assert res.subtree.windows  # the final audit read the window _cross_color built
+        bands = [band for _, stack in res.subtree.parts for _, band in stack.bands]
+        assert bands and all(not band.windows for band in bands)
+
+
+class ChildAboveParent(Piece):
+    """Samples roots (x,) of I(0, w^2) and hands down (x, x + 1) below
+    each: the child extends its parent but does not decrease."""
+
+    declared_rank = w2
+
+    def roots(self, width):
+        return [((x,), x) for x in descend_below(w2, width)]
+
+    def children(self, node, pos, width):
+        return [] if len(node) > 1 else [(node + (add(node[-1], 1),), pos)]
+
+
+def _facts_or_error(facts, *args):
+    try:
+        return facts(*args)
+    except CanonicalError as err:
+        return str(err)
+
+
+class TestWindowFactsErrors:
+    """window_facts checks a child only on the entries it adds below its
+    parent, and raises the error node_facts raises, at the same node."""
+
+    @pytest.mark.parametrize("piece", [RootAtBeta(), ChildrenBesideParent(), ChildAboveParent()],
+                             ids=lambda p: type(p).__name__)
+    def test_same_first_error_as_node_facts(self, square, piece):
+        window, at = piece_window(piece, BUDGET.depth, BUDGET.width)
+        nodes = [node for node, _ in at.values()]
+        got = _facts_or_error(window_facts, square, nodes, window.parents)
+        assert got == _facts_or_error(node_facts, square, nodes)
+        # nodes beside their parents are members: the pair check rejects them
+        assert isinstance(got, list) == isinstance(piece, ChildrenBesideParent)
+        # below a prefix, as _cross_color reads a segment's window
+        cube, prefix = CanonicalTree.of(0, omega_pow(3)), (mul(w2, 5),)
+        nodes = [prefix + node for node in nodes]
+        assert _facts_or_error(window_facts, cube, nodes, window.parents) == \
+            _facts_or_error(node_facts, cube, nodes)
