@@ -200,7 +200,7 @@ def _check_coverage(tree: FiniteTree, coloring: Coloring, *arities: str) -> None
 
 def _cmd_transfinite(args) -> int:
     tree = _parse_canonical(args.tree)
-    budget = Budget.parse(args.budget)
+    budget = Budget() if args.budget is None else Budget.parse(args.budget)
     if args.contract is not None:
         layer_text = args.contract.removeprefix("A=")
         try:
@@ -335,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_trans.add_argument("--stabilize", action="store_true")
     p_trans.add_argument("--rule", default="F[sep] with F=(0)")
     p_trans.add_argument("-k", type=int, default=None, help="palette bound for the rule")
-    p_trans.add_argument("--budget", default="3,3,4", metavar="D,W,C")
+    p_trans.add_argument("--budget", metavar="D,W,C")
     p_trans.add_argument("--audit-out")
     p_trans.set_defaults(fn=_cmd_transfinite)
 

@@ -7,10 +7,14 @@ declared symbolic rank.  Every construction returns its piece, and
 window, each node with the declared position its sampler handed down the
 walk.  A union's window is its parts' windows; a window is built once
 per piece and budget.  A contraction keeps the entries whose digits lie
-on chosen layers.  The stabilizer recurses on the top layer: a finite one
-keeps, by pigeonhole, ``width`` blocks that share a table and stacks them
-below graded anchors; successor and limit layers join recursively
-stabilized grades in a union.
+on chosen layers.  The stabilizer recurses on the top layer, and every
+layer kind takes one pigeonhole step: candidates are stabilized in order
+until ``width`` share a key, which a finite number of keys guarantees.  A
+finite top keeps blocks that share a table and stacks them below graded
+anchors; a limit keeps grades that share a table, a successor grades that
+share a low table, and both join them in a union.  A successor then keeps
+the upper layers of the least color whose count strictly grows along the
+kept grades, and fails as ``upper-color`` when none grows.
 
 Declared data are claims, not proofs; every public construction is paired
 with an audit that materializes a finite window at the given budget and
@@ -508,7 +512,7 @@ def contract(tree: CanonicalTree, spec: ContractionSpec) -> EntryPiece:
     """The subtree whose entries use only digits on the chosen layers; its
     separation values enumerate back into the ambient ones."""
     if not tree.alpha.is_zero:
-        raise TransfiniteError("contraction and alignment are defined on trees with alpha = 0")
+        raise TransfiniteError("contraction is defined on trees with alpha = 0")
     if rank_symbolic(tree) != spec.gamma:
         raise TransfiniteError(f"tree rank {rank_symbolic(tree)} is not {spec.gamma}")
     return EntryPiece(ZERO, digit_embedding(factorize(spec.gamma), spec.enumeration))
@@ -618,7 +622,10 @@ def _stabilize_segment(tree: CanonicalTree, base: Ordinal, prefix: CanonicalNode
                        rho: Ordinal, rule: RuleColoring, budget: Budget,
                        cap: int) -> tuple[Piece, tuple[int, ...]]:
     """Stabilize the rule on the segment of entries [base, base+rho) below
-    ``prefix``; returns a relative piece of declared rank rho with its table."""
+    ``prefix``; returns a relative piece of declared rank rho with its table.
+    Below a successor or limit top layer, grade q of rank gamma_p * eta_q
+    hangs below the anchor entry base + gamma_p * eta_q; the kept grades,
+    filtered below a successor, grow in rank, so their union is cofinal."""
     if rho == ONE:
         return EntryPiece(base, EntryMap.identity(ONE)), ()
     if cap <= 0:
@@ -628,45 +635,76 @@ def _stabilize_segment(tree: CanonicalTree, base: Ordinal, prefix: CanonicalNode
     eps = fact.epsilons[-1]
     if eps.is_zero:
         return _segment_finite_top(tree, base, prefix, rho, gamma_p, rule, budget, cap)
-    grades = _stabilize_grades(tree, base, prefix, gamma_p, eps, rule, budget, cap)
-    if eps.is_successor:
-        return _segment_successor(rho, grades)
-    return _segment_limit(rho, grades)
+    # grades agree on their low tables below a successor, on whole ones below a limit
+    lam_key = fact.lam - 1 if eps.is_successor else fact.lam
 
-
-def _stabilize_grades(tree, base, prefix, gamma_p, eps, rule, budget, cap):
-    """Stabilize, for q = 1..width, the segment of rank gamma_p * eta_q hung
-    below the anchor entry base + gamma_p * eta_q."""
-    grades: list[tuple[CanonicalNode, Piece, tuple[int, ...], Ordinal]] = []
-    for q in range(1, budget.width + 1):
-        sub_rho = mul(gamma_p, _grade(eps, q))
+    def grade(i: int):
+        sub_rho = mul(gamma_p, _grade(eps, i + 1))
         anchor = (add(base, sub_rho),)
         piece, table = _stabilize_segment(
             tree, base, prefix + anchor, sub_rho, rule, budget, cap - 1)
-        grades.append((anchor, piece, table, sub_rho))
-    return grades
+        return table[:lam_key], (anchor, piece, table, sub_rho)
+
+    key, grades = _agreeing(grade, (rule.k + 1) ** lam_key, budget.width)
+    if not eps.is_successor:
+        return assemble_union([(anchor, piece) for anchor, piece, _, _ in grades], rho), key
+    j = _upper_color([table for _, _, table, _ in grades], lam_key)
+    parts = []
+    for anchor, piece, table, sub_rho in grades:
+        keep = tuple(i for i, c in enumerate(table) if i < lam_key or c == j)
+        sub_fact = factorize(sub_rho)
+        if keep != tuple(range(sub_fact.lam)):
+            piece = FilteredPiece(piece, sub_fact, keep)
+        parts.append((anchor, piece))
+    return assemble_union(parts, rho), key + (j,)
+
+
+def _agreeing(stabilize_one: Callable[[int], tuple[tuple[int, ...], object]],
+              keys: int, width: int) -> tuple[tuple[int, ...], list]:
+    """Stabilize candidates 0, 1, ... until one key has come up ``width``
+    times; returns that key with its candidates' items in order.
+
+    ``stabilize_one(i)`` gives candidate i's key and item.  With ``keys``
+    possible keys, pigeonhole ends the search within keys * (width-1) + 1
+    candidates."""
+    hits: dict[tuple[int, ...], list] = {}
+    for i in range(keys * (width - 1) + 1):
+        key, item = stabilize_one(i)
+        kept = hits.setdefault(key, [])
+        kept.append(item)
+        if len(kept) == width:
+            break
+    return key, kept
+
+
+def _upper_color(tables: Sequence[tuple[int, ...]], lam_low: int) -> int:
+    """The least color whose count of upper layers (past ``lam_low``)
+    strictly grows along the kept grades' tables.  The union reaches the
+    successor rank only if one color's layers grow without bound; on a
+    finite prefix, strict growth is the check that can be made."""
+    for c in sorted(set(tables[-1][lam_low:])):
+        counts = [table[lam_low:].count(c) for table in tables]
+        if all(a < b for a, b in zip(counts, counts[1:])):
+            return c
+    raise BudgetExhausted("upper-color", f"no color's upper layers grow along {list(tables)}")
 
 
 def _segment_finite_top(tree, base, prefix, rho, gamma_p, rule, budget, cap):
     """Stack ``width`` gamma_p-blocks that share a table below graded anchors.
 
-    Blocks from ``base`` are stabilized one at a time, all under one prefix
-    above every candidate block, until one table has come up ``width``
-    times; with (k+1)^lam tables that takes at most (k+1)^lam * (width-1) + 1
-    blocks.  The q-th part hangs the first q kept blocks below the entry
-    just above the q-th of them.
+    Blocks from ``base`` are stabilized in order, all under one prefix above
+    every candidate block.  The q-th part hangs the first q kept blocks
+    below the entry just above the q-th of them.
     """
-    width = budget.width
-    bound = (rule.k + 1) ** factorize(gamma_p).lam * (width - 1) + 1
-    above = prefix + (add(base, mul(gamma_p, bound)),)
-    hits: dict[tuple[int, ...], list[tuple[int, Ordinal, Piece]]] = {}
-    for delta in range(bound):
+    keys = (rule.k + 1) ** factorize(gamma_p).lam
+    above = prefix + (add(base, mul(gamma_p, keys * (budget.width - 1) + 1)),)
+
+    def block(delta: int):
         b_base = add(base, mul(gamma_p, delta))
         piece, table = _stabilize_segment(tree, b_base, above, gamma_p, rule, budget, cap - 1)
-        kept = hits.setdefault(table, [])
-        kept.append((delta, b_base, piece))
-        if len(kept) == width:
-            break
+        return table, (delta, b_base, piece)
+
+    table, kept = _agreeing(block, keys, budget.width)
     bands = [(b_base, piece) for _, b_base, piece in kept]
     for _, piece in bands:
         # a band is walked through its children: its own window is not read again
@@ -701,44 +739,3 @@ def _cross_color(tree, union: UnionPiece, prefix: CanonicalNode, gamma_p: Ordina
             "cross-level-color",
             "no cross-level pair fits in the window; deepen the budget")
     return seen
-
-
-def _segment_successor(rho, grades):
-    lam_low = factorize(rho).lam - 1
-    low = _majority([g[2][:lam_low] for g in grades], "low-table-unanimity")
-    kept = [g for g in grades if g[2][:lam_low] == low]
-    votes: dict[int, int] = {}
-    for _, _, table, _ in kept:
-        for c in table[lam_low:]:
-            votes[c] = votes.get(c, 0) + 1
-    if not votes:
-        raise BudgetExhausted("upper-color-vote", "no upper layers materialized")
-    j = min(c for c, v in votes.items() if v == max(votes.values()))
-    parts = []
-    for anchor, piece, table, sub_rho in kept:
-        upper = tuple(i for i in range(lam_low, len(table)) if table[i] == j)
-        keep = tuple(range(lam_low)) + upper
-        fact = factorize(sub_rho)
-        if keep != tuple(range(fact.lam)):
-            piece = FilteredPiece(piece, fact, keep)
-        parts.append((anchor, piece))
-    return assemble_union(parts, rho), low + (j,)
-
-
-def _segment_limit(rho, grades):
-    table = _majority([g[2] for g in grades], "limit-table-unanimity")
-    return assemble_union([(anchor, piece) for anchor, piece, tab, _ in grades
-                           if tab == table], rho), table
-
-
-def _majority(tables: list[tuple[int, ...]], step: str) -> tuple[int, ...]:
-    counts: dict[tuple[int, ...], int] = {}
-    for t in tables:
-        counts[t] = counts.get(t, 0) + 1
-    best = max(counts.values())
-    if best <= len(tables) // 2 and len(counts) > 1:
-        raise BudgetExhausted(step, f"no table reaches a majority: {counts}")
-    for t in tables:  # first table attaining the best count wins
-        if counts[t] == best:
-            return t
-    raise BudgetExhausted(step, "no tables materialized")  # pragma: no cover

@@ -7,6 +7,7 @@ import pytest
 from treeramsey.canonical import instantiate
 from treeramsey.cli import main
 from treeramsey.stabilize import Coloring
+from treeramsey.transfinite import Budget
 from treeramsey.tree_core import FiniteTree
 
 
@@ -370,6 +371,13 @@ class TestTransfinite:
         assert code == 0
         doc = json.loads(out.read_text())
         assert doc["table"] == [1, 0]
+
+    def test_default_budget_is_budgets_default(self, capsys, tmp_path):
+        out = tmp_path / "audit.json"
+        assert main(["transfinite", "--tree", "I(0, w^2)", "--contract", "A=0",
+                     "--audit-out", str(out)]) == 0
+        default = Budget()
+        assert json.loads(out.read_text())["budget"] == [default.depth, default.width, default.cap]
 
     def test_uncertifiable_rule_exits_2(self):
         code = main(["transfinite", "--tree", "I(0, w)", "--stabilize",

@@ -44,6 +44,7 @@ from treeramsey.transfinite import (
     UnionPiece,
     _audit_stabilization,
     _grade,
+    _upper_color,
     assemble_union,
     audit_contraction,
     contract,
@@ -138,7 +139,7 @@ class TestContract:
 
 
 class TestGradedRoots:
-    """The grades _stabilize_grades hangs below a top layer w^(w^eps)."""
+    """The grades a successor or limit top layer w^(w^eps) hangs below its anchors."""
 
     def test_successor_grades(self):
         assert [str(_grade(ONE, q)) for q in (1, 2, 3)] == ["w", "w^2", "w^3"]
@@ -290,13 +291,15 @@ class TestFilteredPaths:
         tower = CanonicalTree.of(0, omega_pow(w))
         res = stabilize_transfinite(
             tower, parse_rule("if tau(w, s) > tau(w, t) then 1 else 0", k=1), Budget(3, 3, 6))
-        assert res.table == (0,) and res.report.ok
-        assert any(isinstance(p, FilteredPiece) for _, p in res.subtree.parts)
+        # grade q keeps its q upper layers of color 1, so the part ranks grow
+        assert res.table == (1,) and res.report.ok
+        assert [str(p.declared_rank) for _, p in res.subtree.parts] == ["1", "w", "w^2"]
+        assert all(isinstance(p, FilteredPiece) for _, p in res.subtree.parts)
 
     def test_filtered_blocks_below_finite_top(self):
         tree = CanonicalTree.of(0, omega_pow(w + 1))
         res = stabilize_transfinite(tree, parse_rule("tau(1, s) mod 2", k=1), Budget(2, 2, 6))
-        assert res.table == (1, 0) and res.report.ok
+        assert res.table == (0, 0) and res.report.ok
         # each kept w^w-block is a successor union with a filtered grade
         stack = res.subtree.parts[-1][1]
         assert all(any(isinstance(p, FilteredPiece) for _, p in band.parts)
@@ -326,19 +329,37 @@ class TestStabilizeTransfinite:
                                     Budget(3, 3, 6))
         assert res.table == (1,) and res.report.ok
 
-    def test_limit_layer(self, monkeypatch):
-        segment_limit, calls = transfinite._segment_limit, []
-
-        def spy(rho, grades):
-            calls.append(rho)
-            return segment_limit(rho, grades)
-
-        monkeypatch.setattr(transfinite, "_segment_limit", spy)
+    def test_limit_layer(self):
+        # every grade has table (1,): the first width grades are kept
         tower = CanonicalTree.of(0, omega_pow(omega_pow(w)))
         res = stabilize_transfinite(tower, RuleColoring.sep_table((1,), k=1),
                                     Budget(2, 2, 16))
         assert res.table == (1,) and res.report.ok
-        assert calls == [omega_pow(omega_pow(w))]
+        assert isinstance(res.subtree, UnionPiece)
+        assert [str(p.declared_rank) for _, p in res.subtree.parts] == ["w^w", "w^(w^2)"]
+
+    def test_limit_layer_keeps_agreeing_grades(self):
+        # grade tables (0,), (1,), (1,): grades 2 and 3 agree and are kept,
+        # each below its own anchor
+        tower = CanonicalTree.of(0, omega_pow(omega_pow(w)))
+        res = stabilize_transfinite(
+            tower, parse_rule("if tau(w^w, s) > tau(w^w, t) then 1 else 0", k=1),
+            Budget(2, 2, 16))
+        assert res.table == (1,) and res.report.ok
+        assert [anchor for anchor, _ in res.subtree.parts] == [
+            (omega_pow(omega_pow(2)),), (omega_pow(omega_pow(3)),)]
+        assert [str(p.declared_rank) for _, p in res.subtree.parts] == ["w^(w^2)", "w^(w^3)"]
+
+    def test_upper_color_grows(self):
+        # color 0 shrinks along the tables, color 1 grows
+        assert _upper_color([(0,), (1, 1), (1, 1, 1)], 0) == 1
+        # the low entries are not counted
+        assert _upper_color([(1, 0), (1, 0, 0), (1, 0, 0, 0)], 1) == 0
+
+    def test_upper_color_without_growth_is_named(self):
+        with pytest.raises(BudgetExhausted) as err:
+            _upper_color([(0,), (1, 1), (0, 0, 1)], 0)
+        assert err.value.step == "upper-color"
 
     def test_three_layers(self):
         cube = CanonicalTree.of(0, omega_pow(3))
@@ -675,7 +696,7 @@ def certified_pieces():
             budget = Budget(*case["budget"])
             res = stabilize_transfinite(tree, parse_rule(case["rule"], k=case["k"]), budget)
             out.append((f"{case['tree']} {case['rule']} {budget}", tree, res.subtree, budget))
-    assert len(out) == 13 + 40
+    assert len(out) == 13 + 41
     return out
 
 
@@ -697,6 +718,14 @@ class TestComposedWindows:
             window, at = piece_window(piece, budget.depth, budget.width)
             nodes = [node for node, _ in at.values()]
             assert window_facts(tree, nodes, window.parents) == node_facts(tree, nodes), name
+
+    def test_union_part_ranks_strictly_increase(self, certified_pieces):
+        # a union declared at a limit rank reaches it only through growing parts
+        for name, _, piece, _ in certified_pieces:
+            for sub in _inner_pieces(piece):
+                if isinstance(sub, UnionPiece):
+                    ranks = [part.declared_rank for _, part in sub.parts]
+                    assert all(a < b for a, b in zip(ranks, ranks[1:])), (name, ranks)
 
     def test_union_window_is_built_once_per_budget(self):
         parts = [((mul(w, q),), EntryPiece(ZERO, EntryMap.identity(mul(w, q)))) for q in (1, 2)]
