@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import combinations
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -85,10 +86,17 @@ class Coloring:
         try:
             k = None if data.get("k") is None else exact_int(data["k"])
             if arity in (1, "1", "nodes") or "nodes" in data:
-                arity, table = "nodes", {exact_int(t): exact_int(c) for t, c in data["nodes"]}
+                arity, table = "nodes", _int_table(
+                    data["nodes"],
+                    lambda rows: {t: c for t, c in rows if type(t) is int and type(c) is int},
+                    lambda rows: {exact_int(t): exact_int(c) for t, c in rows})
             elif arity in (2, "2", "pairs") or "pairs" in data:
-                arity, table = "pairs", {(exact_int(s), exact_int(t)): exact_int(c)
-                                         for s, t, c in data["pairs"]}
+                arity, table = "pairs", _int_table(
+                    data["pairs"],
+                    lambda rows: {(s, t): c for s, t, c in rows
+                                  if type(s) is int and type(t) is int and type(c) is int},
+                    lambda rows: {(exact_int(s), exact_int(t)): exact_int(c)
+                                  for s, t, c in rows})
             elif arity == "chains" or "chains" in data:
                 arity, n = "chains", exact_int(data["n"])
                 table = {tuple(exact_int(x) for x in row[:-1]): exact_int(row[-1])
@@ -105,8 +113,22 @@ class Coloring:
             return Coloring.from_json(json.load(fh))
 
 
+def _int_table(rows, fast: Callable[[list], dict], exact: Callable[[list], dict]) -> dict:
+    """``fast(rows)``, which keeps only the rows whose values are all ints, if
+    it kept every row; else (a bad value, a repeated key or a row that does
+    not unpack) ``exact(rows)``, which reads every value through
+    ``exact_int`` and so names the first bad one."""
+    try:
+        table = fast(rows)
+        if len(table) == len(rows):
+            return table
+    except (TypeError, ValueError):
+        pass
+    return exact(rows)
+
+
 def _palette(values: Iterable[int], k: int | None) -> int:
-    values = list(values)
+    values = set(values)
     low, top = min(values, default=0), max(values, default=0)
     if low < 0:
         raise StabilizeError(f"color {low} is negative")
@@ -408,11 +430,13 @@ def has_monochromatic_subset(coloring: Mapping[tuple[int, int], int],
     return False
 
 
+@cache
 def finite_ramsey(p: int, k: int,
                   max_vertices: int = RAMSEY_MAX_VERTICES,
                   max_colors: int = RAMSEY_MAX_COLORS) -> int:
     """Least r such that every (k+1)-coloring of the pairs from any set of
-    more than r points has a monochromatic subset of p+1 points."""
+    more than r points has a monochromatic subset of p+1 points.  Values
+    are cached; an error is raised again on every call."""
     if p < 1 or k < 0:
         raise StabilizeError("need p >= 1 and k >= 0")
     if k + 1 > max_colors:

@@ -6,9 +6,10 @@ parent.  A subtree is an id-subset carrying the induced order, so node
 identities survive every selection and expressions like
 ``Q & (P^i \\ P^(i+1))`` are literal set intersections.  The rank is the
 longest chain and tau(t) the longest chain strictly above t, i.e. the
-height of t, found in one pass from the leaves down; the z-th derivative
-P^z is {t : tau(t) >= z}.  Ancestor sets are a derived view, built only
-when asked for.
+height of t, found in one pass that pushes heights up the parents from
+the leaves; the z-th derivative P^z is {t : tau(t) >= z}.  Descendant
+lists come from climbing the parents; ancestor sets are a derived view,
+built only for ``ancestors`` and ``less``.
 """
 
 from __future__ import annotations
@@ -126,7 +127,8 @@ class FiniteTree:
 
     @cached_property
     def anc(self) -> tuple[frozenset[int], ...]:
-        """Strict ancestors of each node in id order (n * depth ints, on demand)."""
+        """Strict ancestors of each node in id order (n * depth ints, built on
+        demand and read only by ``ancestors`` and ``less``)."""
         above: dict[int, frozenset[int]] = dict.fromkeys(self.roots(), frozenset())
         for t in self._topdown:
             with_t = above[t] | {t}
@@ -148,12 +150,21 @@ class FiniteTree:
         return s in self.anc[self._node(t)]
 
     @cached_property
+    def _up(self) -> dict[int, int | None]:
+        """The parent of each node, by id."""
+        return dict(zip(self.ids, self.parents))
+
+    @cached_property
     def _below(self) -> dict[int, tuple[int, ...]]:
-        """Strict descendants of each node, in id order."""
+        """Strict descendants of each node, in id order: each node, taken in
+        id order, climbs the parents and joins the list of every ancestor."""
+        up = self._up
         out: dict[int, list[int]] = {t: [] for t in self.ids}
-        for t, above in zip(self.ids, self.anc):
-            for s in above:
+        for t in self.ids:
+            s = up[t]
+            while s is not None:
                 out[s].append(t)
+                s = up[s]
         return {t: tuple(v) for t, v in out.items()}
 
     def descendants(self, t: int) -> frozenset[int]:
@@ -178,10 +189,14 @@ class FiniteTree:
     @cached_property
     def tau_map(self) -> dict[int, int]:
         """tau(s) = the longest chain strictly above s: 0 at a leaf, else one
-        more than the largest tau of a child, filled in from the leaves down."""
+        more than the largest tau of a child.  Each node, leaves first, pushes
+        its final tau up to its parent."""
+        up = self._up
         taus = dict.fromkeys(self.ids, 0)
         for t in reversed(self._topdown):
-            taus[t] = 1 + max(map(taus.__getitem__, self._kids[t]), default=-1)
+            p = up[t]
+            if p is not None and taus[p] <= taus[t]:
+                taus[p] = taus[t] + 1
         return taus
 
     def rank(self) -> int:

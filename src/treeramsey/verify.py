@@ -2,11 +2,14 @@
 
 Everything here recomputes tree structure from the raw (ids, parents)
 data with its own helpers instead of calling the constructive modules, so
-a bug upstream cannot vouch for itself: ``_ancestor_map`` and ``_heights``
-walk the parents themselves and read no ancestor set, height or index that
-``tree_core`` built.  The pair oracle is a longest monochromatic chain
-search, exhaustive within a node budget and saying so; the bottom-up
-``_heights`` pass is what ``cross_validate`` trusts for tau and rank.
+a bug upstream cannot vouch for itself: ``_walk``, ``_settle`` and
+``_climb`` walk the raw parents themselves, build no ancestor set, and read
+no ancestor set, height or index that ``tree_core`` built.  The pair oracle
+is a longest monochromatic chain search down descendant lists, exhaustive
+within a node budget and saying so.  ``cross_validate`` walks the ambient
+tree once: each node's nearest kept ancestor gives the pairs of the output
+to check, and the bottom-up ``_settle`` pass along the same walk gives the
+tau and rank it trusts.
 ``cross_validate`` records into the shared ``report.Report``, which is a
 bare list of named checks: every check is still computed here, so no tree,
 ordinal or checking code is shared with the constructive modules.
@@ -29,59 +32,64 @@ class VerificationError(AssertionError):
 # -- independent structure helpers (deliberately not tree_core methods) -------
 
 
-def _ancestor_map(tree: FiniteTree) -> dict[int, frozenset[int]]:
-    """Strict ancestors of every node, climbing the stored parents up to a root
-    or to a node whose set is already known."""
-    up = dict(zip(tree.ids, tree.parents))
-    anc: dict[int, frozenset[int]] = {}
-    for s in tree.ids:
-        path: list[int] = []
-        while s is not None and s not in anc:
-            path.append(s)
-            s = up[s]
-        above = frozenset() if s is None else anc[s] | {s}
-        for u in reversed(path):
-            anc[u] = above
-            above = above | {u}
-    return anc
-
-
-def _heights(tree: FiniteTree, ids: frozenset[int]) -> dict[int, int]:
-    """Height of each node of ``ids`` in the forest that ``ids`` induces,
-    where a node hangs below its nearest kept ancestor: one pass down the
-    raw parents in breadth-first order finds that ancestor, and heights
-    fill in bottom-up in the reverse order."""
+def _walk(tree: FiniteTree, ids: frozenset[int]) -> tuple[dict[int, int | None], list[int]]:
+    """Each node's nearest strict ancestor in ``ids`` (None if it has none)
+    and the breadth-first order, from one pass down the raw parents."""
     kids: dict[int, list[int]] = {t: [] for t in tree.ids}
     order = []
     for t, p in zip(tree.ids, tree.parents):
         (order if p is None else kids[p]).append(t)
     near: dict[int, int | None] = dict.fromkeys(order)
     for t in order:  # the list grows while it is read: breadth-first
+        nearest = t if t in ids else near[t]
         for u in kids[t]:
-            near[u] = t if t in ids else near[t]
-            order.append(u)
+            near[u] = nearest
+        order.extend(kids[t])
+    return near, order
+
+
+def _settle(order: list[int], up: Mapping[int, int | None], ids: frozenset[int]) -> dict[int, int]:
+    """Height of each node of ``ids`` in the forest where a node of ``ids``
+    hangs below ``up`` of it: taken in the reverse of ``order``, each node
+    pushes its final height up."""
     height = dict.fromkeys(ids, 0)
     for t in reversed(order):
-        if t in ids and near[t] is not None:
-            height[near[t]] = max(height[near[t]], height[t] + 1)
+        u = up[t]
+        if u is not None and t in height and height[u] <= height[t]:
+            height[u] = height[t] + 1
     return height
+
+
+def _heights(tree: FiniteTree, ids: frozenset[int]) -> dict[int, int]:
+    """Height of each node of ``ids`` in the forest that ``ids`` induces,
+    where a node hangs below its nearest kept ancestor."""
+    near, order = _walk(tree, ids)
+    return _settle(order, near, ids)
 
 
 def _rank_of(heights: Mapping[int, int]) -> int:
     return max(heights.values(), default=-1) + 1
 
 
-# (tree, ancestor map, heights) of the last tree climbed: an oracle job
+# (tree, descendant lists, heights) of the last tree climbed: an oracle job
 # builds its obstruction coloring and then searches each color on one tree
 _last_climb: tuple = (None, {}, {})
 
 
-def _climb(tree: FiniteTree) -> tuple[dict[int, frozenset[int]], dict[int, int]]:
-    """Ancestor map and heights of ``tree``, remembered for the last tree only."""
+def _climb(tree: FiniteTree) -> tuple[dict[int, list[int]], dict[int, int]]:
+    """Strict descendants of each node in id order, and heights, of ``tree``,
+    remembered for the last tree only: each node, taken in id order, climbs
+    the raw parents and joins the list of every ancestor."""
     global _last_climb
     if _last_climb[0] is not tree:
-        anc = _ancestor_map(tree)
-        _last_climb = (tree, anc, _heights(tree, frozenset(tree.ids)))
+        up = dict(zip(tree.ids, tree.parents))
+        below: dict[int, list[int]] = {t: [] for t in tree.ids}
+        for t in tree.ids:
+            s = up[t]
+            while s is not None:
+                below[s].append(t)
+                s = up[s]
+        _last_climb = (tree, below, _heights(tree, frozenset(tree.ids)))
     return _last_climb[1], _last_climb[2]
 
 
@@ -137,11 +145,7 @@ def max_monochromatic_rank(tree: FiniteTree, coloring, j: int,
     is pruned when the chain through it, at most len(chain) + 1 + height(t)
     long, cannot beat the best found.
     """
-    anc, height = _climb(tree)
-    below: dict[int, list[int]] = {t: [] for t in tree.ids}
-    for t in tree.ids:
-        for s in anc[t]:
-            below[s].append(t)
+    below, height = _climb(tree)
     pair_color = _color_fn(coloring, pairs=True)
     report = SearchReport(colors={j: ColorBest(0, ())})
     chain: list[int] = []
@@ -234,8 +238,6 @@ def cross_validate(result, node_budget: int = DEFAULT_NODE_BUDGET) -> Report:
 
     ambient: FiniteTree = result.ambient
     sub: FiniteTree = result.subtree
-    # ancestor sets only where pairs are checked: on a chain they are quadratic
-    anc = _ancestor_map(ambient) if result.mode in ("pairs", "ramsey-reduce") else {}
     q_ids = frozenset(sub.ids)
     p_ids = frozenset(ambient.ids)
     record("subtree-nonempty", bool(q_ids) or not p_ids,
@@ -243,8 +245,10 @@ def cross_validate(result, node_budget: int = DEFAULT_NODE_BUDGET) -> Report:
     record("subtree-containment", q_ids <= p_ids,
            f"{sorted(q_ids - p_ids)} outside the ambient tree")
 
-    tau_p = _heights(ambient, p_ids)
-    tau_q = _heights(ambient, q_ids)
+    # one walk: near climbs inside Q, and both height maps settle along order
+    near, order = _walk(ambient, q_ids)
+    tau_p = _settle(order, dict(zip(ambient.ids, ambient.parents)), p_ids)
+    tau_q = _settle(order, near, q_ids)
     rank_q = _rank_of(tau_q)
     record("rank-preserved", rank_q == result.expected_rank,
            f"rank {rank_q} != required {result.expected_rank}")
@@ -274,10 +278,12 @@ def cross_validate(result, node_budget: int = DEFAULT_NODE_BUDGET) -> Report:
         table = result.reduced
         bad = []
         for t in q_ids:
-            for s in anc[t] & q_ids:
+            s = near[t]
+            while s is not None:
                 i, jj = tau_q[t], tau_q[s]
                 if i < jj and color.value((s, t)) != table.get((i, jj)):
                     bad.append((s, t))
+                s = near[s]
         record("pair-colors-by-level", not bad,
                f"pairs {bad[:5]} disagree with the level-pair table")
     elif result.mode == "leaf-chains":
@@ -293,9 +299,11 @@ def cross_validate(result, node_budget: int = DEFAULT_NODE_BUDGET) -> Report:
         j = result.reduced["color"]
         bad = []
         for t in q_ids:
-            for s in anc[t] & q_ids:
+            s = near[t]
+            while s is not None:
                 if tau_q[s] > tau_q[t] and color.value((s, t)) != j:
                     bad.append((s, t))
+                s = near[s]
         record("cross-level-monochromatic", not bad,
                f"pairs {bad[:5]} are not color {j}")
     return report

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 
 import pytest
 
@@ -68,6 +69,48 @@ class TestColoring:
         col = Coloring.of_leaf_chains(i03, 1, lambda s, t: (s * t) % 2, k=1)
         back = Coloring.from_json(col.to_json())
         assert back.n == 1 and back.table == col.table
+
+
+class TestColoringLoader:
+    """Tables of ints are read in one pass; any other table is read again
+    value by value, so a bad value is named as before."""
+
+    @staticmethod
+    def _rows(table, bad, row, column):
+        if table == "nodes":
+            rows = [[t, t % 2] for t in range(5)]
+        else:
+            rows = [[s, t, (s + t) % 2] for t in range(4) for s in range(t)]
+        rows[{"first": 0, "middle": len(rows) // 2, "last": -1}[row]][column] = bad
+        return {"schema_version": 1, "k": 1, "arity": 1 if table == "nodes" else 2, table: rows}
+
+    @pytest.mark.parametrize("bad", [True, 1.0, "1"])
+    @pytest.mark.parametrize("row", ["first", "middle", "last"])
+    @pytest.mark.parametrize("table,column", [("nodes", 0), ("nodes", 1),
+                                              ("pairs", 0), ("pairs", 1), ("pairs", 2)])
+    def test_bad_value_is_named(self, table, column, row, bad):
+        doc = self._rows(table, bad, row, column)
+        message = f"malformed coloring document: {bad!r} is not an integer"
+        with pytest.raises(StabilizeError, match=f"^{re.escape(message)}$"):
+            Coloring.from_json(doc)
+
+    @pytest.mark.parametrize("table", ["nodes", "pairs"])
+    def test_first_bad_value_is_named_before_a_later_bad_row(self, table):
+        doc = self._rows(table, "1", "first", 0)
+        doc[table][-1] = doc[table][-1][:-1]  # a row that does not unpack
+        with pytest.raises(StabilizeError,
+                           match="^malformed coloring document: '1' is not an integer$"):
+            Coloring.from_json(doc)
+
+    def test_row_that_does_not_unpack_is_named(self):
+        with pytest.raises(StabilizeError, match=r"^malformed coloring document: not enough "):
+            Coloring.from_json({"arity": 2, "pairs": [[0, 1, 0], [0, 2]]})
+
+    def test_repeated_key_keeps_the_last_row(self):
+        pairs = Coloring.from_json({"arity": 2, "pairs": [[0, 1, 0], [0, 2, 1], [0, 1, 1]]})
+        assert pairs.table == {(0, 1): 1, (0, 2): 1}
+        nodes = Coloring.from_json({"arity": 1, "nodes": [[0, 1], [1, 0], [0, 0]]})
+        assert nodes.table == {0: 0, 1: 0}
 
 
 class TestLeafChains:
@@ -220,6 +263,16 @@ class TestFiniteRamsey:
     def test_color_budget(self):
         with pytest.raises(RamseyBudgetError):
             finite_ramsey(1, 5)
+
+    @pytest.mark.parametrize("p,k", [(3, 1), (1, 5)])
+    def test_budget_error_is_raised_on_every_call(self, p, k):
+        """Values are cached; errors are not, so a repeated call raises again."""
+        for _ in range(3):
+            with pytest.raises(RamseyBudgetError):
+                finite_ramsey(p, k)
+
+    def test_repeated_call_gives_the_same_value(self):
+        assert [finite_ramsey(2, 1) for _ in range(3)] == [5, 5, 5]
 
     def test_witness_machinery(self):
         bad = find_clique_free_coloring(5, 3, 2)

@@ -441,3 +441,26 @@ class TestCalculusAgainstOracle:
                 expected.update({m[t]: frozenset(m[s] for s in above) | anc[leaf] | {leaf}
                                  for t, above in _climbed(part).items()})
             _assert_order(grafted, expected)
+
+    def test_calculus_reads_no_ancestor_sets(self, monkeypatch):
+        """tau, rank, descendants and the pair and chain enumerations climb
+        the parents: with ``FiniteTree.anc`` broken they still agree with the
+        oracle."""
+        rng = random.Random(13)
+        trees = [_relabelled(rng, random_tree(rng, max_nodes=40)) for _ in range(100)]
+        climbed = [_climbed(tree) for tree in trees]
+
+        def broken(tree):
+            raise AssertionError("FiniteTree.anc was read")
+
+        monkeypatch.setattr(FiniteTree, "anc", property(broken))
+        for tree, anc in zip(trees, climbed):
+            ids = frozenset(tree.ids)
+            assert tree.tau_map == _peeled_taus(ids, anc)
+            assert tree.rank() == _peeled_rank(ids, anc)
+            assert all(tree.descendants(s) == {t for t in tree.ids if s in anc[t]}
+                       for s in tree.ids)
+            pairs = [(s, t) for s in tree.ids for t in tree.ids if s in anc[t]]
+            assert list(tree.ordered_pairs()) == pairs
+            assert list(tree.chains(3)) == [(a, b, c) for a, b in pairs
+                                            for c in tree.ids if b in anc[c]]

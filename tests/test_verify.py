@@ -6,7 +6,12 @@ import pytest
 from treeramsey.canonical import instantiate
 from treeramsey.generate import random_tree, random_tree_of_rank
 from treeramsey.ordinal import OMEGA, omega_pow
-from treeramsey.stabilize import Coloring, stabilize_levels, stabilize_pairs_by_level
+from treeramsey.stabilize import (
+    Coloring,
+    ramsey_reduce_levels,
+    stabilize_levels,
+    stabilize_pairs_by_level,
+)
 from treeramsey.tree_core import FiniteTree
 from treeramsey.verify import (
     VerificationError,
@@ -243,6 +248,38 @@ class TestCrossValidation:
         with pytest.raises(VerificationError, match="^subtree-containment: "):
             cross_validate(broken)
 
+    @staticmethod
+    def _flip_distant_pair(result):
+        """A copy of ``result`` whose coloring flips one kept pair (s, t) with
+        s the parent of t neither in the ambient tree nor in the kept subtree,
+        so only a climb of more than one step through the nearest kept
+        ancestors reaches it; returns the copy and the pair."""
+        sub, ambient = result.subtree, result.ambient
+        s, t = next((s, t) for s, t in sub.ordered_pairs()
+                    if s not in (ambient.parent(t), sub.parent(t)))
+        table = dict(result.coloring.table)
+        table[(s, t)] = 1 - table[(s, t)]
+        broken = copy.deepcopy(result)
+        broken.coloring = Coloring("pairs", 1, table)
+        return broken, (s, t)
+
+    def test_tampered_distant_pair_is_named_in_pairs_mode(self, i03):
+        col = Coloring.of_pairs(i03, lambda s, t: (s + t) % 2, k=1)
+        broken, pair = self._flip_distant_pair(stabilize_pairs_by_level(i03, col))
+        with pytest.raises(VerificationError,
+                           match=rf"^pair-colors-by-level: pairs \[\({pair[0]}, {pair[1]}\)\] "):
+            cross_validate(broken)
+
+    def test_tampered_distant_pair_is_named_in_ramsey_reduce_mode(self):
+        tree = instantiate(6).tree
+        col = Coloring.of_pairs(tree, lambda s, t: (3 * s + 7 * t) % 2, k=1)
+        result = ramsey_reduce_levels(tree, 2, col)
+        assert cross_validate(result).ok
+        broken, pair = self._flip_distant_pair(result)
+        with pytest.raises(VerificationError,
+                           match=rf"^cross-level-monochromatic: pairs \[\({pair[0]}, {pair[1]}\)\] "):
+            cross_validate(broken)
+
     def test_reads_no_ancestor_sets_of_tree_core(self, i03, monkeypatch):
         """verify climbs the raw parents itself: with ``FiniteTree.anc``
         broken, its checks still run and pass."""
@@ -250,13 +287,14 @@ class TestCrossValidation:
         results = [
             stabilize_levels(i03, Coloring.of_nodes(i03, lambda t: taus[t] % 2, k=1)),
             stabilize_pairs_by_level(i03, Coloring.of_pairs(i03, lambda s, t: (s + t) % 2, k=1)),
+            ramsey_reduce_levels(i03, 1, Coloring.of_pairs(i03, lambda s, t: (s + t) % 2, k=1)),
         ]
 
         def broken(tree):
             raise AssertionError("FiniteTree.anc was read")
 
         monkeypatch.setattr(FiniteTree, "anc", property(broken))
-        assert [cross_validate(result).ok for result in results] == [True, True]
+        assert [cross_validate(result).ok for result in results] == [True, True, True]
         report = max_monochromatic_rank(i03, multiplicative_obstruction(i03, 2), 0)
         assert report.exhaustive and report.colors[0].rank == 2
 
