@@ -51,8 +51,8 @@ def write_artifact(path: str, payload: dict) -> None:
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            # one write of the whole text: json.dump would write each token
+            fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -9,11 +9,13 @@ Values are hash-consed (Filliatre & Conchon, "Type-safe modular
 hash-consing", 2006): constructing a term list returns the one live
 ``Ordinal`` with those terms, so equal values are the same object and
 equality is identity.  The hash is structural, computed once, and the same
-in every run.  ``_less``, ``add``, ``mul``, ``left_subtract`` and
-``left_divide`` remember their results in tables keyed on the interned
-operands, ``factorize`` in one keyed on its interned argument, and
-``descend_below`` in one keyed on its interned bounds and width; each
-table holds at most ``MEMO_CAP`` entries and is emptied when it fills.
+in every run; so is the comparison key, nested tuples of coefficients that
+Python compares in the order of the normal forms.  ``add``, ``mul``,
+``left_subtract`` and ``left_divide`` remember their results in tables
+keyed on the interned operands, ``factorize`` in one keyed on its
+interned argument, and ``descend_below`` in one keyed on its interned
+bounds and width; each table holds at most ``MEMO_CAP`` entries and is
+emptied when it fills.
 """
 
 from __future__ import annotations
@@ -44,9 +46,12 @@ class Ordinal:
 
     ``Ordinal(terms)`` returns the interned value; equality is the
     inherited identity test, since equal terms give the same object.
+    ``_key`` replaces each exponent by its own key, so two keys compare as
+    the normal forms do: term by term, exponent first, a proper prefix
+    first.
     """
 
-    __slots__ = ("terms", "_hash", "_serial", "__weakref__")
+    __slots__ = ("terms", "_key", "_hash", "_serial", "__weakref__")
     terms: tuple[tuple["Ordinal", int], ...]
 
     def __new__(cls, terms: tuple[tuple["Ordinal", int], ...] = ()) -> "Ordinal":
@@ -59,6 +64,7 @@ class Ordinal:
         self = object.__new__(cls)
         object.__setattr__(self, "terms", terms)
         self.__post_init__()
+        object.__setattr__(self, "_key", tuple((e._key, c) for e, c in terms))
         object.__setattr__(self, "_hash", hash((terms,)))
         object.__setattr__(self, "_serial", next(_SERIAL))
         _INTERNED[terms] = self
@@ -219,14 +225,8 @@ def _memoized(fn):
     return memoized
 
 
-@_memoized
 def _less(a: Ordinal, b: Ordinal) -> bool:
-    for (ea, ca), (eb, cb) in zip(a.terms, b.terms):
-        if ea is not eb:
-            return _less(ea, eb)
-        if ca != cb:
-            return ca < cb
-    return len(a.terms) < len(b.terms)
+    return a._key < b._key
 
 
 def compare(a: "Ordinal | int", b: "Ordinal | int") -> int:
@@ -237,7 +237,7 @@ def compare(a: "Ordinal | int", b: "Ordinal | int") -> int:
         b = _coerce(b)
     if a is b:
         return 0
-    return -1 if _less(a, b) else 1
+    return -1 if a._key < b._key else 1
 
 
 @_memoized

@@ -5,16 +5,22 @@ sampled roots and children, each with its declared position, under a
 declared symbolic rank.  Every construction returns its piece, and
 ``piece_window(piece, depth, width)`` materializes the sampled finite
 window, each node with the declared position its sampler handed down the
-walk.  A union's window is its parts' windows; a window is built once
-per piece and budget.  A contraction keeps the entries whose digits lie
-on chosen layers.  The stabilizer recurses on the top layer, and every
-layer kind takes one pigeonhole step: candidates are stabilized in order
-until ``width`` share a key, which a finite number of keys guarantees.  A
-finite top keeps blocks that share a table and stacks them below graded
-anchors; a limit keeps grades that share a table, a successor grades that
-share a low table, and both join them in a union.  A successor then keeps
-the upper layers of the least color whose count strictly grows along the
-kept grades, and fails as ``upper-color`` when none grows.
+walk.  Windows are composed, not walked, where the pieces allow: a
+union's window is its parts' windows side by side, and a stack's is its
+top band's window with the window of the lower bands grafted below each
+band leaf; only entry and filtered pieces are walked.  A union keeps its
+window once built, and the top union keeps the window facts of its nodes
+beside it, so the top ``_cross_color`` and the final audit share one
+window and one facts pass.  A contraction keeps the entries whose digits
+lie on chosen layers.  The stabilizer recurses on the top layer, and
+every layer kind takes one pigeonhole step: candidates are stabilized in
+order until ``width`` share a key, which a finite number of keys
+guarantees.  A finite top keeps blocks that share a table and stacks them
+below graded anchors; a limit keeps grades that share a table, a
+successor grades that share a low table, and both join them in a union.
+A successor then keeps the upper layers of the least color whose count
+strictly grows along the kept grades, and fails as ``upper-color`` when
+none grows.
 
 Declared data are claims, not proofs; every public construction is paired
 with an audit that materializes a finite window at the given budget and
@@ -203,7 +209,18 @@ def digit_embedding(fact: IndecomposableFactorization, keep: Sequence[int]) -> E
 # a node with its declared position
 Positioned = tuple[CanonicalNode, Ordinal]
 # a window by id: each node's parent id, and each node with its declared position
-Window = tuple[list[int | None], list[Positioned]]
+Window = tuple[Sequence[int | None], Iterable[Positioned]]
+
+
+@dataclass
+class BuiltWindow:
+    """A materialized window: each window id's parent id, each id with its
+    node and declared position, and, once computed, the ambient tree with
+    the window facts of the window nodes themselves (empty prefix)."""
+
+    parents: tuple[int | None, ...]
+    at: dict[int, Positioned]
+    facts: tuple[CanonicalTree, list[NodeFacts]] | None = None
 
 
 class Piece:
@@ -218,7 +235,11 @@ class Piece:
         raise NotImplementedError
 
     def children(self, node: CanonicalNode, pos: Ordinal, width: int) -> list[Positioned]:
-        """Sampled children of the member ``node`` at declared position ``pos``."""
+        """Sampled children of the member ``node`` at declared position ``pos``.
+
+        A member at position 0 is a leaf of the piece: no child is sampled
+        there.  Stack windows are composed on this rule (``_stack_window``),
+        and ``TestComposedWindows`` checks it on every kind of piece."""
         raise NotImplementedError
 
 
@@ -247,12 +268,13 @@ class EntryPiece(Piece):
 class UnionPiece(Piece):
     """Incomparable union of pieces hung below pairwise incomparable anchors.
 
-    Its window is its parts' windows side by side, kept in ``windows`` per
-    (depth, width) once built."""
+    Its window is its parts' windows side by side; ``piece_window`` keeps
+    it in ``windows`` per (depth, width), until the union becomes a band of
+    a stack or is filtered, after which it is read through its children."""
 
     parts: tuple[tuple[CanonicalNode, Piece], ...]
     rank: Ordinal
-    windows: dict[tuple[int, int], Window] = field(
+    windows: dict[tuple[int, int], BuiltWindow] = field(
         default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -368,30 +390,102 @@ class FilteredPiece(Piece):
 
 def piece_window(piece: Piece, depth: int, width: int) -> tuple[FiniteTree, dict[int, Positioned]]:
     """Materialize the sampled window as a finite tree plus the node map
-    window id -> (node, declared position), each position as the walk
-    emitted it."""
-    parents, at = _window(piece, depth, width)
-    return FiniteTree.from_parents(dict(enumerate(parents))), dict(enumerate(at))
+    window id -> (node, declared position), each position as the piece's
+    sampler handed it down.  A union keeps what it built, so a second call
+    at the same budget composes nothing."""
+    built = piece.windows.get((depth, width)) if isinstance(piece, UnionPiece) else None
+    if built is None:
+        parents, at = _window(piece, depth, width, {})
+        built = BuiltWindow(tuple(parents), dict(enumerate(at)))
+        if isinstance(piece, UnionPiece):
+            piece.windows[depth, width] = built
+    # every parent id is smaller than its child's: a forest by construction
+    return FiniteTree._of_valid(range(len(built.parents)), built.parents), built.at
 
 
-def _window(piece: Piece, depth: int, width: int) -> Window:
-    """The window of a union is its parts' windows side by side, ids
-    offset and anchors prefixed, built once per budget; any other piece is
-    walked depth first from its roots, each node once."""
-    if isinstance(piece, UnionPiece):
-        hit = piece.windows.get((depth, width))
-        if hit is None:
-            parents: list[int | None] = []
-            at: list[Positioned] = []
-            for anchor, part in piece.parts:
-                part_parents, part_at = _window(part, depth, width)
-                off = len(at)
-                parents.extend(None if p is None else p + off for p in part_parents)
-                at.extend((anchor + node, pos) for node, pos in part_at)
-            hit = piece.windows[depth, width] = (parents, at)
+def _release(piece: Piece) -> None:
+    """Drop every window kept by a union that is now read only through its
+    children, and by the unions among its parts: later builds compose them
+    again, each within one build."""
+    if not isinstance(piece, UnionPiece):
+        return
+    piece.windows.clear()
+    for _, part in piece.parts:
+        _release(part)
+
+
+def _window(piece: Piece, depth: int, width: int, memo: dict) -> Window:
+    """The window of ``piece``, in the preorder of the depth-first walk of
+    its own roots and children, each node once.
+
+    A union's window is its parts' windows side by side, ids offset and
+    anchors prefixed; a stack's is composed from its bands' windows (see
+    ``_stack_window``); any other piece is walked.  ``memo`` holds every
+    window of one build, by piece and depth, and is dropped with it."""
+    if isinstance(piece, StackPiece):
+        return _stack_window(piece.bands, piece.band_rank, depth, width, memo)
+    key = (id(piece), depth)
+    hit = memo.get(key)
+    if hit is not None:
         return hit
-    parents = []
-    at = []
+    if isinstance(piece, UnionPiece):
+        kept = piece.windows.get((depth, width))
+        if kept is not None:
+            return kept.parents, kept.at.values()
+        parents: list[int | None] = []
+        at: list[Positioned] = []
+        for anchor, part in piece.parts:
+            part_parents, part_at = _window(part, depth, width, memo)
+            off = len(at)
+            parents.extend(None if p is None else p + off for p in part_parents)
+            at.extend((anchor + node, pos) for node, pos in part_at)
+        hit = memo[key] = parents, at
+        return hit
+    hit = memo[key] = _walk(piece, depth, width)
+    return hit
+
+
+def _stack_window(bands: Sequence[tuple[Ordinal, Piece]], band_rank: Ordinal,
+                  depth: int, width: int, memo: dict) -> Window:
+    """The window of the stack of ``bands``: the top band's window, each
+    position shifted by band_rank * (its band), with the window of the lower
+    bands grafted below each band leaf (band position 0) above the last
+    level, that leaf as prefix.
+
+    A piece samples no child at position 0, so a band leaf's subtree in
+    the walk is exactly the grafted window, and it follows the leaf in
+    preorder.  Stacks that share their lower bands, as the parts of a
+    finite-top union do, share these windows within one build."""
+    key = (band_rank, depth, *[id(piece) for _, piece in bands])
+    hit = memo.get(key)
+    if hit is not None:
+        return hit
+    band_parents, band_at = _window(bands[-1][1], depth, width, memo)
+    shift = mul(band_rank, len(bands) - 1)
+    parents: list[int | None] = []
+    at: list[Positioned] = []
+    ids: list[int] = []  # the id of each band node in the stack window
+    levels: list[int] = []
+    for p, (node, pos) in zip(band_parents, band_at):
+        me = len(at)
+        level = 1 if p is None else levels[p] + 1
+        ids.append(me)
+        levels.append(level)
+        parents.append(None if p is None else ids[p])
+        at.append((node, add(shift, pos)))
+        if pos.is_zero and len(bands) > 1 and level < depth:
+            low_parents, low_at = _stack_window(bands[:-1], band_rank, depth - level, width, memo)
+            off = len(at)
+            parents.extend(me if lp is None else lp + off for lp in low_parents)
+            at.extend((node + low, lpos) for low, lpos in low_at)
+    hit = memo[key] = parents, at
+    return hit
+
+
+def _walk(piece: Piece, depth: int, width: int) -> Window:
+    """Walk a piece depth first from its roots, each node once."""
+    parents: list[int | None] = []
+    at: list[Positioned] = []
     seen: set[CanonicalNode] = set()
 
     def emit(node: CanonicalNode, pos: Ordinal, parent: int | None) -> int | None:
@@ -415,6 +509,30 @@ def _window(piece: Piece, depth: int, width: int) -> Window:
         if ri is not None:
             expand(root, pos, ri, 1)
     return parents, at
+
+
+def _facts(tree: CanonicalTree, piece: Piece, budget: Budget, prefix: CanonicalNode,
+           window: FiniteTree, at: dict[int, Positioned]) -> list[NodeFacts]:
+    """The window facts of the window nodes below ``prefix``.  Only the top
+    stabilized piece sits below the empty prefix; a union keeps those facts
+    beside its window, so the top ``_cross_color`` and the final audit
+    compute them once."""
+    built = (piece.windows.get((budget.depth, budget.width))
+             if not prefix and isinstance(piece, UnionPiece) else None)
+    if built is not None and built.facts is not None and built.facts[0] is tree:
+        return built.facts[1]
+    facts = window_facts(tree, [prefix + node for node, _ in at.values()], window.parents)
+    if built is not None:
+        built.facts = (tree, facts)
+    return facts
+
+
+def _require_extensions(window: FiniteTree, at: dict[int, Positioned]) -> None:
+    """Raise unless every window node extends its parent: prefix order is
+    transitive, so then every window pair s < t has s a proper prefix of t."""
+    for i, p in zip(window.ids, window.parents):
+        if p is not None:
+            require_below(at[p][0], at[i][0])
 
 
 def reference_window_rank(rank: Ordinal, budget: Budget) -> int:
@@ -457,7 +575,7 @@ def audit_declared_rank(piece: Piece, budget: Budget) -> Audit:
     return _audit_window("declared-rank", piece, budget)[0]
 
 
-def _separation_check(tree: CanonicalTree, declared_rank: Ordinal, window: FiniteTree,
+def _separation_check(tree: CanonicalTree, sub: Piece, budget: Budget, window: FiniteTree,
                       at: dict[int, Positioned], enum: Sequence[int], mismatch: str):
     """Map each window pair's declared separation, read off the carried
     positions, through the layer enumeration ``enum`` and compare it with
@@ -467,7 +585,9 @@ def _separation_check(tree: CanonicalTree, declared_rank: Ordinal, window: Finit
     Returns the ambient facts and every pair s < t as (s, t, declared
     separation), both by window id, the verdict, and its detail.
     """
-    facts = window_facts(tree, [node for node, _ in at.values()], window.parents)
+    facts = _facts(tree, sub, budget, (), window, at)
+    _require_extensions(window, at)
+    declared_rank = sub.declared_rank
     records: dict[Ordinal, NodeFacts] = {}
     declared: list[NodeFacts] = []
     for _, pos in at.values():
@@ -477,12 +597,10 @@ def _separation_check(tree: CanonicalTree, declared_rank: Ordinal, window: Finit
     pairs: list[tuple[int, int, int]] = []
     failed = None
     for i_s, i_t in window.ordered_pairs():
-        s, t = at[i_s][0], at[i_t][0]
-        require_below(s, t)
         sq = separation_of_facts(declared[i_s], declared[i_t])
         sp = separation_of_facts(facts[i_s], facts[i_t])
         if failed is None and enum[sq] != sp:
-            failed = mismatch.format(s=node_to_text(s), t=node_to_text(t),
+            failed = mismatch.format(s=node_to_text(at[i_s][0]), t=node_to_text(at[i_t][0]),
                                      mapped=enum[sq], ambient=sp)
         pairs.append((i_s, i_t, sq))
     return facts, pairs, failed is None, failed or f"{len(pairs)} pairs checked"
@@ -522,7 +640,7 @@ def audit_contraction(tree: CanonicalTree, spec: ContractionSpec,
                       sub: Piece, budget: Budget) -> Audit:
     report, window, at = _audit_window("contraction", sub, budget)
     _, _, ok, detail = _separation_check(
-        tree, sub.declared_rank, window, at, spec.enumeration,
+        tree, sub, budget, window, at, spec.enumeration,
         "pair (({s}), ({t})): ambient {ambient} != mapped {mapped}")
     report.add("separation-enumerates", ok, detail)
     return report
@@ -603,7 +721,7 @@ def _audit_stabilization(tree: CanonicalTree, sub: Piece, table: tuple[int, ...]
     report.add("table-spans-layers", len(table) == lam,
                f"table size {len(table)} vs {lam} layers")
     facts, pairs, ok, detail = _separation_check(
-        tree, sub.declared_rank, window, at, range(lam),
+        tree, sub, budget, window, at, range(lam),
         "pair (({s}), ({t})): subtree separation {mapped} != ambient {ambient}")
     report.add("separation-preserved", ok, detail)
     for i_s, i_t, sq in pairs:
@@ -654,6 +772,7 @@ def _stabilize_segment(tree: CanonicalTree, base: Ordinal, prefix: CanonicalNode
         keep = tuple(i for i, c in enumerate(table) if i < lam_key or c == j)
         sub_fact = factorize(sub_rho)
         if keep != tuple(range(sub_fact.lam)):
+            _release(piece)  # a filtered piece walks its inner piece's children
             piece = FilteredPiece(piece, sub_fact, keep)
         parts.append((anchor, piece))
     return assemble_union(parts, rho), key + (j,)
@@ -706,27 +825,26 @@ def _segment_finite_top(tree, base, prefix, rho, gamma_p, rule, budget, cap):
 
     table, kept = _agreeing(block, keys, budget.width)
     bands = [(b_base, piece) for _, b_base, piece in kept]
-    for _, piece in bands:
-        # a band is walked through its children: its own window is not read again
-        if isinstance(piece, UnionPiece):
-            piece.windows.clear()
     union = assemble_union([((add(base, mul(gamma_p, delta + 1)),),
                              StackPiece(tuple(bands[:q]), gamma_p))
                             for q, (delta, _, _) in enumerate(kept, 1)], rho)
     j = _cross_color(tree, union, prefix, gamma_p, rule, budget)
+    for _, piece in bands:
+        # only the builds of this union read a band's windows
+        _release(piece)
     return union, table + (j,)
 
 
-def _cross_color(tree, union: UnionPiece, prefix: CanonicalNode, gamma_p: Ordinal,
+def _cross_color(tree, union: Piece, prefix: CanonicalNode, gamma_p: Ordinal,
                  rule: RuleColoring, budget: Budget) -> int:
     window, at = piece_window(union, budget.depth, budget.width)
-    facts = window_facts(tree, [prefix + node for node, _ in at.values()], window.parents)
-    level = {i: left_divide(gamma_p, pos)[0] for i, (_, pos) in at.items()}
+    facts = _facts(tree, union, budget, prefix, window, at)
+    _require_extensions(window, at)
+    level = [left_divide(gamma_p, pos)[0] for _, pos in at.values()]
     seen: int | None = None
     for i_s, i_t in window.ordered_pairs():
-        if level[i_s] == level[i_t]:
+        if level[i_s] is level[i_t]:
             continue
-        require_below(at[i_s][0], at[i_t][0])
         c = rule.value(facts[i_s], facts[i_t])
         if seen is None:
             seen = c

@@ -41,8 +41,9 @@ class FiniteTree:
     parents: tuple[int | None, ...]
 
     def __post_init__(self) -> None:
-        """Nothing to check: every tree is built by ``from_parents``, which
-        validates the parent map."""
+        """Nothing to check: the public constructors validate the parent map
+        (``from_parents``), and a tree derived from a valid one is built
+        from a parent map that is valid by construction (``_of_valid``)."""
 
     # -- construction --------------------------------------------------------
 
@@ -64,6 +65,12 @@ class FiniteTree:
                 s = p
             checked |= path
         return FiniteTree(ids, tuple(parent[t] for t in ids))
+
+    @staticmethod
+    def _of_valid(ids: Sequence[int], parents: Sequence[int | None]) -> "FiniteTree":
+        """The tree of sorted ids and their parents, known to form a forest;
+        nothing is checked."""
+        return FiniteTree(tuple(ids), tuple(parents))
 
     @staticmethod
     def chain_tree(n: int, start: int = 0) -> "FiniteTree":
@@ -91,7 +98,8 @@ class FiniteTree:
             nearest = t if t in keep_set else kept_above[t]
             for c in self._kids[t]:
                 kept_above[c] = nearest
-        return FiniteTree.from_parents({t: kept_above[t] for t in self.ids if t in keep_set})
+        ids = [t for t in self.ids if t in keep_set]
+        return FiniteTree._of_valid(ids, [kept_above[t] for t in ids])
 
     # -- basic structure -------------------------------------------------------
 
@@ -289,7 +297,8 @@ class FiniteTree:
             raise TreeError("malformed tree document: not an object with schema_version 1")
         try:
             nodes = data["nodes"]
-            parent = {exact_int(n["id"]): (None if n["parent"] is None else exact_int(n["parent"]))
+            parent = {(i if type(i := n["id"]) is int else exact_int(i)):
+                      (None if (p := n["parent"]) is None else p if type(p) is int else exact_int(p))
                       for n in nodes}
         except (KeyError, TypeError, ValueError) as exc:
             raise TreeError(f"malformed tree document: {exc}") from exc

@@ -433,6 +433,7 @@ class TestHashConsing:
         for _ in range(2000):
             a, b = rng.choice(pool), rng.choice(pool)
             assert compare(a, b) == _ref_compare(a, b)
+            assert _less(a, b) == _ref_less(a, b)
             assert add(a, b) is _ref_add(a, b)
             assert mul(a, b) is _ref_mul(a, b)
             lo, hi = (a, b) if _ref_compare(a, b) <= 0 else (b, a)
@@ -442,7 +443,7 @@ class TestHashConsing:
                 ref_delta, ref_rem = _ref_left_divide(a, b)
                 assert delta is ref_delta and rem is ref_rem
 
-    @pytest.mark.parametrize("fn", [_less, add, mul, left_subtract, left_divide],
+    @pytest.mark.parametrize("fn", [add, mul, left_subtract, left_divide],
                              ids=lambda fn: fn.__name__)
     def test_memo_table_stays_within_its_cap(self, fn):
         for i in range(MEMO_CAP + 10):

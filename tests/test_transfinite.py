@@ -513,6 +513,21 @@ class TestMisreportedPositions:
         with pytest.raises(CanonicalError, match="separation needs s < t"):
             _audit_stabilization(square, piece, (0, 0), RuleColoring.sep_table((0, 0)), BUDGET)
 
+    def test_cross_color_and_audit_check_every_window_edge(self):
+        # s < t is checked once per window edge, before any pair is read: a
+        # union's _cross_color and its audit share one window and its facts,
+        # and both reject it
+        cube, rule = CanonicalTree.of(0, omega_pow(3)), RuleColoring.sep_table((0, 0, 0))
+        union = assemble_union([((mul(w2, 5),), ChildrenBesideParent())])
+        with pytest.raises(CanonicalError, match="separation needs s < t"):
+            transfinite._cross_color(cube, union, (), w, rule, BUDGET)
+        assert union.windows.keys() == {(BUDGET.depth, BUDGET.width)}
+        with pytest.raises(CanonicalError, match="separation needs s < t"):
+            _audit_stabilization(cube, union, (0, 0), rule, BUDGET)
+        with pytest.raises(CanonicalError, match="separation needs s < t"):
+            audit_contraction(CanonicalTree.of(0, w2), ContractionSpec.of(w2, {0, 1}),
+                              ChildrenBesideParent(), BUDGET)
+
 
 class RootAtBeta(Piece):
     """Samples the root (w^2,), one entry too high for I(0, w^2), with one
@@ -702,16 +717,25 @@ def certified_pieces():
 
 class TestComposedWindows:
     """A union's window is its parts' windows side by side, built once per
-    budget; it equals the depth-first walk of the union's own roots and
-    children, and its window facts equal the node-by-node ones."""
+    budget, and a stack's is composed from its bands' windows; each equals
+    the depth-first walk of the piece's own roots and children, and its
+    window facts equal the node-by-node ones."""
 
     def test_windows_equal_the_depth_first_walk(self, certified_pieces):
+        # every depth, so the lower bands' windows grafted at each depth are compared too
+        kinds = set()
         for name, _, piece, budget in certified_pieces:
             for sub in _inner_pieces(piece):
-                window, at = piece_window(sub, budget.depth, budget.width)
-                ref, ref_at = _walk_window(sub, budget.depth, budget.width)
-                assert window.ids == ref.ids and window.parents == ref.parents, name
-                assert [at[i] for i in window.ids] == [ref_at[i] for i in ref.ids], name
+                kinds.add(type(sub))
+                for depth in range(1, budget.depth + 1):
+                    window, at = piece_window(sub, depth, budget.width)
+                    ref, ref_at = _walk_window(sub, depth, budget.width)
+                    assert window.ids == ref.ids and window.parents == ref.parents, (name, depth)
+                    assert [at[i] for i in window.ids] == [ref_at[i] for i in ref.ids], (name, depth)
+                    # stacks are composed on this rule: no child is sampled at position 0
+                    assert not any(ref_at[p][1].is_zero for p in set(ref.parents) - {None}), name
+        assert kinds == {cls for cls in vars(transfinite).values()
+                         if isinstance(cls, type) and issubclass(cls, Piece) and cls is not Piece}
 
     def test_window_facts_equal_node_facts(self, certified_pieces):
         for name, tree, piece, budget in certified_pieces:
@@ -744,11 +768,25 @@ class TestComposedWindows:
             UnionPiece((((w,), seg), ((w, ONE), seg)), w2)
 
     def test_bands_release_their_windows(self):
-        res = stabilize_transfinite(CanonicalTree.of(0, omega_pow(3)),
-                                    RuleColoring.sep_table((2, 0, 1)), Budget(3, 3, 6))
-        assert res.subtree.windows  # the final audit read the window _cross_color built
+        cube = CanonicalTree.of(0, omega_pow(3))
+        res = stabilize_transfinite(cube, RuleColoring.sep_table((2, 0, 1)), Budget(3, 3, 6))
+        # the final audit read the window and the window facts the top _cross_color built
+        (built,) = res.subtree.windows.values()
+        assert built.facts is not None and built.facts[0] is cube
         bands = [band for _, stack in res.subtree.parts for _, band in stack.bands]
-        assert bands and all(not band.windows for band in bands)
+        # no window composed for a band, or kept by a union inside one, outlives the build
+        inside = [sub for band in bands for sub in _inner_pieces(band) if isinstance(sub, UnionPiece)]
+        assert bands and inside and all(not sub.windows for sub in inside)
+
+    def test_only_the_top_union_keeps_window_facts(self):
+        # the grades of a limit top are finite-top unions that ran _cross_color
+        # below their anchor: they keep their windows, not their window facts
+        tree = CanonicalTree.of(0, parse_ordinal("w^w"))
+        res = stabilize_transfinite(tree, RuleColoring.sep_table((0, 1)), Budget(4, 3, 6))
+        grades = [part for _, part in res.subtree.parts if isinstance(part, UnionPiece)]
+        assert grades and all(part.windows for part in grades)
+        assert all(built.facts is None for part in grades for built in part.windows.values())
+        assert all(built.facts[0] is tree for built in res.subtree.windows.values())
 
 
 class ChildAboveParent(Piece):

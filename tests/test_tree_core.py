@@ -7,6 +7,7 @@ from treeramsey.generate import random_tree
 from treeramsey.tree_core import (
     FiniteTree,
     TreeError,
+    exact_int,
     graft,
     incomparable_union,
     levels,
@@ -95,6 +96,37 @@ class TestConstruction:
     def test_from_json_rejects_foreign_documents(self, doc):
         with pytest.raises(TreeError, match="malformed tree document"):
             FiniteTree.from_json(doc)
+
+    @pytest.mark.parametrize("nodes", [
+        [{"id": 0, "parent": None}, {"id": 1, "parent": 0}, {"id": True, "parent": 0}],
+        [{"id": 0, "parent": None}, {"id": 1, "parent": 0.0}],
+        [{"id": 0, "parent": None}, {"id": "1", "parent": 0}, {"id": 2}],
+        [{"id": 0, "parent": None}, {"parent": 0}, {"id": 2.5, "parent": 0}],
+        [{"id": 0, "parent": None}, {"id": 0, "parent": None}],
+        [{"id": 0, "parent": None}, [1, 0]],
+        [{"id": 0, "parent": None}, None],
+        {"id": 0, "parent": None},
+        "nodes",
+        7,
+        [],
+    ])
+    def test_loader_errors_name_the_first_bad_value(self, nodes):
+        # every value read through exact_int, as the loader reads a document it rejects
+        def exact(rows):
+            return {exact_int(n["id"]): (None if n["parent"] is None else exact_int(n["parent"]))
+                    for n in rows}
+
+        try:
+            ref = exact(nodes)
+            expected = None if len(ref) == len(nodes) else "duplicate node ids"
+        except (KeyError, TypeError, ValueError) as exc:
+            expected = f"malformed tree document: {exc}"
+        if expected is None:
+            assert FiniteTree.from_json({"nodes": nodes}) == FiniteTree.from_parents(ref)
+            return
+        with pytest.raises(TreeError) as info:
+            FiniteTree.from_json({"nodes": nodes})
+        assert str(info.value).startswith(expected)
 
     def test_deep_descending_chain(self):
         n = 100_000
@@ -412,7 +444,10 @@ class TestCalculusAgainstOracle:
             kept_taus = _heights(tree, keep)
             assert kept_taus == _peeled_taus(keep, anc)
             assert _rank_of(kept_taus) == _peeled_rank(keep, anc)
-            _assert_order(tree.restrict(keep), {t: anc[t] & keep for t in keep})
+            kept = tree.restrict(keep)
+            _assert_order(kept, {t: anc[t] & keep for t in keep})
+            # built unchecked, and the checked constructor agrees
+            assert kept == FiniteTree.from_parents(dict(zip(kept.ids, kept.parents)))
 
             # union of colliding parts: each part shifted to the next fresh range
             parts = [tree, _relabelled(pick, tree), tree]
