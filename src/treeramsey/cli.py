@@ -45,6 +45,10 @@ from .tree_core import FiniteTree, TreeError, levels
 from .verify import VerificationError
 
 
+class UsageError(ValueError):
+    """A command-line value outside its range."""
+
+
 def write_artifact(path: str, payload: dict) -> None:
     """Atomic JSON write."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
@@ -236,6 +240,8 @@ def _cmd_verify(args) -> int:
     tree = FiniteTree.load(args.tree)
     if args.obstruction:
         if args.obstruction == "mult":
+            if args.alpha < 1:
+                raise UsageError(f"--alpha must be at least 1, got {args.alpha}")
             coloring = verify.multiplicative_obstruction(tree, args.alpha)
             reports = {j: verify.max_monochromatic_rank(tree, coloring, j) for j in (0, 1)}
         else:
@@ -360,8 +366,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 USER_ERRORS = (OrdinalError, TreeError, CanonicalError, StabilizeError,
-               TransfiniteError, RuleError, RamseyBudgetError,
-               FileNotFoundError, json.JSONDecodeError)
+               TransfiniteError, RuleError, RamseyBudgetError, UsageError,
+               OSError, UnicodeDecodeError, json.JSONDecodeError)
 AUDIT_ERRORS = (AuditFailure, BudgetExhausted, VerificationError)
 
 

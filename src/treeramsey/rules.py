@@ -29,17 +29,32 @@ class RuleError(ValueError):
     pass
 
 
+# what a rule may read of a pair
+PRIMITIVES = frozenset({"sep", "depth", "tau"})
+
+
 @dataclass(frozen=True)
 class RuleColoring:
     """Pair coloring evaluated by a closure over the facts of s and t
-    (``canonical.pair_facts``), so a pair costs no membership check."""
+    (``canonical.pair_facts``), so a pair costs no membership check.
+
+    ``reads`` names the primitives the closure reads.  The rules built here
+    list them, and their closures take the pair's separation as a third
+    argument, None when the caller does not have it; a bare closure
+    ``fn(s, t)`` has ``reads`` None and may read anything."""
 
     k: int
-    fn: Callable[[NodeFacts, NodeFacts], int]
+    fn: Callable[..., int]
     source: str = ""
+    reads: frozenset[str] | None = None
 
-    def value(self, s: NodeFacts, t: NodeFacts) -> int:
-        c = self.fn(s, t)
+    def __post_init__(self) -> None:
+        if self.k < 0:
+            raise RuleError(f"palette bound k must be at least 0, got {self.k}")
+
+    def value(self, s: NodeFacts, t: NodeFacts, sep: int | None = None) -> int:
+        """The color of s < t, given their separation ``sep`` if at hand."""
+        c = self.fn(s, t) if self.reads is None else self.fn(s, t, sep)
         if not 0 <= c <= self.k:
             raise RuleError(f"rule produced color {c} outside palette 0..{self.k}")
         return c
@@ -51,14 +66,14 @@ class RuleColoring:
         kk = max(table) if k is None else k
         text = f"F[sep] with F=({','.join(map(str, table))})"
 
-        def fn(s, t):
-            return table[separation_of_facts(s, t)]
+        def fn(s, t, sep=None):
+            return table[separation_of_facts(s, t) if sep is None else sep]
 
-        return RuleColoring(kk, fn, text)
+        return RuleColoring(kk, fn, text, frozenset({"sep"}))
 
     @staticmethod
     def constant(c: int, k: int | None = None) -> "RuleColoring":
-        return RuleColoring(c if k is None else k, lambda s, t: c, str(c))
+        return RuleColoring(c if k is None else k, lambda s, t, sep=None: c, str(c), frozenset())
 
 
 # -- tiny expression language -------------------------------------------------
@@ -82,15 +97,15 @@ def _cmp(op: str, a, b) -> bool:
 def parse_rule(text: str, k: int | None = None) -> RuleColoring:
     """Compile the textual rule form to a RuleColoring."""
     try:
-        expr, colors = _Parser(text).parse()
+        expr, colors, reads = _Parser(text).parse()
     except RecursionError:
         raise RuleError("rule nested too deeply") from None
     kk = k if k is not None else max(colors, default=0)
 
-    def fn(s, t):
-        return _finite(expr((s, t)))
+    def fn(s, t, sep=None):
+        return _finite(expr((s, t, sep)))
 
-    return RuleColoring(kk, fn, text.strip())
+    return RuleColoring(kk, fn, text.strip(), frozenset(reads))
 
 
 class _Parser:
@@ -101,6 +116,7 @@ class _Parser:
         self.toks = self._lex(text)
         self.pos = 0
         self.colors: set[int] = set()
+        self.reads: set[str] = set()
 
     @staticmethod
     def _lex(text: str) -> list[str]:
@@ -121,7 +137,7 @@ class _Parser:
         expr = self._expr()
         if self.pos != len(self.toks):
             raise RuleError(f"trailing tokens {self.toks[self.pos:]} in rule")
-        return expr, self.colors
+        return expr, self.colors, self.reads
 
     def _peek(self):
         return self.toks[self.pos] if self.pos < len(self.toks) else None
@@ -196,9 +212,12 @@ class _Parser:
         tok = self._peek()
         if tok is None:
             raise RuleError("unexpected end of rule")
+        if tok in PRIMITIVES:
+            self.reads.add(tok)
         if tok == "sep":
             self._take()
-            return lambda ctx: separation_of_facts(*ctx)
+            # ctx is (s, t, their separation or None)
+            return lambda ctx: separation_of_facts(ctx[0], ctx[1]) if ctx[2] is None else ctx[2]
         if tok == "depth":
             self._take()
             self._take("(")

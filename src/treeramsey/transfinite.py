@@ -8,19 +8,24 @@ window, each node with the declared position its sampler handed down the
 walk.  Windows are composed, not walked, where the pieces allow: a
 union's window is its parts' windows side by side, and a stack's is its
 top band's window with the window of the lower bands grafted below each
-band leaf; only entry and filtered pieces are walked.  A union keeps its
-window once built, and the top union keeps the window facts of its nodes
-beside it, so the top ``_cross_color`` and the final audit share one
-window and one facts pass.  A contraction keeps the entries whose digits
-lie on chosen layers.  The stabilizer recurses on the top layer, and
-every layer kind takes one pigeonhole step: candidates are stabilized in
-order until ``width`` share a key, which a finite number of keys
-guarantees.  A finite top keeps blocks that share a table and stacks them
-below graded anchors; a limit keeps grades that share a table, a
-successor grades that share a low table, and both join them in a union.
-A successor then keeps the upper layers of the least color whose count
-strictly grows along the kept grades, and fails as ``upper-color`` when
-none grows.
+band leaf; a shifted piece's window is its inner window with the entries
+moved; only entry and filtered pieces are walked.  A union keeps its
+window once built.  A contraction keeps the entries whose digits lie on
+chosen layers.  The stabilizer recurses on the top layer, and every layer
+kind takes one pigeonhole step: candidates are stabilized in order until
+``width`` share a key, which a finite number of keys guarantees.  A
+finite top keeps blocks that share a table and stacks them below graded
+anchors; a limit keeps grades that share a table, a successor grades that
+share a low table, and both join them in a union.  A successor then keeps
+the upper layers of the least color whose count strictly grows along the
+kept grades, and fails as ``upper-color`` when none grows.
+
+Each segment is stabilized once per view in one run: its rank and cap,
+plus its prefix length if the rule reads depth and its base if it reads
+tau.  A repeat takes the first table and piece, moved to its base
+(``ShiftPiece``), and still counts against the budget's cap, which is
+part of the view.  The final audit reads the top window's pairs in one
+pass, which also reads the cross-level color of a finite top layer.
 
 Declared data are claims, not proofs; every public construction is paired
 with an audit that materializes a finite window at the given budget and
@@ -58,12 +63,13 @@ from .ordinal import (
     fundamental_sequence,
     is_additively_indecomposable,
     left_divide,
+    left_subtract,
     mul,
     omega_pow,
     ordinal,
 )
 from .report import Check, Report
-from .rules import RuleColoring
+from .rules import PRIMITIVES, RuleColoring
 from .tree_core import FiniteTree
 
 
@@ -214,13 +220,11 @@ Window = tuple[Sequence[int | None], Iterable[Positioned]]
 
 @dataclass
 class BuiltWindow:
-    """A materialized window: each window id's parent id, each id with its
-    node and declared position, and, once computed, the ambient tree with
-    the window facts of the window nodes themselves (empty prefix)."""
+    """A materialized window: each window id's parent id, and each id with
+    its node and declared position."""
 
     parents: tuple[int | None, ...]
     at: dict[int, Positioned]
-    facts: tuple[CanonicalTree, list[NodeFacts]] | None = None
 
 
 class Piece:
@@ -343,6 +347,33 @@ class StackPiece(Piece):
         return self._in_band(b, node[:cut], piece.children(node[cut:], p, width))
 
 
+@dataclass(frozen=True)
+class ShiftPiece(Piece):
+    """``inner``, stabilized on the segment of entries from ``src``, moved to
+    the segment of the same rank from ``dst``: the entry src + r becomes
+    dst + r.  Both bases are left multiples of that rank, so the move keeps
+    every separation (see ``_view``)."""
+
+    inner: Piece
+    src: Ordinal
+    dst: Ordinal
+
+    @property
+    def declared_rank(self) -> Ordinal:
+        return self.inner.declared_rank
+
+    def roots(self, width: int) -> list[Positioned]:
+        return [(_moved(node, self.src, self.dst), pos) for node, pos in self.inner.roots(width)]
+
+    def children(self, node: CanonicalNode, pos: Ordinal, width: int) -> list[Positioned]:
+        kids = self.inner.children(_moved(node, self.dst, self.src), pos, width)
+        return [(_moved(c, self.src, self.dst), p) for c, p in kids]
+
+
+def _moved(node: CanonicalNode, src: Ordinal, dst: Ordinal) -> CanonicalNode:
+    return tuple(add(dst, left_subtract(src, x)) for x in node)
+
+
 # nodes a filtered piece may walk through while looking for the covers of one node
 FRONTIER_CAP = 96
 
@@ -407,6 +438,8 @@ def _release(piece: Piece) -> None:
     """Drop every window kept by a union that is now read only through its
     children, and by the unions among its parts: later builds compose them
     again, each within one build."""
+    if isinstance(piece, ShiftPiece):
+        return _release(piece.inner)
     if not isinstance(piece, UnionPiece):
         return
     piece.windows.clear()
@@ -420,7 +453,8 @@ def _window(piece: Piece, depth: int, width: int, memo: dict) -> Window:
 
     A union's window is its parts' windows side by side, ids offset and
     anchors prefixed; a stack's is composed from its bands' windows (see
-    ``_stack_window``); any other piece is walked.  ``memo`` holds every
+    ``_stack_window``); a shifted piece's is its inner piece's window with
+    the entries moved; any other piece is walked.  ``memo`` holds every
     window of one build, by piece and depth, and is dropped with it."""
     if isinstance(piece, StackPiece):
         return _stack_window(piece.bands, piece.band_rank, depth, width, memo)
@@ -440,6 +474,10 @@ def _window(piece: Piece, depth: int, width: int, memo: dict) -> Window:
             parents.extend(None if p is None else p + off for p in part_parents)
             at.extend((anchor + node, pos) for node, pos in part_at)
         hit = memo[key] = parents, at
+        return hit
+    if isinstance(piece, ShiftPiece):
+        parents, at = _window(piece.inner, depth, width, memo)
+        hit = memo[key] = parents, [(_moved(node, piece.src, piece.dst), pos) for node, pos in at]
         return hit
     hit = memo[key] = _walk(piece, depth, width)
     return hit
@@ -511,20 +549,22 @@ def _walk(piece: Piece, depth: int, width: int) -> Window:
     return parents, at
 
 
-def _facts(tree: CanonicalTree, piece: Piece, budget: Budget, prefix: CanonicalNode,
-           window: FiniteTree, at: dict[int, Positioned]) -> list[NodeFacts]:
-    """The window facts of the window nodes below ``prefix``.  Only the top
-    stabilized piece sits below the empty prefix; a union keeps those facts
-    beside its window, so the top ``_cross_color`` and the final audit
-    compute them once."""
-    built = (piece.windows.get((budget.depth, budget.width))
-             if not prefix and isinstance(piece, UnionPiece) else None)
-    if built is not None and built.facts is not None and built.facts[0] is tree:
-        return built.facts[1]
+def _facts(tree: CanonicalTree, prefix: CanonicalNode, window: FiniteTree,
+           at: dict[int, Positioned]) -> list[NodeFacts]:
+    """The window facts of the window nodes below ``prefix``, after which
+    every window node is required to extend its parent."""
     facts = window_facts(tree, [prefix + node for node, _ in at.values()], window.parents)
-    if built is not None:
-        built.facts = (tree, facts)
+    _require_extensions(window, at)
     return facts
+
+
+def _declared_facts(piece: Piece, at: dict[int, Positioned]) -> list[NodeFacts]:
+    """The facts of each window node's declared position, once per position."""
+    records: dict[Ordinal, NodeFacts] = {}
+    for _, pos in at.values():
+        if pos not in records:
+            records[pos] = tau_facts(piece.declared_rank, pos)
+    return [records[pos] for _, pos in at.values()]
 
 
 def _require_extensions(window: FiniteTree, at: dict[int, Positioned]) -> None:
@@ -575,35 +615,8 @@ def audit_declared_rank(piece: Piece, budget: Budget) -> Audit:
     return _audit_window("declared-rank", piece, budget)[0]
 
 
-def _separation_check(tree: CanonicalTree, sub: Piece, budget: Budget, window: FiniteTree,
-                      at: dict[int, Positioned], enum: Sequence[int], mismatch: str):
-    """Map each window pair's declared separation, read off the carried
-    positions, through the layer enumeration ``enum`` and compare it with
-    the ambient separation, building each side's facts once per node (the
-    declared ones once per position).
-
-    Returns the ambient facts and every pair s < t as (s, t, declared
-    separation), both by window id, the verdict, and its detail.
-    """
-    facts = _facts(tree, sub, budget, (), window, at)
-    _require_extensions(window, at)
-    declared_rank = sub.declared_rank
-    records: dict[Ordinal, NodeFacts] = {}
-    declared: list[NodeFacts] = []
-    for _, pos in at.values():
-        if pos not in records:
-            records[pos] = tau_facts(declared_rank, pos)
-        declared.append(records[pos])
-    pairs: list[tuple[int, int, int]] = []
-    failed = None
-    for i_s, i_t in window.ordered_pairs():
-        sq = separation_of_facts(declared[i_s], declared[i_t])
-        sp = separation_of_facts(facts[i_s], facts[i_t])
-        if failed is None and enum[sq] != sp:
-            failed = mismatch.format(s=node_to_text(at[i_s][0]), t=node_to_text(at[i_t][0]),
-                                     mapped=enum[sq], ambient=sp)
-        pairs.append((i_s, i_t, sq))
-    return facts, pairs, failed is None, failed or f"{len(pairs)} pairs checked"
+def _pair_text(at: dict[int, Positioned], i_s: int, i_t: int) -> str:
+    return f"pair (({node_to_text(at[i_s][0])}), ({node_to_text(at[i_t][0])}))"
 
 
 # -- contractions -------------------------------------------------------------------
@@ -639,10 +652,14 @@ def contract(tree: CanonicalTree, spec: ContractionSpec) -> EntryPiece:
 def audit_contraction(tree: CanonicalTree, spec: ContractionSpec,
                       sub: Piece, budget: Budget) -> Audit:
     report, window, at = _audit_window("contraction", sub, budget)
-    _, _, ok, detail = _separation_check(
-        tree, sub, budget, window, at, spec.enumeration,
-        "pair (({s}), ({t})): ambient {ambient} != mapped {mapped}")
-    report.add("separation-enumerates", ok, detail)
+    facts, declared = _facts(tree, (), window, at), _declared_facts(sub, at)
+    enum, failed, count = spec.enumeration, None, 0
+    for count, (i_s, i_t) in enumerate(window.ordered_pairs(), 1):
+        sq = separation_of_facts(declared[i_s], declared[i_t])
+        sp = separation_of_facts(facts[i_s], facts[i_t])
+        if failed is None and enum[sq] != sp:
+            failed = f"{_pair_text(at, i_s, i_t)}: ambient {sp} != mapped {enum[sq]}"
+    report.add("separation-enumerates", failed is None, failed or f"{count} pairs checked")
     return report
 
 
@@ -704,55 +721,106 @@ def stabilize_transfinite(tree: CanonicalTree, rule: RuleColoring,
     rho = rank_symbolic(tree)
     if rho.is_zero or not is_additively_indecomposable(rho):
         raise TransfiniteError(f"rank {rho} is not additively indecomposable")
-    lam = factorize(rho).lam
+    fact = factorize(rho)
     if rule.k == 0:
         piece: Piece = EntryPiece(ZERO, EntryMap.identity(rho))
-        table = (0,) * lam
+        table = (0,) * fact.lam
     else:
-        piece, table = _stabilize_segment(tree, ZERO, (), rho, rule, budget, budget.cap)
-    report = _audit_stabilization(tree, piece, table, rule, budget)
+        piece, table = _stabilize_segment(tree, ZERO, (), rho, rule, budget, budget.cap, {},
+                                          top=True)
+    # below a finite top layer the table still lacks the cross-level color,
+    # which the final audit reads in its pass over the same window
+    gamma_p = (fact.factors[-2] if fact.lam >= 2 else ONE) if len(table) < fact.lam else None
+    report, table = _audit_stabilization(tree, piece, table, rule, budget, gamma_p)
     return TransfiniteResult(piece, table, report.require())
 
 
 def _audit_stabilization(tree: CanonicalTree, sub: Piece, table: tuple[int, ...],
-                         rule: RuleColoring, budget: Budget) -> Audit:
+                         rule: RuleColoring, budget: Budget,
+                         gamma_p: Ordinal | None = None) -> tuple[Audit, tuple[int, ...]]:
+    """The stabilization audit, and the completed table, in one pass over
+    the window pairs; each pair's ambient separation serves both checks
+    and the rule.  With ``gamma_p``, the table lacks the color of the pairs
+    across gamma_p-levels, which the pass reads and raises on as
+    ``_cross_color`` does, before any audit verdict; those pairs separate
+    at the top layer, so their colors need no other check.  An error in
+    reading a color waits for the separation verdict, as in a color pass
+    after a separation pass."""
     report, window, at = _audit_window("stabilization", sub, budget, nonempty=True)
     lam = factorize(sub.declared_rank).lam
-    report.add("table-spans-layers", len(table) == lam,
-               f"table size {len(table)} vs {lam} layers")
-    facts, pairs, ok, detail = _separation_check(
-        tree, sub, budget, window, at, range(lam),
-        "pair (({s}), ({t})): subtree separation {mapped} != ambient {ambient}")
-    report.add("separation-preserved", ok, detail)
-    for i_s, i_t, sq in pairs:
-        color = rule.value(facts[i_s], facts[i_t])
-        if table[sq] != color:
-            s, t = node_to_text(at[i_s][0]), node_to_text(at[i_t][0])
-            report.add("colors-recovered", False,
-                       f"pair (({s}), ({t})): table[{sq}]={table[sq]} != color {color}")
-            break
-    else:
-        report.add("colors-recovered", True, f"{len(pairs)} pairs checked")
-    return report
+    size = len(table) + (gamma_p is not None)
+    report.add("table-spans-layers", size == lam, f"table size {size} vs {lam} layers")
+    facts, declared = _facts(tree, (), window, at), _declared_facts(sub, at)
+    level = None if gamma_p is None else [left_divide(gamma_p, pos)[0] for _, pos in at.values()]
+    seen = sep_failed = color_failed = None
+    count = 0
+    for count, (i_s, i_t) in enumerate(window.ordered_pairs(), 1):
+        fs, ft = facts[i_s], facts[i_t]
+        sp, sq = separation_of_facts(fs, ft), separation_of_facts(declared[i_s], declared[i_t])
+        if sep_failed is None and sq != sp:
+            sep_failed = f"{_pair_text(at, i_s, i_t)}: subtree separation {sq} != ambient {sp}"
+        if level is not None and level[i_s] is not level[i_t]:
+            seen = _cross_level(seen, rule.value(fs, ft, sp))
+        elif color_failed is None:
+            try:
+                color = rule.value(fs, ft, sp)
+            except ValueError as err:  # a rule's error (RuleError, OrdinalError) waits
+                color_failed = err
+                continue
+            if table[sq] != color:
+                color_failed = (f"{_pair_text(at, i_s, i_t)}: "
+                                f"table[{sq}]={table[sq]} != color {color}")
+    if level is not None:
+        table += (_cross_level_found(seen),)
+    report.add("separation-preserved", sep_failed is None, sep_failed or f"{count} pairs checked")
+    if isinstance(color_failed, Exception):
+        raise color_failed
+    report.add("colors-recovered", color_failed is None, color_failed or f"{count} pairs checked")
+    return report, table
+
+
+def _view(rule: RuleColoring, base: Ordinal, prefix: CanonicalNode, rho: Ordinal,
+          cap: int) -> tuple:
+    """What stabilizing the segment [base, base+rho) below ``prefix`` reads:
+    its rank and cap, the prefix length if the rule reads depth, the base
+    if it reads tau.  A base is a left multiple of the rank, so moving a
+    segment to another base keeps every separation and depth."""
+    reads = PRIMITIVES if rule.reads is None else rule.reads
+    return (rho, cap, len(prefix) if "depth" in reads else None,
+            base if "tau" in reads else None)
 
 
 def _stabilize_segment(tree: CanonicalTree, base: Ordinal, prefix: CanonicalNode,
                        rho: Ordinal, rule: RuleColoring, budget: Budget,
-                       cap: int) -> tuple[Piece, tuple[int, ...]]:
+                       cap: int, memo: dict, top: bool = False) -> tuple[Piece, tuple[int, ...]]:
     """Stabilize the rule on the segment of entries [base, base+rho) below
     ``prefix``; returns a relative piece of declared rank rho with its table.
+
+    ``memo`` holds the piece, table and base of each view (``_view``) of
+    one run; a repeat gets them with the piece moved to its base.  A finite
+    ``top`` layer leaves its cross-level color to the final audit."""
+    if rho == ONE:
+        return EntryPiece(base, EntryMap.identity(ONE)), ()
+    view = _view(rule, base, prefix, rho, cap)
+    if view not in memo:
+        piece, table = _stabilize_layers(tree, base, prefix, rho, rule, budget, cap, memo, top)
+        memo[view] = piece, table, base
+    piece, table, src = memo[view]
+    return (piece if src is base else ShiftPiece(piece, src, base)), table
+
+
+def _stabilize_layers(tree, base, prefix, rho, rule, budget, cap, memo, top):
+    """``_stabilize_segment`` on a segment of rank above 1, by its top layer.
     Below a successor or limit top layer, grade q of rank gamma_p * eta_q
     hangs below the anchor entry base + gamma_p * eta_q; the kept grades,
     filtered below a successor, grow in rank, so their union is cofinal."""
-    if rho == ONE:
-        return EntryPiece(base, EntryMap.identity(ONE)), ()
     if cap <= 0:
         raise BudgetExhausted("recursion-cap", f"segment of rank {rho} left unexplored")
     fact = factorize(rho)
     gamma_p = fact.factors[-2] if fact.lam >= 2 else ONE
     eps = fact.epsilons[-1]
     if eps.is_zero:
-        return _segment_finite_top(tree, base, prefix, rho, gamma_p, rule, budget, cap)
+        return _segment_finite_top(tree, base, prefix, rho, gamma_p, rule, budget, cap, memo, top)
     # grades agree on their low tables below a successor, on whole ones below a limit
     lam_key = fact.lam - 1 if eps.is_successor else fact.lam
 
@@ -760,7 +828,7 @@ def _stabilize_segment(tree: CanonicalTree, base: Ordinal, prefix: CanonicalNode
         sub_rho = mul(gamma_p, _grade(eps, i + 1))
         anchor = (add(base, sub_rho),)
         piece, table = _stabilize_segment(
-            tree, base, prefix + anchor, sub_rho, rule, budget, cap - 1)
+            tree, base, prefix + anchor, sub_rho, rule, budget, cap - 1, memo)
         return table[:lam_key], (anchor, piece, table, sub_rho)
 
     key, grades = _agreeing(grade, (rule.k + 1) ** lam_key, budget.width)
@@ -808,19 +876,20 @@ def _upper_color(tables: Sequence[tuple[int, ...]], lam_low: int) -> int:
     raise BudgetExhausted("upper-color", f"no color's upper layers grow along {list(tables)}")
 
 
-def _segment_finite_top(tree, base, prefix, rho, gamma_p, rule, budget, cap):
+def _segment_finite_top(tree, base, prefix, rho, gamma_p, rule, budget, cap, memo, top):
     """Stack ``width`` gamma_p-blocks that share a table below graded anchors.
 
     Blocks from ``base`` are stabilized in order, all under one prefix above
     every candidate block.  The q-th part hangs the first q kept blocks
-    below the entry just above the q-th of them.
+    below the entry just above the q-th of them.  The table lacks the
+    cross-level color at the ``top``.
     """
     keys = (rule.k + 1) ** factorize(gamma_p).lam
     above = prefix + (add(base, mul(gamma_p, keys * (budget.width - 1) + 1)),)
 
     def block(delta: int):
         b_base = add(base, mul(gamma_p, delta))
-        piece, table = _stabilize_segment(tree, b_base, above, gamma_p, rule, budget, cap - 1)
+        piece, table = _stabilize_segment(tree, b_base, above, gamma_p, rule, budget, cap - 1, memo)
         return table, (delta, b_base, piece)
 
     table, kept = _agreeing(block, keys, budget.width)
@@ -828,32 +897,36 @@ def _segment_finite_top(tree, base, prefix, rho, gamma_p, rule, budget, cap):
     union = assemble_union([((add(base, mul(gamma_p, delta + 1)),),
                              StackPiece(tuple(bands[:q]), gamma_p))
                             for q, (delta, _, _) in enumerate(kept, 1)], rho)
-    j = _cross_color(tree, union, prefix, gamma_p, rule, budget)
+    if not top:
+        table += (_cross_color(tree, union, prefix, gamma_p, rule, budget),)
     for _, piece in bands:
         # only the builds of this union read a band's windows
         _release(piece)
-    return union, table + (j,)
+    return union, table
 
 
 def _cross_color(tree, union: Piece, prefix: CanonicalNode, gamma_p: Ordinal,
                  rule: RuleColoring, budget: Budget) -> int:
+    """The one color of the window pairs across gamma_p-levels."""
     window, at = piece_window(union, budget.depth, budget.width)
-    facts = _facts(tree, union, budget, prefix, window, at)
-    _require_extensions(window, at)
+    facts = _facts(tree, prefix, window, at)
     level = [left_divide(gamma_p, pos)[0] for _, pos in at.values()]
     seen: int | None = None
     for i_s, i_t in window.ordered_pairs():
-        if level[i_s] is level[i_t]:
-            continue
-        c = rule.value(facts[i_s], facts[i_t])
-        if seen is None:
-            seen = c
-        elif c != seen:
-            raise BudgetExhausted(
-                "cross-level-color",
-                f"colors {seen} and {c} both appear across levels")
+        if level[i_s] is not level[i_t]:
+            seen = _cross_level(seen, rule.value(facts[i_s], facts[i_t]))
+    return _cross_level_found(seen)
+
+
+def _cross_level(seen: int | None, color: int) -> int:
+    """The cross-level color so far, after one more cross-level pair."""
+    if seen is None or color == seen:
+        return color
+    raise BudgetExhausted("cross-level-color", f"colors {seen} and {color} both appear across levels")
+
+
+def _cross_level_found(seen: int | None) -> int:
     if seen is None:
         raise BudgetExhausted(
-            "cross-level-color",
-            "no cross-level pair fits in the window; deepen the budget")
+            "cross-level-color", "no cross-level pair fits in the window; deepen the budget")
     return seen

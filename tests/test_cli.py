@@ -415,6 +415,45 @@ class TestVerify:
         assert "best rank 2" in capsys.readouterr().out
 
 
+class TestBadInput:
+    """Bad command-line input ends with a named error and exit 1."""
+
+    def _fails(self, argv, capsys, error="error: "):
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith(error)
+
+    def test_non_positive_alpha(self, i03_file, capsys):
+        self._fails(["verify", "--tree", str(i03_file[1]), "--obstruction", "mult",
+                     "--alpha", "0"], capsys, "error: --alpha must be at least 1, got 0")
+
+    def test_directory_as_tree(self, tmp_path, capsys):
+        self._fails(["tree", "--tree", str(tmp_path), "--rank"], capsys,
+                    "error: [Errno 21] Is a directory")
+
+    def test_directory_as_audit_out(self, tmp_path, capsys):
+        self._fails(["transfinite", "--tree", "I(0, w^2)", "--stabilize", "--rule",
+                     "F[sep] with F=(1,0)", "--audit-out", str(tmp_path)], capsys,
+                    "error: [Errno 21] Is a directory")
+        assert not list(tmp_path.iterdir())
+
+    def test_directory_as_emit(self, i03_file, node_coloring_file, tmp_path, capsys):
+        target = tmp_path / "out"
+        target.mkdir()
+        self._fails(["stab", "--mode", "levels", "--tree", str(i03_file[1]),
+                     "--coloring", str(node_coloring_file), "--emit", str(target)], capsys,
+                    "error: [Errno 21] Is a directory")
+        assert not list(target.iterdir())
+
+    def test_json_that_is_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes('{"nodes": [], "note": "\u00e9"}'.encode("latin-1"))
+        self._fails(["tree", "--tree", str(path), "--rank"], capsys)
+
+    def test_negative_palette_bound(self, capsys):
+        self._fails(["transfinite", "--tree", "I(0, w^2)", "--stabilize", "-k", "-1"], capsys,
+                    "error: palette bound k must be at least 0, got -1")
+
+
 class TestDemo:
     def test_quick_subset(self, tmp_path, capsys):
         out = tmp_path / "demo.json"

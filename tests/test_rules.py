@@ -9,7 +9,8 @@ from treeramsey.canonical import (
     truncate,
 )
 from treeramsey.ordinal import OMEGA, ONE, mul, omega_pow, ordinal, parse_ordinal
-from treeramsey.rules import RuleColoring, RuleError, parse_rule
+from treeramsey import transfinite
+from treeramsey.rules import PRIMITIVES, RuleColoring, RuleError, parse_rule
 
 w = OMEGA
 
@@ -143,3 +144,70 @@ class TestNodeFacts:
         assert parse_rule("depth(t) mod 2").value(*pair) == 0
         with pytest.raises(CanonicalError, match="alpha = 0"):
             parse_rule("F[sep] with F=(1,0)").value(*pair)
+
+
+class TestReads:
+    """A rule records the primitives it reads; a segment's view, under which
+    the stabilizer shares segments, holds what the rule reads of it."""
+
+    def test_sweep_rules(self):
+        expected = {
+            "F[sep] with F=(1,0)": {"sep"},
+            "tau(w, s) mod 2": {"tau"},
+            "tau(w^2, t) mod 2": {"tau"},
+            "depth(t) mod 2": {"depth"},
+            "if depth(s) > 1 then 1 else 0": {"depth"},
+            "tau(w, t) mod 3": {"tau"},
+            "if tau(w^w, t) == tau(w^w, s) then 0 else 1": {"tau"},
+            "tau(w^w, t) mod 2": {"tau"},
+            "if tau(w, s) > tau(w, t) then 1 else 0": {"tau"},
+        }
+        assert [source for source, _ in SWEEP_RULES] == list(expected)
+        for source, k in SWEEP_RULES:
+            assert parse_rule(source, k=k).reads == expected[source], source
+        assert parse_rule("if sep == 0 then depth(t) else tau(w, s)", k=9).reads == PRIMITIVES
+
+    def test_sep_table_reads_only_sep(self):
+        assert RuleColoring.sep_table((1, 0)).reads == {"sep"}
+
+    def test_constant_reads_nothing(self):
+        assert RuleColoring.constant(1).reads == frozenset()
+
+    def test_a_bare_closure_reads_everything(self):
+        bare = RuleColoring(1, lambda s, t: 0)
+        assert bare.reads is None
+        w2 = omega_pow(2)
+        base, prefix = mul(w2, 3), (mul(w2, 5),)
+        assert transfinite._view(bare, base, prefix, w2, 2) == (w2, 2, 1, base)
+        assert transfinite._view(parse_rule("tau(w, s) mod 2"), base, prefix, w2, 2) == \
+            (w2, 2, None, base)
+        assert transfinite._view(parse_rule("depth(t) mod 2"), base, prefix, w2, 2) == \
+            (w2, 2, 1, None)
+        assert transfinite._view(RuleColoring.sep_table((1, 0)), base, prefix, w2, 2) == \
+            (w2, 2, None, None)
+
+    def test_a_given_separation_is_not_recomputed(self, square, pair_same_block):
+        facts = pair_facts(square, *pair_same_block)
+        # the pair separates at 0; a caller that hands in 1 gets table[1]
+        assert RuleColoring.sep_table((1, 0)).value(*facts) == 1
+        assert RuleColoring.sep_table((1, 0)).value(*facts, 1) == 0
+        assert parse_rule("F[sep] with F=(1,0)").value(*facts, 1) == 0
+        assert parse_rule("depth(t) mod 2").value(*facts, 1) == 0
+
+    @pytest.mark.parametrize("source,k,tree,budget", [
+        ("tau(w, s) mod 2", 1, "w^w", (3, 3, 6)),
+        ("if tau(w, s) > tau(w, t) then 1 else 0", 1, "w^w", (3, 3, 6)),
+        ("tau(1, s) mod 2", 1, "w^(w+1)", (2, 2, 6)),
+        ("if tau(w, s) == tau(w, t) then tau(w, s) mod 2 else 0", 1, "w^2", (3, 3, 6)),
+    ])
+    def test_a_tau_rule_never_gets_a_shifted_piece(self, source, k, tree, budget):
+        from test_transfinite import _inner_pieces
+        res = transfinite.stabilize_transfinite(
+            CanonicalTree.of(0, parse_ordinal(tree)), parse_rule(source, k=k),
+            transfinite.Budget(*budget))
+        kinds = {type(p) for p in _inner_pieces(res.subtree)}
+        assert transfinite.UnionPiece in kinds and transfinite.ShiftPiece not in kinds
+
+    def test_a_negative_palette_bound_is_rejected(self):
+        with pytest.raises(RuleError, match="palette bound k must be at least 0, got -1"):
+            parse_rule("F[sep] with F=(0)", k=-1)

@@ -12,6 +12,7 @@ from treeramsey.canonical import (
     CanonicalTree,
     node_facts,
     node_tau,
+    separation_of_facts,
     separation_of_taus,
     truncate,
     window_facts,
@@ -29,7 +30,7 @@ from treeramsey.ordinal import (
     ordinal,
     parse_ordinal,
 )
-from treeramsey.rules import RuleColoring, parse_rule
+from treeramsey.rules import RuleColoring, RuleError, parse_rule
 from treeramsey.transfinite import (
     AuditFailure,
     Budget,
@@ -39,6 +40,7 @@ from treeramsey.transfinite import (
     EntryPiece,
     FilteredPiece,
     Piece,
+    ShiftPiece,
     StackPiece,
     TransfiniteError,
     UnionPiece,
@@ -498,8 +500,8 @@ class TestMisreportedPositions:
     def test_stabilization_audit_names_the_pair(self, square):
         rule = RuleColoring.sep_table((1, 0))
         honest = stabilize_transfinite(square, rule, BUDGET)
-        report = _audit_stabilization(square, ZeroBelowRoots(honest.subtree),
-                                      honest.table, rule, BUDGET)
+        report, _ = _audit_stabilization(square, ZeroBelowRoots(honest.subtree),
+                                         honest.table, rule, BUDGET)
         assert report.failed.name == "separation-preserved"
         assert report.failed.detail == \
             "pair ((w*2, w + 2, w + 1), (w*2, w + 2, w + 1, w)): subtree separation 1 != ambient 0"
@@ -515,8 +517,7 @@ class TestMisreportedPositions:
 
     def test_cross_color_and_audit_check_every_window_edge(self):
         # s < t is checked once per window edge, before any pair is read: a
-        # union's _cross_color and its audit share one window and its facts,
-        # and both reject it
+        # union's _cross_color and its audit share one window, and both reject it
         cube, rule = CanonicalTree.of(0, omega_pow(3)), RuleColoring.sep_table((0, 0, 0))
         union = assemble_union([((mul(w2, 5),), ChildrenBesideParent())])
         with pytest.raises(CanonicalError, match="separation needs s < t"):
@@ -547,9 +548,10 @@ class TestNodeFactsOncePerNode:
     membership check runs once per node and still runs."""
 
     def test_membership_checked_once_per_window_node(self, monkeypatch):
-        counts = {"contains": 0, "nodes": 0, "evals": 0}
-        contains, window, value = (CanonicalTree.__contains__, transfinite.piece_window,
-                                   RuleColoring.value)
+        # and s < t once per window edge
+        counts = {"contains": 0, "nodes": 0, "evals": 0, "below": 0, "edges": 0}
+        contains, window, value, below = (CanonicalTree.__contains__, transfinite.piece_window,
+                                          RuleColoring.value, transfinite.require_below)
 
         def counted_contains(tree, node):
             counts["contains"] += 1
@@ -558,20 +560,27 @@ class TestNodeFactsOncePerNode:
         def counted_window(piece, depth, width):
             out = window(piece, depth, width)
             counts["nodes"] += len(out[1])
+            counts["edges"] += sum(p is not None for p in out[0].parents)
             return out
 
-        def counted_value(rule, s, t):
+        def counted_below(s, t):
+            counts["below"] += 1
+            return below(s, t)
+
+        def counted_value(rule, s, t, sep=None):
             counts["evals"] += 1
-            return value(rule, s, t)
+            return value(rule, s, t, sep)
 
         monkeypatch.setattr(CanonicalTree, "__contains__", counted_contains)
         monkeypatch.setattr(transfinite, "piece_window", counted_window)
         monkeypatch.setattr(RuleColoring, "value", counted_value)
+        monkeypatch.setattr(transfinite, "require_below", counted_below)
         res = stabilize_transfinite(CanonicalTree.of(0, omega_pow(3)),
                                     RuleColoring.sep_table((2, 0, 1)), Budget(4, 3, 6))
         assert res.table == (2, 0, 1) and res.report.ok
         assert counts["evals"] > counts["nodes"] > 0
         assert 0 < counts["contains"] <= counts["nodes"]
+        assert 0 < counts["below"] <= counts["edges"]
 
     def test_node_outside_the_tree_still_raises(self, square):
         rule = RuleColoring.sep_table((1, 0))
@@ -679,7 +688,7 @@ def _walk_window(piece, depth, width):
 
 def _inner_pieces(piece):
     """The piece and every piece inside it, once each: union parts, stack
-    bands and filtered inners."""
+    bands, and filtered and shifted inners."""
     out, seen, todo = [], set(), [piece]
     while todo:
         p = todo.pop()
@@ -691,7 +700,7 @@ def _inner_pieces(piece):
             todo.extend(part for _, part in p.parts)
         elif isinstance(p, StackPiece):
             todo.extend(band for _, band in p.bands)
-        elif isinstance(p, FilteredPiece):
+        elif isinstance(p, (FilteredPiece, ShiftPiece)):
             todo.append(p.inner)
     return out
 
@@ -770,23 +779,21 @@ class TestComposedWindows:
     def test_bands_release_their_windows(self):
         cube = CanonicalTree.of(0, omega_pow(3))
         res = stabilize_transfinite(cube, RuleColoring.sep_table((2, 0, 1)), Budget(3, 3, 6))
-        # the final audit read the window and the window facts the top _cross_color built
-        (built,) = res.subtree.windows.values()
-        assert built.facts is not None and built.facts[0] is cube
+        # the top union keeps the one window its final pass read
+        assert res.subtree.windows.keys() == {(3, 3)}
         bands = [band for _, stack in res.subtree.parts for _, band in stack.bands]
         # no window composed for a band, or kept by a union inside one, outlives the build
         inside = [sub for band in bands for sub in _inner_pieces(band) if isinstance(sub, UnionPiece)]
         assert bands and inside and all(not sub.windows for sub in inside)
 
-    def test_only_the_top_union_keeps_window_facts(self):
+    def test_grades_and_the_top_union_keep_their_windows(self):
         # the grades of a limit top are finite-top unions that ran _cross_color
-        # below their anchor: they keep their windows, not their window facts
+        # below their anchor: the top union's window reuses theirs
         tree = CanonicalTree.of(0, parse_ordinal("w^w"))
         res = stabilize_transfinite(tree, RuleColoring.sep_table((0, 1)), Budget(4, 3, 6))
         grades = [part for _, part in res.subtree.parts if isinstance(part, UnionPiece)]
-        assert grades and all(part.windows for part in grades)
-        assert all(built.facts is None for part in grades for built in part.windows.values())
-        assert all(built.facts[0] is tree for built in res.subtree.windows.values())
+        assert grades and all(part.windows.keys() == {(4, 3)} for part in grades)
+        assert res.subtree.windows.keys() == {(4, 3)}
 
 
 class ChildAboveParent(Piece):
@@ -827,3 +834,109 @@ class TestWindowFactsErrors:
         nodes = [prefix + node for node in nodes]
         assert _facts_or_error(window_facts, cube, nodes, window.parents) == \
             _facts_or_error(node_facts, cube, nodes)
+
+
+# the four benchmark trees at their benchmark budgets
+BENCH_CASES = (
+    ("w^3", (2, 0, 1), (4, 3, 6)),
+    ("w^w", (1,), (4, 3, 6)),
+    ("w^(w+1)", (1, 0), (5, 2, 6)),
+    ("w^2", (1, 0), (5, 4, 6)),
+)
+
+
+def _records():
+    """Golden records (window nodes, positions, table, report) of every
+    golden case and every benchmark case."""
+    from test_golden import _record, snapshot
+    out = snapshot()
+    for text, table, dims in BENCH_CASES:
+        budget = Budget(*dims)
+        res = stabilize_transfinite(CanonicalTree.of(0, parse_ordinal(text)),
+                                    RuleColoring.sep_table(table), budget)
+        out[f"bench I(0,{text}) F={table}"] = _record(res.subtree, budget, res.report, res.table)
+    return out
+
+
+class TestSegmentsOncePerView:
+    """Segments of one view share one stabilization, moved to their base."""
+
+    def test_sharing_changes_no_output(self, monkeypatch):
+        shared = _records()
+        monkeypatch.setattr(transfinite, "_view", lambda *args: object())
+        assert _records() == shared
+
+    def test_segment_bases_are_left_multiples_of_their_ranks(self, monkeypatch):
+        segment, segments = transfinite._stabilize_segment, []
+
+        def recorded(tree, base, prefix, rho, *rest, **kw):
+            segments.append((base, rho))
+            return segment(tree, base, prefix, rho, *rest, **kw)
+
+        monkeypatch.setattr(transfinite, "_stabilize_segment", recorded)
+        _records()
+        assert len(segments) > 100
+        assert all(left_divide(rho, base)[1].is_zero for base, rho in segments)
+
+    def test_repeated_views_are_shifted(self):
+        # under F[sep] every block of a finite top has one view: the first is
+        # stabilized, the others are that piece moved to their base
+        res = stabilize_transfinite(CanonicalTree.of(0, omega_pow(3)),
+                                    RuleColoring.sep_table((2, 0, 1)), Budget(4, 3, 6))
+        bands = [band for _, band in res.subtree.parts[-1][1].bands]
+        assert isinstance(bands[0], UnionPiece)
+        assert all(isinstance(b, ShiftPiece) and b.inner is bands[0] for b in bands[1:])
+        assert [b.dst for b in bands[1:]] == [mul(w2, q) for q in (1, 2)]
+
+
+class TestSinglePass:
+    """The final audit reads the top cross-level color in its own pass over
+    the window, and raises as the cross-level step did before it."""
+
+    def test_cross_level_conflict_raises_before_the_audit(self):
+        tree, rule, budget = CanonicalTree.of(0, w2), parse_rule("tau(1, t) mod 2", k=1), \
+            Budget(3, 2, 4)
+        piece, table = transfinite._stabilize_segment(
+            tree, ZERO, (), w2, rule, budget, budget.cap, {}, top=True)
+        # every completion of the table fails the audit
+        assert all(_audit_stabilization(tree, piece, table + (c,), rule, budget)[0].failed
+                   for c in (0, 1))
+        with pytest.raises(BudgetExhausted) as err:
+            stabilize_transfinite(tree, rule, budget)
+        assert str(err.value) == "cross-level-color: colors 0 and 1 both appear across levels"
+
+    def test_no_cross_level_pair_raises(self):
+        with pytest.raises(BudgetExhausted) as err:
+            stabilize_transfinite(CanonicalTree.of(0, w), parse_rule("depth(t) mod 2", k=1),
+                                  Budget(1, 3, 4))
+        assert str(err.value) == \
+            "cross-level-color: no cross-level pair fits in the window; deepen the budget"
+
+    def test_a_rule_error_within_levels_waits_for_the_cross_level_verdict(self, square):
+        honest = stabilize_transfinite(square, RuleColoring.sep_table((1, 0)), BUDGET)
+
+        def fn(s, t):
+            if separation_of_facts(s, t) == 0:
+                raise RuleError("no color within levels")
+            return t.depth % 2
+
+        rule = RuleColoring(1, fn)
+        with pytest.raises(BudgetExhausted) as cross:
+            transfinite._cross_color(square, honest.subtree, (), w, rule, BUDGET)
+        with pytest.raises(BudgetExhausted) as single:
+            _audit_stabilization(square, honest.subtree, honest.table[:-1], rule, BUDGET, w)
+        assert str(single.value) == str(cross.value) == \
+            "cross-level-color: colors 1 and 0 both appear across levels"
+        # with the cross-level color given, the rule's error is raised
+        with pytest.raises(RuleError, match="no color within levels"):
+            _audit_stabilization(square, honest.subtree, honest.table, rule, BUDGET)
+
+    def test_rules_get_the_separation_of_the_pass(self, monkeypatch):
+        # the F[sep] rule reads the separation the pass computed, never its own
+        import treeramsey.rules as rules
+        cube, rule, budget = CanonicalTree.of(0, omega_pow(3)), RuleColoring.sep_table((2, 0, 1)), \
+            Budget(4, 3, 6)
+        res = stabilize_transfinite(cube, rule, budget)
+        calls = []
+        monkeypatch.setattr(rules, "separation_of_facts", lambda s, t: calls.append(s))
+        assert _audit_stabilization(cube, res.subtree, res.table, rule, budget)[0].ok and not calls
