@@ -9,16 +9,18 @@ walk.  Windows are composed, not walked, where the pieces allow: a
 union's window is its parts' windows side by side, and a stack's is its
 top band's window with the window of the lower bands grafted below each
 band leaf; a shifted piece's window is its inner window with the entries
-moved; only entry and filtered pieces are walked.  A union keeps its
-window once built.  A contraction keeps the entries whose digits lie on
-chosen layers.  The stabilizer recurses on the top layer, and every layer
-kind takes one pigeonhole step: candidates are stabilized in order until
-``width`` share a key, which a finite number of keys guarantees.  A
-finite top keeps blocks that share a table and stacks them below graded
-anchors; a limit keeps grades that share a table, a successor grades that
-share a low table, and both join them in a union.  A successor then keeps
-the upper layers of the least color whose count strictly grows along the
-kept grades, and fails as ``upper-color`` when none grows.
+moved; only entry and filtered pieces are walked.  A union keeps the
+window ``piece_window`` built for it, and the first build that contains
+the union takes it: a kept window is read once.  A contraction keeps the
+entries whose digits lie on chosen layers.  The stabilizer recurses on
+the top layer, and every layer kind takes one pigeonhole step:
+candidates are stabilized in order until ``width`` share a key, which a
+finite number of keys guarantees.  A finite top keeps blocks that share
+a table and stacks them below graded anchors; a limit keeps grades that
+share a table, a successor grades that share a low table, and both join
+them in a union.  A successor then keeps the upper layers of the least
+color whose count strictly grows along the kept grades, and fails as
+``upper-color`` when none grows.
 
 Each segment is stabilized once per view in one run: its rank and cap,
 plus its prefix length if the rule reads depth and its base if it reads
@@ -218,15 +220,6 @@ Positioned = tuple[CanonicalNode, Ordinal]
 Window = tuple[Sequence[int | None], Iterable[Positioned]]
 
 
-@dataclass
-class BuiltWindow:
-    """A materialized window: each window id's parent id, and each id with
-    its node and declared position."""
-
-    parents: tuple[int | None, ...]
-    at: dict[int, Positioned]
-
-
 class Piece:
     """A lazy subtree.  ``roots`` and ``children`` sample members, each with
     its declared position, so a walk carries positions down instead of
@@ -272,13 +265,13 @@ class EntryPiece(Piece):
 class UnionPiece(Piece):
     """Incomparable union of pieces hung below pairwise incomparable anchors.
 
-    Its window is its parts' windows side by side; ``piece_window`` keeps
-    it in ``windows`` per (depth, width), until the union becomes a band of
-    a stack or is filtered, after which it is read through its children."""
+    Its window is its parts' windows side by side.  ``piece_window`` keeps
+    it in ``windows`` per (depth, width), and the first build that contains
+    the union takes it from there: a kept window is read once."""
 
     parts: tuple[tuple[CanonicalNode, Piece], ...]
     rank: Ordinal
-    windows: dict[tuple[int, int], BuiltWindow] = field(
+    windows: dict[tuple[int, int], Window] = field(
         default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -422,29 +415,14 @@ class FilteredPiece(Piece):
 def piece_window(piece: Piece, depth: int, width: int) -> tuple[FiniteTree, dict[int, Positioned]]:
     """Materialize the sampled window as a finite tree plus the node map
     window id -> (node, declared position), each position as the piece's
-    sampler handed it down.  A union keeps what it built, so a second call
-    at the same budget composes nothing."""
-    built = piece.windows.get((depth, width)) if isinstance(piece, UnionPiece) else None
-    if built is None:
-        parents, at = _window(piece, depth, width, {})
-        built = BuiltWindow(tuple(parents), dict(enumerate(at)))
-        if isinstance(piece, UnionPiece):
-            piece.windows[depth, width] = built
+    sampler handed it down.  A union keeps this window for the next build
+    that contains it, which takes it (``_window``)."""
+    parents, at = _window(piece, depth, width, {})
     # every parent id is smaller than its child's: a forest by construction
-    return FiniteTree._of_valid(range(len(built.parents)), built.parents), built.at
-
-
-def _release(piece: Piece) -> None:
-    """Drop every window kept by a union that is now read only through its
-    children, and by the unions among its parts: later builds compose them
-    again, each within one build."""
-    if isinstance(piece, ShiftPiece):
-        return _release(piece.inner)
-    if not isinstance(piece, UnionPiece):
-        return
-    piece.windows.clear()
-    for _, part in piece.parts:
-        _release(part)
+    window, at = FiniteTree._of_valid(range(len(parents)), parents), dict(enumerate(at))
+    if isinstance(piece, UnionPiece):  # kept without a copy of its own
+        piece.windows[depth, width] = window.parents, at.values()
+    return window, at
 
 
 def _window(piece: Piece, depth: int, width: int, memo: dict) -> Window:
@@ -454,8 +432,9 @@ def _window(piece: Piece, depth: int, width: int, memo: dict) -> Window:
     A union's window is its parts' windows side by side, ids offset and
     anchors prefixed; a stack's is composed from its bands' windows (see
     ``_stack_window``); a shifted piece's is its inner piece's window with
-    the entries moved; any other piece is walked.  ``memo`` holds every
-    window of one build, by piece and depth, and is dropped with it."""
+    the entries moved; any other piece is walked.  A union's window kept by
+    ``piece_window`` moves into ``memo``, which holds every window of one
+    build, by piece and depth, and is dropped with it."""
     if isinstance(piece, StackPiece):
         return _stack_window(piece.bands, piece.band_rank, depth, width, memo)
     key = (id(piece), depth)
@@ -463,17 +442,17 @@ def _window(piece: Piece, depth: int, width: int, memo: dict) -> Window:
     if hit is not None:
         return hit
     if isinstance(piece, UnionPiece):
-        kept = piece.windows.get((depth, width))
-        if kept is not None:
-            return kept.parents, kept.at.values()
-        parents: list[int | None] = []
-        at: list[Positioned] = []
-        for anchor, part in piece.parts:
-            part_parents, part_at = _window(part, depth, width, memo)
-            off = len(at)
-            parents.extend(None if p is None else p + off for p in part_parents)
-            at.extend((anchor + node, pos) for node, pos in part_at)
-        hit = memo[key] = parents, at
+        hit = piece.windows.pop((depth, width), None)
+        if hit is None:
+            parents: list[int | None] = []
+            at: list[Positioned] = []
+            for anchor, part in piece.parts:
+                part_parents, part_at = _window(part, depth, width, memo)
+                off = len(at)
+                parents.extend(None if p is None else p + off for p in part_parents)
+                at.extend((anchor + node, pos) for node, pos in part_at)
+            hit = parents, at
+        memo[key] = hit
         return hit
     if isinstance(piece, ShiftPiece):
         parents, at = _window(piece.inner, depth, width, memo)
@@ -840,7 +819,6 @@ def _stabilize_layers(tree, base, prefix, rho, rule, budget, cap, memo, top):
         keep = tuple(i for i, c in enumerate(table) if i < lam_key or c == j)
         sub_fact = factorize(sub_rho)
         if keep != tuple(range(sub_fact.lam)):
-            _release(piece)  # a filtered piece walks its inner piece's children
             piece = FilteredPiece(piece, sub_fact, keep)
         parts.append((anchor, piece))
     return assemble_union(parts, rho), key + (j,)
@@ -899,9 +877,6 @@ def _segment_finite_top(tree, base, prefix, rho, gamma_p, rule, budget, cap, mem
                             for q, (delta, _, _) in enumerate(kept, 1)], rho)
     if not top:
         table += (_cross_color(tree, union, prefix, gamma_p, rule, budget),)
-    for _, piece in bands:
-        # only the builds of this union read a band's windows
-        _release(piece)
     return union, table
 
 

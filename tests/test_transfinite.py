@@ -725,10 +725,11 @@ def certified_pieces():
 
 
 class TestComposedWindows:
-    """A union's window is its parts' windows side by side, built once per
-    budget, and a stack's is composed from its bands' windows; each equals
-    the depth-first walk of the piece's own roots and children, and its
-    window facts equal the node-by-node ones."""
+    """A union's window is its parts' windows side by side, kept by
+    ``piece_window`` until the first build that contains the union takes
+    it, and a stack's is composed from its bands' windows; each equals the
+    depth-first walk of the piece's own roots and children, and its window
+    facts equal the node-by-node ones."""
 
     def test_windows_equal_the_depth_first_walk(self, certified_pieces):
         # every depth, so the lower bands' windows grafted at each depth are compared too
@@ -764,12 +765,15 @@ class TestComposedWindows:
         parts = [((mul(w, q),), EntryPiece(ZERO, EntryMap.identity(mul(w, q)))) for q in (1, 2)]
         union = assemble_union(parts, declared_rank=w2)
         first, at = piece_window(union, 3, 3)
-        assert union.windows.keys() == {(3, 3)}
         again, at_again = piece_window(union, 3, 3)
         assert again == first and at_again == at
-        piece_window(union, 2, 3)
-        assert union.windows.keys() == {(3, 3), (2, 3)}
         assert union == assemble_union(parts, declared_rank=w2)
+        # the first build that contains the union takes its window
+        outer = assemble_union([((mul(w2, 2),), union)])
+        window, at_outer = piece_window(outer, 3, 3)
+        assert not union.windows and outer.windows.keys() == {(3, 3)}
+        assert window == first
+        assert at_outer == {i: ((mul(w2, 2),) + node, pos) for i, (node, pos) in at.items()}
 
     def test_union_rejects_comparable_anchors(self):
         seg = EntryPiece(ZERO, EntryMap.identity(w))
@@ -782,18 +786,50 @@ class TestComposedWindows:
         # the top union keeps the one window its final pass read
         assert res.subtree.windows.keys() == {(3, 3)}
         bands = [band for _, stack in res.subtree.parts for _, band in stack.bands]
-        # no window composed for a band, or kept by a union inside one, outlives the build
+        # the builds that contained them took the windows of the bands and
+        # of every union inside one
         inside = [sub for band in bands for sub in _inner_pieces(band) if isinstance(sub, UnionPiece)]
         assert bands and inside and all(not sub.windows for sub in inside)
 
-    def test_grades_and_the_top_union_keep_their_windows(self):
+    def test_the_top_union_takes_its_grades_windows(self):
         # the grades of a limit top are finite-top unions that ran _cross_color
-        # below their anchor: the top union's window reuses theirs
+        # below their anchor: the top union's window took theirs
         tree = CanonicalTree.of(0, parse_ordinal("w^w"))
         res = stabilize_transfinite(tree, RuleColoring.sep_table((0, 1)), Budget(4, 3, 6))
         grades = [part for _, part in res.subtree.parts if isinstance(part, UnionPiece)]
-        assert grades and all(part.windows.keys() == {(4, 3)} for part in grades)
+        inside = [sub for grade in grades for sub in _inner_pieces(grade) if isinstance(sub, UnionPiece)]
+        assert grades and all(not sub.windows for sub in inside)
         assert res.subtree.windows.keys() == {(4, 3)}
+
+    def test_a_union_window_is_composed_once_per_run(self, monkeypatch):
+        # a union's window at the budget's depth is composed by its own
+        # _cross_color or the final audit, and read again by the window that
+        # contains it: that read must not compose it anew.  A composition is
+        # a _window call that reads the union's parts; a kept window or a
+        # memo hit reads none.  Left out: F[sep] on w^(w*2) at (2,2,6), where
+        # one union of rank w is a part of two unions (a w^2 band and a w^w
+        # grade share its view and base), so the second composes it again.
+        window, calls = transfinite._window, [0]
+
+        def counted(piece, depth, width, memo):
+            before = calls[0] = calls[0] + 1
+            out = window(piece, depth, width, memo)
+            if isinstance(piece, UnionPiece) and depth == budget.depth and calls[0] > before:
+                composed.setdefault(id(piece), [piece, 0])[1] += 1
+            return out
+
+        monkeypatch.setattr(transfinite, "_window", counted)
+        cases = [(text, RuleColoring.sep_table(table), dims) for text, table, dims in BENCH_CASES]
+        for line in SWEEP.read_text().splitlines():
+            case = json.loads(line)
+            if case["verdict"] == "ok" and case["rule"].startswith("F[sep]") and \
+                    (case["tree"], case["budget"]) != ("w^(w*2)", [2, 2, 6]):
+                cases.append((case["tree"], parse_rule(case["rule"], k=case["k"]), case["budget"]))
+        assert len(cases) == 4 + 4
+        for text, rule, dims in cases:
+            budget, composed = Budget(*dims), {}
+            stabilize_transfinite(CanonicalTree.of(0, parse_ordinal(text)), rule, budget)
+            assert composed and max(n for _, n in composed.values()) == 1, (text, dims)
 
 
 class ChildAboveParent(Piece):
