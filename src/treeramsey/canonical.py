@@ -64,16 +64,17 @@ class CanonicalTree:
     def __contains__(self, node: CanonicalNode) -> bool:
         if not node:
             return False
+        node = tuple(map(ordinal, node))  # entries may be given as ints
         return compare(node[0], self.beta) < 0 and self._continues(node, 1)
 
     def _continues(self, node: CanonicalNode, k: int) -> bool:
         """Whether the entries of the node from index k on continue its
         first k inside the tree: each below the one before, the last at
         least alpha."""
-        if compare(node[-1], self.alpha) < 0:
+        if node[-1]._key < self.alpha._key:
             return False
         for i in range(k, len(node)):
-            if compare(node[i], node[i - 1]) >= 0:
+            if not node[i]._key < node[i - 1]._key:
                 return False
         return True
 
@@ -171,20 +172,24 @@ def window_facts(tree: CanonicalTree, nodes: Sequence[CanonicalNode],
 
     A node that extends its parent is checked on the entries it adds below
     it, any other node in full, so a membership error names the same first
-    node; the block signature is computed once per tau."""
+    node; nodes with one last entry and depth share one record, and the
+    block signature is computed once per tau."""
     why = _separation_undefined(tree)
     alpha, beta = tree.alpha, tree.beta
-    sigs: dict[Ordinal, tuple[Ordinal, ...] | str] = {}
+    sigs: dict[int, tuple[Ordinal, ...] | str] = {}  # by tau serial
+    records: dict[tuple[int, int], NodeFacts] = {}  # by (last entry serial, depth)
     out: list[NodeFacts] = []
     for node, p in zip(nodes, parents):
         above = () if p is None else nodes[p]
         k = len(above)
         tree._require(node, k if 0 < k < len(node) and node[:k] == above else 0)
-        tau = left_subtract(alpha, node[-1])
-        sig = sigs.get(tau)
-        if sig is None:
-            sig = sigs[tau] = tau_facts(beta, tau, why=why).sig
-        out.append(NodeFacts(tau, len(node), beta, sig))
+        key = (node[-1]._serial, len(node))
+        if key not in records:
+            tau = left_subtract(alpha, node[-1])
+            if tau._serial not in sigs:
+                sigs[tau._serial] = tau_facts(beta, tau, why=why).sig
+            records[key] = NodeFacts(tau, len(node), beta, sigs[tau._serial])
+        out.append(records[key])
     return out
 
 

@@ -5,13 +5,11 @@ sampled roots and children, each with its declared position, under a
 declared symbolic rank.  Every construction returns its piece, and
 ``piece_window(piece, depth, width)`` materializes the sampled finite
 window, each node with the declared position its sampler handed down the
-walk.  Windows are composed, not walked, where the pieces allow: a
-union's window is its parts' windows side by side, and a stack's is its
-top band's window with the window of the lower bands grafted below each
-band leaf; a shifted piece's window is its inner window with the entries
-moved; only entry and filtered pieces are walked.  A union keeps the
-window ``piece_window`` built for it, and the first build that contains
-the union takes it: a kept window is read once.  A contraction keeps the
+walk.  Windows are emitted, not composed: each node is appended once,
+under the prefix, parent, position shift and entry move that the unions,
+stacks and shifted pieces around it hand down; only entry and filtered
+pieces are walked.  A union keeps the window ``piece_window`` built for
+it, and the first build that contains it takes it.  A contraction keeps the
 entries whose digits lie on chosen layers.  The stabilizer recurses on
 the top layer, and every layer kind takes one pigeonhole step:
 candidates are stabilized in order until ``width`` share a key, which a
@@ -27,7 +25,8 @@ plus its prefix length if the rule reads depth and its base if it reads
 tau.  A repeat takes the first table and piece, moved to its base
 (``ShiftPiece``), and still counts against the budget's cap, which is
 part of the view.  The final audit reads the top window's pairs in one
-pass, which also reads the cross-level color of a finite top layer.
+pass, which also reads the cross-level color of a finite top layer; a
+pair pass separates each pair of (signature, position) classes once.
 
 Declared data are claims, not proofs; every public construction is paired
 with an audit that materializes a finite window at the given budget and
@@ -235,7 +234,7 @@ class Piece:
         """Sampled children of the member ``node`` at declared position ``pos``.
 
         A member at position 0 is a leaf of the piece: no child is sampled
-        there.  Stack windows are composed on this rule (``_stack_window``),
+        there.  Stack windows are emitted on this rule (``_Emitter.stack``),
         and ``TestComposedWindows`` checks it on every kind of piece."""
         raise NotImplementedError
 
@@ -356,15 +355,29 @@ class ShiftPiece(Piece):
         return self.inner.declared_rank
 
     def roots(self, width: int) -> list[Positioned]:
-        return [(_moved(node, self.src, self.dst), pos) for node, pos in self.inner.roots(width)]
+        move = _Move(self.src, self.dst, None)
+        return [(move(node), pos) for node, pos in self.inner.roots(width)]
 
     def children(self, node: CanonicalNode, pos: Ordinal, width: int) -> list[Positioned]:
-        kids = self.inner.children(_moved(node, self.dst, self.src), pos, width)
-        return [(_moved(c, self.src, self.dst), p) for c, p in kids]
+        move = _Move(self.src, self.dst, None)
+        kids = self.inner.children(_Move(self.dst, self.src, None)(node), pos, width)
+        return [(move(c), p) for c, p in kids]
 
 
-def _moved(node: CanonicalNode, src: Ordinal, dst: Ordinal) -> CanonicalNode:
-    return tuple(add(dst, left_subtract(src, x)) for x in node)
+class _Move:
+    """A ``ShiftPiece``'s entry move src + r -> dst + r, then the move of
+    the shifted pieces around it, memoized per entry."""
+
+    def __init__(self, src: Ordinal, dst: Ordinal, outer: "_Move | None"):
+        self.src, self.dst, self.outer, self.done = src, dst, outer, {}
+
+    def __call__(self, node: CanonicalNode) -> CanonicalNode:
+        done = self.done
+        return tuple([done[x._serial] if x._serial in done else self._entry(x) for x in node])
+
+    def _entry(self, x: Ordinal) -> Ordinal:
+        y = add(self.dst, left_subtract(self.src, x))
+        return self.done.setdefault(x._serial, y if self.outer is None else self.outer((y,))[0])
 
 
 # nodes a filtered piece may walk through while looking for the covers of one node
@@ -416,8 +429,8 @@ def piece_window(piece: Piece, depth: int, width: int) -> tuple[FiniteTree, dict
     """Materialize the sampled window as a finite tree plus the node map
     window id -> (node, declared position), each position as the piece's
     sampler handed it down.  A union keeps this window for the next build
-    that contains it, which takes it (``_window``)."""
-    parents, at = _window(piece, depth, width, {})
+    that contains it, which takes it (``_Emitter.emit``)."""
+    parents, at = _Emitter(width).relative(piece, depth)
     # every parent id is smaller than its child's: a forest by construction
     window, at = FiniteTree._of_valid(range(len(parents)), parents), dict(enumerate(at))
     if isinstance(piece, UnionPiece):  # kept without a copy of its own
@@ -425,78 +438,73 @@ def piece_window(piece: Piece, depth: int, width: int) -> tuple[FiniteTree, dict
     return window, at
 
 
-def _window(piece: Piece, depth: int, width: int, memo: dict) -> Window:
-    """The window of ``piece``, in the preorder of the depth-first walk of
-    its own roots and children, each node once.
+class _Emitter:
+    """One build of windows.  ``emit`` appends each node of a piece's
+    window to ``out`` once, in the walk's preorder, under a prefix and a
+    parent id, its position shifted into the stack bands around it and its
+    entries moved by the shifted pieces around it.  Walked pieces and stack
+    bands keep a relative window in ``memo``; ``moves`` keeps each move."""
 
-    A union's window is its parts' windows side by side, ids offset and
-    anchors prefixed; a stack's is composed from its bands' windows (see
-    ``_stack_window``); a shifted piece's is its inner piece's window with
-    the entries moved; any other piece is walked.  A union's window kept by
-    ``piece_window`` moves into ``memo``, which holds every window of one
-    build, by piece and depth, and is dropped with it."""
-    if isinstance(piece, StackPiece):
-        return _stack_window(piece.bands, piece.band_rank, depth, width, memo)
-    key = (id(piece), depth)
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
-    if isinstance(piece, UnionPiece):
-        hit = piece.windows.pop((depth, width), None)
+    def __init__(self, width: int):
+        self.width, self.memo, self.moves = width, {}, {}
+
+    def relative(self, piece: Piece, depth: int) -> Window:
+        """The window of ``piece`` alone, kept for the build."""
+        key = (id(piece), depth)
+        if key not in self.memo:
+            if isinstance(piece, (UnionPiece, StackPiece, ShiftPiece)):
+                self.emit(out := ([], []), piece, depth, (), None, ZERO, None)
+                self.memo[key] = out
+            else:
+                self.memo[key] = _walk(piece, depth, self.width)
+        return self.memo[key]
+
+    def emit(self, out, piece, depth, prefix, parent, shift, move) -> None:
+        hit = self.memo.get((id(piece), depth))
         if hit is None:
-            parents: list[int | None] = []
-            at: list[Positioned] = []
-            for anchor, part in piece.parts:
-                part_parents, part_at = _window(part, depth, width, memo)
-                off = len(at)
-                parents.extend(None if p is None else p + off for p in part_parents)
-                at.extend((anchor + node, pos) for node, pos in part_at)
-            hit = parents, at
-        memo[key] = hit
-        return hit
-    if isinstance(piece, ShiftPiece):
-        parents, at = _window(piece.inner, depth, width, memo)
-        hit = memo[key] = parents, [(_moved(node, piece.src, piece.dst), pos) for node, pos in at]
-        return hit
-    hit = memo[key] = _walk(piece, depth, width)
-    return hit
+            if isinstance(piece, StackPiece):
+                return self.stack(out, piece.bands, len(piece.bands), piece.band_rank,
+                                  depth, prefix, parent, shift, move)
+            if isinstance(piece, ShiftPiece):
+                key = (id(move), piece.src._serial, piece.dst._serial)
+                if key not in self.moves:
+                    self.moves[key] = _Move(piece.src, piece.dst, move)
+                return self.emit(out, piece.inner, depth, prefix, parent, shift, self.moves[key])
+            if isinstance(piece, UnionPiece):
+                hit = piece.windows.pop((depth, self.width), None)
+                if hit is None:
+                    return self.union(out, piece, depth, prefix, parent, shift, move)
+            else:
+                hit = self.relative(piece, depth)
+        (parents, at), off = out, len(out[1])
+        parents.extend([parent if p is None else p + off for p in hit[0]])
+        at.extend([(prefix + (node if move is None else move(node)),
+                    pos if shift is ZERO else add(shift, pos)) for node, pos in hit[1]])
 
+    def union(self, out, piece, depth, prefix, parent, shift, move) -> None:
+        """Compose a union's window: its parts' windows side by side."""
+        for anchor, part in piece.parts:
+            self.emit(out, part, depth, prefix + (anchor if move is None else move(anchor)),
+                      parent, shift, move)
 
-def _stack_window(bands: Sequence[tuple[Ordinal, Piece]], band_rank: Ordinal,
-                  depth: int, width: int, memo: dict) -> Window:
-    """The window of the stack of ``bands``: the top band's window, each
-    position shifted by band_rank * (its band), with the window of the lower
-    bands grafted below each band leaf (band position 0) above the last
-    level, that leaf as prefix.
-
-    A piece samples no child at position 0, so a band leaf's subtree in
-    the walk is exactly the grafted window, and it follows the leaf in
-    preorder.  Stacks that share their lower bands, as the parts of a
-    finite-top union do, share these windows within one build."""
-    key = (band_rank, depth, *[id(piece) for _, piece in bands])
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
-    band_parents, band_at = _window(bands[-1][1], depth, width, memo)
-    shift = mul(band_rank, len(bands) - 1)
-    parents: list[int | None] = []
-    at: list[Positioned] = []
-    ids: list[int] = []  # the id of each band node in the stack window
-    levels: list[int] = []
-    for p, (node, pos) in zip(band_parents, band_at):
-        me = len(at)
-        level = 1 if p is None else levels[p] + 1
-        ids.append(me)
-        levels.append(level)
-        parents.append(None if p is None else ids[p])
-        at.append((node, add(shift, pos)))
-        if pos.is_zero and len(bands) > 1 and level < depth:
-            low_parents, low_at = _stack_window(bands[:-1], band_rank, depth - level, width, memo)
-            off = len(at)
-            parents.extend(me if lp is None else lp + off for lp in low_parents)
-            at.extend((node + low, lpos) for low, lpos in low_at)
-    hit = memo[key] = parents, at
-    return hit
+    def stack(self, out, bands, n, band_rank, depth, prefix, parent, shift, move) -> None:
+        """The stack of the first n bands: band n-1's window, positions
+        shifted by band_rank * (n-1), with the stack of the n-1 bands below
+        each band leaf (position 0) above the last level, that leaf as
+        prefix.  A piece samples no child at position 0, so the leaf's
+        subtree in the walk is exactly that stack, and follows the leaf."""
+        band_parents, band_at = self.relative(bands[n - 1][1], depth)
+        band_shift = add(shift, mul(band_rank, n - 1))
+        (parents, at), ids, levels = out, [], []
+        for p, (node, pos) in zip(band_parents, band_at):
+            me, level = len(at), 1 if p is None else levels[p] + 1
+            ids.append(me)
+            levels.append(level)
+            parents.append(parent if p is None else ids[p])
+            node = prefix + (node if move is None else move(node))
+            at.append((node, pos if band_shift is ZERO else add(band_shift, pos)))
+            if pos.is_zero and n > 1 and level < depth:
+                self.stack(out, bands, n - 1, band_rank, depth - level, node, me, shift, move)
 
 
 def _walk(piece: Piece, depth: int, width: int) -> Window:
@@ -538,12 +546,19 @@ def _facts(tree: CanonicalTree, prefix: CanonicalNode, window: FiniteTree,
 
 
 def _declared_facts(piece: Piece, at: dict[int, Positioned]) -> list[NodeFacts]:
-    """The facts of each window node's declared position, once per position."""
-    records: dict[Ordinal, NodeFacts] = {}
-    for _, pos in at.values():
-        if pos not in records:
-            records[pos] = tau_facts(piece.declared_rank, pos)
-    return [records[pos] for _, pos in at.values()]
+    """The facts of each window node's declared position, one record per
+    position."""
+    rank, records = piece.declared_rank, {}  # records by position serial
+    return [records.get(pos._serial) or records.setdefault(pos._serial, tau_facts(rank, pos))
+            for _, pos in at.values()]
+
+
+def _classes(*records: Sequence) -> tuple[list[int], int]:
+    """Number window nodes by the identity of their records, given per node,
+    so that pairs of equal numbers separate alike; and count the numbers."""
+    numbers: dict[tuple[int, ...], int] = {}
+    return [numbers.setdefault(key, len(numbers))
+            for key in zip(*[map(id, per_node) for per_node in records])], len(numbers)
 
 
 def _require_extensions(window: FiniteTree, at: dict[int, Positioned]) -> None:
@@ -632,12 +647,17 @@ def audit_contraction(tree: CanonicalTree, spec: ContractionSpec,
                       sub: Piece, budget: Budget) -> Audit:
     report, window, at = _audit_window("contraction", sub, budget)
     facts, declared = _facts(tree, (), window, at), _declared_facts(sub, at)
-    enum, failed, count = spec.enumeration, None, 0
-    for count, (i_s, i_t) in enumerate(window.ordered_pairs(), 1):
-        sq = separation_of_facts(declared[i_s], declared[i_t])
-        sp = separation_of_facts(facts[i_s], facts[i_t])
-        if failed is None and enum[sq] != sp:
-            failed = f"{_pair_text(at, i_s, i_t)}: ambient {sp} != mapped {enum[sq]}"
+    cls, n = _classes([f.sig for f in facts], declared)
+    enum, failed, below, seen = spec.enumeration, None, window._below, set()
+    for s in window.ids:
+        fs, ds, row = facts[s], declared[s], cls[s] * n
+        for t in below[s]:
+            if row + cls[t] not in seen:  # the first pair of a class pair decides it
+                seen.add(row + cls[t])
+                sq, sp = separation_of_facts(ds, declared[t]), separation_of_facts(fs, facts[t])
+                if failed is None and enum[sq] != sp:
+                    failed = f"{_pair_text(at, s, t)}: ambient {sp} != mapped {enum[sq]}"
+    count = sum(map(len, below.values()))
     report.add("separation-enumerates", failed is None, failed or f"{count} pairs checked")
     return report
 
@@ -730,26 +750,32 @@ def _audit_stabilization(tree: CanonicalTree, sub: Piece, table: tuple[int, ...]
     size = len(table) + (gamma_p is not None)
     report.add("table-spans-layers", size == lam, f"table size {size} vs {lam} layers")
     facts, declared = _facts(tree, (), window, at), _declared_facts(sub, at)
-    level = None if gamma_p is None else [left_divide(gamma_p, pos)[0] for _, pos in at.values()]
+    level = [None if gamma_p is None else left_divide(gamma_p, pos)[0] for _, pos in at.values()]
+    cls, n = _classes([f.sig for f in facts], declared)
+    below, seps = window._below, {}  # (ambient, declared) separation by class pair
     seen = sep_failed = color_failed = None
-    count = 0
-    for count, (i_s, i_t) in enumerate(window.ordered_pairs(), 1):
-        fs, ft = facts[i_s], facts[i_t]
-        sp, sq = separation_of_facts(fs, ft), separation_of_facts(declared[i_s], declared[i_t])
-        if sep_failed is None and sq != sp:
-            sep_failed = f"{_pair_text(at, i_s, i_t)}: subtree separation {sq} != ambient {sp}"
-        if level is not None and level[i_s] is not level[i_t]:
-            seen = _cross_level(seen, rule.value(fs, ft, sp))
-        elif color_failed is None:
-            try:
-                color = rule.value(fs, ft, sp)
-            except ValueError as err:  # a rule's error (RuleError, OrdinalError) waits
-                color_failed = err
-                continue
-            if table[sq] != color:
-                color_failed = (f"{_pair_text(at, i_s, i_t)}: "
-                                f"table[{sq}]={table[sq]} != color {color}")
-    if level is not None:
+    for s in window.ids:
+        fs, ds, row, ls = facts[s], declared[s], cls[s] * n, level[s]
+        for t in below[s]:
+            ft, key = facts[t], row + cls[t]
+            if key not in seps:  # an error is raised at the first pair of its class pair
+                seps[key] = separation_of_facts(fs, ft), separation_of_facts(ds, declared[t])
+            sp, sq = seps[key]
+            if sep_failed is None and sq != sp:
+                sep_failed = f"{_pair_text(at, s, t)}: subtree separation {sq} != ambient {sp}"
+            if ls is not level[t]:
+                seen = _cross_level(seen, rule.value(fs, ft, sp))
+            elif color_failed is None:
+                try:
+                    color = rule.value(fs, ft, sp)
+                except ValueError as err:  # a rule's error (RuleError, OrdinalError) waits
+                    color_failed = err
+                    continue
+                if table[sq] != color:
+                    color_failed = (f"{_pair_text(at, s, t)}: "
+                                    f"table[{sq}]={table[sq]} != color {color}")
+    count = sum(map(len, below.values()))
+    if gamma_p is not None:
         table += (_cross_level_found(seen),)
     report.add("separation-preserved", sep_failed is None, sep_failed or f"{count} pairs checked")
     if isinstance(color_failed, Exception):
@@ -819,6 +845,8 @@ def _stabilize_layers(tree, base, prefix, rho, rule, budget, cap, memo, top):
         keep = tuple(i for i, c in enumerate(table) if i < lam_key or c == j)
         sub_fact = factorize(sub_rho)
         if keep != tuple(range(sub_fact.lam)):
+            if isinstance(piece, UnionPiece):  # a filtered walk reads no kept window
+                piece.windows.clear()
             piece = FilteredPiece(piece, sub_fact, keep)
         parts.append((anchor, piece))
     return assemble_union(parts, rho), key + (j,)
@@ -886,10 +914,17 @@ def _cross_color(tree, union: Piece, prefix: CanonicalNode, gamma_p: Ordinal,
     window, at = piece_window(union, budget.depth, budget.width)
     facts = _facts(tree, prefix, window, at)
     level = [left_divide(gamma_p, pos)[0] for _, pos in at.values()]
-    seen: int | None = None
-    for i_s, i_t in window.ordered_pairs():
-        if level[i_s] is not level[i_t]:
-            seen = _cross_level(seen, rule.value(facts[i_s], facts[i_t]))
+    reads_sep = rule.reads is not None and "sep" in rule.reads
+    cls, n = _classes([f.sig for f in facts])
+    below, seps, seen = window._below, {}, None
+    for s in window.ids:
+        fs, ls, row = facts[s], level[s], cls[s] * n
+        for t in below[s]:
+            if ls is not level[t]:
+                ft, key = facts[t], row + cls[t]
+                if reads_sep and key not in seps:
+                    seps[key] = separation_of_facts(fs, ft)
+                seen = _cross_level(seen, rule.value(fs, ft, seps.get(key)))
     return _cross_level_found(seen)
 
 

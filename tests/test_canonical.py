@@ -56,6 +56,10 @@ class TestMembership:
         assert (w + 3,) in line
         assert (ordinal(3),) not in line
 
+    def test_int_entries(self, square):
+        assert (mul(w, 2), 5, 0) in square and (3, 2) in square
+        assert (2, 3) not in square and (2,) not in CanonicalTree.of(w, mul(w, 2))
+
     def test_empty_tree(self):
         assert CanonicalTree.of(w, w).is_empty
         assert not CanonicalTree.of(0, 1).is_empty

@@ -297,6 +297,7 @@ class TestFilteredPaths:
         assert res.table == (1,) and res.report.ok
         assert [str(p.declared_rank) for _, p in res.subtree.parts] == ["1", "w", "w^2"]
         assert all(isinstance(p, FilteredPiece) for _, p in res.subtree.parts)
+        self._only_the_top_union_keeps_a_window(res, Budget(3, 3, 6))
 
     def test_filtered_blocks_below_finite_top(self):
         tree = CanonicalTree.of(0, omega_pow(w + 1))
@@ -306,6 +307,15 @@ class TestFilteredPaths:
         stack = res.subtree.parts[-1][1]
         assert all(any(isinstance(p, FilteredPiece) for _, p in band.parts)
                    for _, band in stack.bands)
+        self._only_the_top_union_keeps_a_window(res, Budget(2, 2, 6))
+
+    @staticmethod
+    def _only_the_top_union_keeps_a_window(res, budget):
+        # the filtered grades' unions drop the windows their _cross_color built
+        unions = [sub for sub in _inner_pieces(res.subtree) if isinstance(sub, UnionPiece)]
+        assert unions[0] is res.subtree and len(unions) > 1
+        assert res.subtree.windows.keys() == {(budget.depth, budget.width)}
+        assert not any(sub.windows for sub in unions[1:])
 
 
 class TestStabilizeTransfinite:
@@ -747,6 +757,24 @@ class TestComposedWindows:
         assert kinds == {cls for cls in vars(transfinite).values()
                          if isinstance(cls, type) and issubclass(cls, Piece) and cls is not Piece}
 
+    def test_shifts_inside_bands_inside_shifts(self):
+        # an emitted window composes the move of a shifted stack with the
+        # moves of the shifted bands inside it, at every depth
+        res = stabilize_transfinite(CanonicalTree.of(0, omega_pow(3)),
+                                    RuleColoring.sep_table((2, 0, 1)), Budget(4, 3, 6))
+        stack = res.subtree.parts[-1][1]
+        assert any(isinstance(sub, ShiftPiece) for _, band in stack.bands
+                   for sub in _inner_pieces(band) if sub is not band)
+        w3 = omega_pow(3)
+        moved = ShiftPiece(stack, ZERO, w3)
+        for piece in (moved, ShiftPiece(moved, w3, mul(w3, 2)),
+                      assemble_union([((mul(w3, 5),), moved)])):
+            for depth in range(1, 5):
+                window, at = piece_window(piece, depth, 3)
+                ref, ref_at = _walk_window(piece, depth, 3)
+                assert window.parents == ref.parents, depth
+                assert [at[i] for i in window.ids] == [ref_at[i] for i in ref.ids], depth
+
     def test_window_facts_equal_node_facts(self, certified_pieces):
         for name, tree, piece, budget in certified_pieces:
             window, at = piece_window(piece, budget.depth, budget.width)
@@ -805,20 +833,19 @@ class TestComposedWindows:
         # a union's window at the budget's depth is composed by its own
         # _cross_color or the final audit, and read again by the window that
         # contains it: that read must not compose it anew.  A composition is
-        # a _window call that reads the union's parts; a kept window or a
-        # memo hit reads none.  Left out: F[sep] on w^(w*2) at (2,2,6), where
-        # one union of rank w is a part of two unions (a w^2 band and a w^w
-        # grade share its view and base), so the second composes it again.
-        window, calls = transfinite._window, [0]
+        # an emitter's union call, which reads the union's parts; a kept
+        # window or a stack band's relative window is copied instead.  Left
+        # out: F[sep] on w^(w*2) at (2,2,6), where one union of rank w is a
+        # part of two unions (a w^2 band and a w^w grade share its view and
+        # base), so the second composes it again.
+        union = transfinite._Emitter.union
 
-        def counted(piece, depth, width, memo):
-            before = calls[0] = calls[0] + 1
-            out = window(piece, depth, width, memo)
-            if isinstance(piece, UnionPiece) and depth == budget.depth and calls[0] > before:
+        def counted(emitter, out, piece, depth, *frame):
+            if depth == budget.depth:
                 composed.setdefault(id(piece), [piece, 0])[1] += 1
-            return out
+            return union(emitter, out, piece, depth, *frame)
 
-        monkeypatch.setattr(transfinite, "_window", counted)
+        monkeypatch.setattr(transfinite._Emitter, "union", counted)
         cases = [(text, RuleColoring.sep_table(table), dims) for text, table, dims in BENCH_CASES]
         for line in SWEEP.read_text().splitlines():
             case = json.loads(line)
@@ -976,3 +1003,138 @@ class TestSinglePass:
         calls = []
         monkeypatch.setattr(rules, "separation_of_facts", lambda s, t: calls.append(s))
         assert _audit_stabilization(cube, res.subtree, res.table, rule, budget)[0].ok and not calls
+
+
+# -- the pair pass against the pair-by-pair reference -------------------------------
+
+
+def _reference_contraction(tree, spec, sub, budget):
+    """``audit_contraction`` separating every pair on its own, twice."""
+    report, window, at = transfinite._audit_window("contraction", sub, budget)
+    facts, declared = transfinite._facts(tree, (), window, at), transfinite._declared_facts(sub, at)
+    enum, failed, count = spec.enumeration, None, 0
+    for count, (i_s, i_t) in enumerate(window.ordered_pairs(), 1):
+        sq = separation_of_facts(declared[i_s], declared[i_t])
+        sp = separation_of_facts(facts[i_s], facts[i_t])
+        if failed is None and enum[sq] != sp:
+            failed = f"{transfinite._pair_text(at, i_s, i_t)}: ambient {sp} != mapped {enum[sq]}"
+    report.add("separation-enumerates", failed is None, failed or f"{count} pairs checked")
+    return report
+
+
+def _reference_stabilization(tree, sub, table, rule, budget, gamma_p=None):
+    """``_audit_stabilization`` separating every pair on its own, twice."""
+    from treeramsey.ordinal import factorize
+    report, window, at = transfinite._audit_window("stabilization", sub, budget, nonempty=True)
+    lam = factorize(sub.declared_rank).lam
+    size = len(table) + (gamma_p is not None)
+    report.add("table-spans-layers", size == lam, f"table size {size} vs {lam} layers")
+    facts, declared = transfinite._facts(tree, (), window, at), transfinite._declared_facts(sub, at)
+    level = None if gamma_p is None else [left_divide(gamma_p, pos)[0] for _, pos in at.values()]
+    seen = sep_failed = color_failed = None
+    count = 0
+    for count, (i_s, i_t) in enumerate(window.ordered_pairs(), 1):
+        fs, ft = facts[i_s], facts[i_t]
+        sp, sq = separation_of_facts(fs, ft), separation_of_facts(declared[i_s], declared[i_t])
+        if sep_failed is None and sq != sp:
+            sep_failed = (f"{transfinite._pair_text(at, i_s, i_t)}: "
+                          f"subtree separation {sq} != ambient {sp}")
+        if level is not None and level[i_s] is not level[i_t]:
+            seen = transfinite._cross_level(seen, rule.value(fs, ft, sp))
+        elif color_failed is None:
+            try:
+                color = rule.value(fs, ft, sp)
+            except ValueError as err:
+                color_failed = err
+                continue
+            if table[sq] != color:
+                color_failed = (f"{transfinite._pair_text(at, i_s, i_t)}: "
+                                f"table[{sq}]={table[sq]} != color {color}")
+    if level is not None:
+        table += (transfinite._cross_level_found(seen),)
+    report.add("separation-preserved", sep_failed is None, sep_failed or f"{count} pairs checked")
+    if isinstance(color_failed, Exception):
+        raise color_failed
+    report.add("colors-recovered", color_failed is None, color_failed or f"{count} pairs checked")
+    return report, table
+
+
+def _reference_cross_color(tree, union, prefix, gamma_p, rule, budget):
+    """``_cross_color`` reading every cross-level pair on its own."""
+    window, at = piece_window(union, budget.depth, budget.width)
+    facts = transfinite._facts(tree, prefix, window, at)
+    level = [left_divide(gamma_p, pos)[0] for _, pos in at.values()]
+    seen = None
+    for i_s, i_t in window.ordered_pairs():
+        if level[i_s] is not level[i_t]:
+            seen = transfinite._cross_level(seen, rule.value(facts[i_s], facts[i_t]))
+    return transfinite._cross_level_found(seen)
+
+
+def _outcome(fn, *args):
+    """What a call gives: its reports as JSON and any table or color, or the
+    type and message of what it raised."""
+    try:
+        out = fn(*args)
+    except Exception as err:  # both sides must raise alike, whatever it is
+        return type(err).__name__, str(err)
+    if isinstance(out, tuple):
+        report, table = out
+        return report.to_json(), table
+    return out.to_json() if isinstance(out, transfinite.Audit) else out
+
+
+class TestPairPassExactness:
+    """The pair passes separate each class pair once; they give the checks,
+    details, completed tables and errors of the pair-by-pair reference."""
+
+    @staticmethod
+    def _rules(lam, ambient):
+        """(rule, table) pairs: a separation table that the honest pieces
+        recover, and a rule of sep, tau and depth that they do not."""
+        colors = tuple((i + 1) % 2 for i in range(max(lam, ambient, 1)))
+        mixed = "if tau(1, s) mod 2 == 0 then sep else depth(t) mod 2"
+        return [(RuleColoring.sep_table(colors), colors[:lam]),
+                (parse_rule(mixed, k=len(colors)), tuple(range(lam)))]
+
+    def _agree(self, tree, piece, budget):
+        from treeramsey.ordinal import factorize
+        fact = factorize(piece.declared_rank)
+        gamma_p = fact.factors[-2] if fact.lam >= 2 else ONE
+        for rule, table in self._rules(fact.lam, factorize(tree.beta).lam):
+            for fn, ref, args in [
+                    (_audit_stabilization, _reference_stabilization,
+                     (tree, piece, table, rule, budget)),
+                    (_audit_stabilization, _reference_stabilization,
+                     (tree, piece, table[:-1], rule, budget, gamma_p)),
+                    (transfinite._cross_color, _reference_cross_color,
+                     (tree, piece, (), gamma_p, rule, budget)),
+                    # every pair crosses unit levels: the pass reads every separation
+                    (transfinite._cross_color, _reference_cross_color,
+                     (tree, piece, (), ONE, rule, budget))]:
+                assert _outcome(fn, *args) == _outcome(ref, *args), (fn.__name__, str(rule))
+        # layers 0, 1, ... map to themselves, layers 0, 2, ... only the first
+        for layers in (range(fact.lam), range(0, 2 * fact.lam, 2)):
+            args = (tree, ContractionSpec.of(piece.declared_rank, layers), piece, budget)
+            assert _outcome(audit_contraction, *args) == _outcome(_reference_contraction, *args)
+
+    def test_certified_pieces(self, certified_pieces):
+        for name, tree, piece, budget in certified_pieces:
+            self._agree(tree, piece, budget)
+
+    def test_contractions(self, square):
+        for layers in ((), (0,), (1,), (0, 1)):
+            spec = ContractionSpec.of(w2, layers)
+            sub = contract(square, spec)
+            assert _outcome(audit_contraction, square, spec, sub, WIDE) == \
+                _outcome(_reference_contraction, square, spec, sub, WIDE)
+
+    def test_tampered_pieces(self, square):
+        honest = stabilize_transfinite(square, RuleColoring.sep_table((1, 0)), BUDGET).subtree
+        for piece in (ZeroBelowRoots(honest), ChildrenBesideParent()):
+            self._agree(square, piece, BUDGET)
+        spec = ContractionSpec.of(w2, {0, 1})
+        honest = contract(square, spec)
+        for piece in (ZeroBelowRoots(honest), ChildrenBesideParent()):
+            assert _outcome(audit_contraction, square, spec, piece, WIDE) == \
+                _outcome(_reference_contraction, square, spec, piece, WIDE)
