@@ -9,7 +9,6 @@ last entry and no finite materialization is ever required for exactness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
 from .ordinal import (
@@ -48,10 +47,9 @@ def node_to_text(node: CanonicalNode) -> str:
     return ", ".join(str(e) for e in node)
 
 
-@dataclass(frozen=True)
 class CanonicalTree:
-    alpha: Ordinal
-    beta: Ordinal
+    def __init__(self, alpha: Ordinal, beta: Ordinal):
+        self.alpha, self.beta = alpha, beta
 
     @staticmethod
     def of(alpha: "Ordinal | int", beta: "Ordinal | int") -> "CanonicalTree":
@@ -212,8 +210,7 @@ def separation(tree: CanonicalTree, s: CanonicalNode, t: CanonicalNode) -> int:
     return separation_of_facts(*pair_facts(tree, s, t))
 
 
-@dataclass(frozen=True)
-class Truncation:
+class Truncation(NamedTuple):
     """Finite window onto a canonical tree.
 
     ``complete[i]`` marks nodes whose full child set made it into the

@@ -11,7 +11,6 @@ from __future__ import annotations
 import itertools
 import random
 import time
-from dataclasses import dataclass
 from typing import Callable
 
 from . import stabilize, transfinite, verify
@@ -302,9 +301,10 @@ def check_budgeted_stabilizer(rng: random.Random, quick: bool = False) -> str:
     return f"{runs} separation tables recovered exactly with all-pass audits"
 
 
-@dataclass
 class Outcome(Check):
-    seconds: float = 0.0
+    def __init__(self, name: str, passed: bool, detail: str = "", seconds: float = 0.0):
+        super().__init__(name, passed, detail)
+        self.seconds = seconds
 
 
 CHECKS: list[tuple[str, Callable[[random.Random, bool], str]]] = [

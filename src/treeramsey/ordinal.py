@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import re
 import weakref
-from dataclasses import dataclass, field
 from functools import cached_property, wraps
 from itertools import count
 from typing import Iterator
@@ -345,7 +344,6 @@ def is_multiplicatively_indecomposable(g: "Ordinal | int") -> bool:
     return is_additively_indecomposable(g.leading_exponent) and not g.leading_exponent.is_zero
 
 
-@dataclass(frozen=True)
 class IndecomposableFactorization:
     """g = w^(w^e0) * ... * w^(w^el) with e0 >= ... >= el; empty for g = 1.
 
@@ -354,8 +352,8 @@ class IndecomposableFactorization:
     factors[i] * cofactors[i] = g for every i.
     """
 
-    gamma: Ordinal
-    epsilons: tuple[Ordinal, ...]
+    def __init__(self, gamma: Ordinal, epsilons: tuple[Ordinal, ...]):
+        self.gamma, self.epsilons = gamma, epsilons
 
     @property
     def lam(self) -> int:
@@ -402,12 +400,11 @@ def factorize(g: "Ordinal | int") -> IndecomposableFactorization:
     return fact
 
 
-@dataclass(frozen=True)
 class SumDecomposition:
     """g = w^e0 + ... + w^el with e0 >= ... >= el, plus the partial sums."""
 
-    exponents: tuple[Ordinal, ...]
-    partial_sums: tuple[Ordinal, ...] = field(default=())
+    def __init__(self, exponents: tuple[Ordinal, ...], partial_sums: tuple[Ordinal, ...]):
+        self.exponents, self.partial_sums = exponents, partial_sums
 
     def __iter__(self) -> Iterator[Ordinal]:
         return iter(self.exponents)

@@ -6,22 +6,23 @@ stays in the module that owns the claim.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 
-
-@dataclass
 class Check:
-    name: str
-    passed: bool
-    detail: str = ""
+    def __init__(self, name: str, passed: bool, detail: str = ""):
+        self.name, self.passed, self.detail = name, passed, detail
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.name, self.passed, self.detail) == (other.name, other.passed, other.detail)
 
     def to_json(self) -> dict:
         return {"name": self.name, "passed": self.passed, "detail": self.detail}
 
 
-@dataclass
 class Report:
-    checks: list[Check] = field(default_factory=list)
+    def __init__(self) -> None:
+        self.checks: list[Check] = []
 
     @property
     def ok(self) -> bool:

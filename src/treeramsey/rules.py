@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import operator
 import re
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .canonical import NodeFacts, separation_of_facts
@@ -33,7 +32,6 @@ class RuleError(ValueError):
 PRIMITIVES = frozenset({"sep", "depth", "tau"})
 
 
-@dataclass(frozen=True)
 class RuleColoring:
     """Pair coloring evaluated by a closure over the facts of s and t
     (``canonical.pair_facts``), so a pair costs no membership check.
@@ -43,14 +41,11 @@ class RuleColoring:
     argument, None when the caller does not have it; a bare closure
     ``fn(s, t)`` has ``reads`` None and may read anything."""
 
-    k: int
-    fn: Callable[..., int]
-    source: str = ""
-    reads: frozenset[str] | None = None
-
-    def __post_init__(self) -> None:
-        if self.k < 0:
-            raise RuleError(f"palette bound k must be at least 0, got {self.k}")
+    def __init__(self, k: int, fn: Callable[..., int], source: str = "",
+                 reads: frozenset[str] | None = None):
+        if k < 0:
+            raise RuleError(f"palette bound k must be at least 0, got {k}")
+        self.k, self.fn, self.source, self.reads = k, fn, source, reads
 
     def value(self, s: NodeFacts, t: NodeFacts, sep: int | None = None) -> int:
         """The color of s < t, given their separation ``sep`` if at hand."""

@@ -12,7 +12,6 @@ certificate, not the construction, carries the proof.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from functools import cache
 from itertools import combinations
 from typing import Callable, Iterable, Mapping, Sequence
@@ -38,7 +37,6 @@ class RamseyBudgetError(RuntimeError):
 # -- colorings ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class Coloring:
     """Explicit color assignment on nodes, ordered pairs, or leaf chains.
 
@@ -47,10 +45,8 @@ class Coloring:
     before the leaf.
     """
 
-    arity: str
-    k: int
-    table: Mapping
-    n: int | None = None
+    def __init__(self, arity: str, k: int, table: Mapping, n: int | None = None):
+        self.arity, self.k, self.table, self.n = arity, k, table, n
 
     def value(self, key):
         return self.table[key]
@@ -142,17 +138,14 @@ def _palette(values: Iterable[int], k: int | None) -> int:
 # -- results -------------------------------------------------------------------
 
 
-@dataclass
 class StabilizationResult:
-    ambient: FiniteTree
-    subtree: FiniteTree
-    mode: str
-    reduced: object
-    coloring: Coloring
-    expected_rank: int
-    certificate: Report = field(default_factory=Report)
-    chain_length: int | None = None
-    extra: dict = field(default_factory=dict)
+    def __init__(self, ambient: FiniteTree, subtree: FiniteTree, mode: str, reduced: object,
+                 coloring: Coloring, expected_rank: int, chain_length: int | None = None,
+                 extra: dict | None = None):
+        self.ambient, self.subtree, self.mode, self.reduced = ambient, subtree, mode, reduced
+        self.coloring, self.expected_rank, self.chain_length = coloring, expected_rank, chain_length
+        self.extra = {} if extra is None else extra
+        self.certificate = Report()
 
     def recheck(self) -> Report:
         """Re-run the certificate from the stored data."""

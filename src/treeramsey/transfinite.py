@@ -6,11 +6,12 @@ declared symbolic rank.  Every construction returns its piece, and
 ``piece_window(piece, depth, width)`` materializes the sampled finite
 window, each node with the declared position its sampler handed down the
 walk.  Windows are emitted, not composed: each node is appended once,
-under the prefix, parent, position shift and entry move that the unions,
-stacks and shifted pieces around it hand down; only entry and filtered
-pieces are walked.  A union keeps the window ``piece_window`` built for
-it, and the first build that contains it takes it.  A contraction keeps the
-entries whose digits lie on chosen layers.  The stabilizer recurses on
+under the prefix, parent and entry move that the unions, stacks and
+shifted pieces around it hand down, a stack band's positions shifted
+once per build; only entry and filtered pieces are walked.  A union
+keeps the window ``piece_window`` built for it, and the first build that
+contains it takes it.  A contraction keeps the entries whose digits lie
+on chosen layers.  The stabilizer recurses on
 the top layer, and every layer kind takes one pigeonhole step:
 candidates are stabilized in order until ``width`` share a key, which a
 finite number of keys guarantees.  A finite top keeps blocks that share
@@ -38,8 +39,7 @@ certified.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .canonical import (
     CanonicalNode,
@@ -93,16 +93,15 @@ class AuditFailure(AssertionError):
         self.step = check.name
 
 
-@dataclass(frozen=True)
 class Budget:
-    depth: int = 3
-    width: int = 3
-    cap: int = 4
-
-    def __post_init__(self) -> None:
+    def __init__(self, depth: int = 3, width: int = 3, cap: int = 4):
+        self.depth, self.width, self.cap = depth, width, cap
         # a window has at least one level and samples at least one child per node
-        if self.depth < 1 or self.width < 1:
+        if depth < 1 or width < 1:
             raise TransfiniteError(f"budget depth and width must be at least 1: {self}")
+
+    def __repr__(self) -> str:
+        return f"Budget(depth={self.depth}, width={self.width}, cap={self.cap})"
 
     @staticmethod
     def parse(text: str) -> "Budget":
@@ -115,12 +114,12 @@ class Budget:
         return Budget(*parts)
 
 
-@dataclass
 class Audit(Report):
     """The checks of one construction's window at one budget."""
-    construction: str = ""
-    budget: Budget = Budget()
-    declared_rank: Ordinal = ZERO
+
+    def __init__(self, construction: str, budget: Budget, declared_rank: Ordinal):
+        super().__init__()
+        self.construction, self.budget, self.declared_rank = construction, budget, declared_rank
 
     def require(self) -> "Audit":
         if self.failed is not None:
@@ -137,8 +136,7 @@ class Audit(Report):
 # -- entry maps ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EntryMap:
+class EntryMap(NamedTuple):
     """Strictly increasing embedding of [0, size) into an entry range;
     ``unapply``, where given, inverts it and answers None off the image."""
 
@@ -227,6 +225,16 @@ class Piece:
 
     declared_rank: Ordinal
 
+    def __eq__(self, other) -> bool:
+        """Pieces of one kind built from equal parts are equal; the window a
+        union keeps for its next build is not one of its parts."""
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._parts() == other._parts()
+
+    def _parts(self) -> dict:
+        return {name: value for name, value in vars(self).items() if name != "windows"}
+
     def roots(self, width: int) -> list[Positioned]:
         raise NotImplementedError
 
@@ -239,12 +247,11 @@ class Piece:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
 class EntryPiece(Piece):
     """All decreasing sequences over an embedded entry set, shifted by base."""
 
-    base: Ordinal
-    emap: EntryMap
+    def __init__(self, base: Ordinal, emap: EntryMap):
+        self.base, self.emap = base, emap
 
     @property
     def declared_rank(self) -> Ordinal:
@@ -260,7 +267,6 @@ class EntryPiece(Piece):
         return [(node + (self._entry(z),), z) for z in descend_below(pos, width)]
 
 
-@dataclass(frozen=True)
 class UnionPiece(Piece):
     """Incomparable union of pieces hung below pairwise incomparable anchors.
 
@@ -268,18 +274,15 @@ class UnionPiece(Piece):
     it in ``windows`` per (depth, width), and the first build that contains
     the union takes it from there: a kept window is read once."""
 
-    parts: tuple[tuple[CanonicalNode, Piece], ...]
-    rank: Ordinal
-    windows: dict[tuple[int, int], Window] = field(
-        default_factory=dict, init=False, compare=False, repr=False)
-
-    def __post_init__(self) -> None:
-        anchors = [a for a, _ in self.parts]
+    def __init__(self, parts: tuple[tuple[CanonicalNode, Piece], ...], rank: Ordinal):
+        anchors = [a for a, _ in parts]
         for i, a in enumerate(anchors):
             for b in anchors[i + 1:]:
                 la = min(len(a), len(b))
                 if a[:la] == b[:la]:
                     raise TransfiniteError(f"anchors {a} and {b} are comparable")
+        self.parts, self.rank = parts, rank
+        self.windows: dict[tuple[int, int], Window] = {}
 
     @property
     def declared_rank(self) -> Ordinal:
@@ -303,13 +306,13 @@ class UnionPiece(Piece):
         return [(anchor + c, p) for c, p in piece.children(node[len(anchor):], pos, width)]
 
 
-@dataclass(frozen=True)
 class StackPiece(Piece):
     """Bands grafted in sequence: each band hangs below the leaves of the
     band above it, multiplying the band rank by the number of bands."""
 
-    bands: tuple[tuple[Ordinal, Piece], ...]  # (entry range base, piece), low to high
-    band_rank: Ordinal
+    def __init__(self, bands: tuple[tuple[Ordinal, Piece], ...], band_rank: Ordinal):
+        self.bands = bands  # (entry range base, piece), low to high
+        self.band_rank = band_rank
 
     @property
     def declared_rank(self) -> Ordinal:
@@ -339,16 +342,14 @@ class StackPiece(Piece):
         return self._in_band(b, node[:cut], piece.children(node[cut:], p, width))
 
 
-@dataclass(frozen=True)
 class ShiftPiece(Piece):
     """``inner``, stabilized on the segment of entries from ``src``, moved to
     the segment of the same rank from ``dst``: the entry src + r becomes
     dst + r.  Both bases are left multiples of that rank, so the move keeps
     every separation (see ``_view``)."""
 
-    inner: Piece
-    src: Ordinal
-    dst: Ordinal
+    def __init__(self, inner: Piece, src: Ordinal, dst: Ordinal):
+        self.inner, self.src, self.dst = inner, src, dst
 
     @property
     def declared_rank(self) -> Ordinal:
@@ -384,18 +385,12 @@ class _Move:
 FRONTIER_CAP = 96
 
 
-@dataclass(frozen=True)
 class FilteredPiece(Piece):
     """Keep the nodes whose declared position has digits only on chosen
     layers; covers are found by a bounded walk through dropped nodes."""
 
-    inner: Piece
-    fact: InitVar[IndecomposableFactorization]
-    keep: InitVar[tuple[int, ...]]
-    emap: EntryMap = field(init=False)
-
-    def __post_init__(self, fact: IndecomposableFactorization, keep: tuple[int, ...]) -> None:
-        object.__setattr__(self, "emap", digit_embedding(fact, keep))
+    def __init__(self, inner: Piece, fact: IndecomposableFactorization, keep: tuple[int, ...]):
+        self.inner, self.emap = inner, digit_embedding(fact, keep)
 
     @property
     def declared_rank(self) -> Ordinal:
@@ -441,70 +436,82 @@ def piece_window(piece: Piece, depth: int, width: int) -> tuple[FiniteTree, dict
 class _Emitter:
     """One build of windows.  ``emit`` appends each node of a piece's
     window to ``out`` once, in the walk's preorder, under a prefix and a
-    parent id, its position shifted into the stack bands around it and its
-    entries moved by the shifted pieces around it.  Walked pieces and stack
-    bands keep a relative window in ``memo``; ``moves`` keeps each move."""
+    parent id, its entries moved by the shifted pieces around it.  Walked
+    pieces and stack bands keep a relative window in ``memo``, and each
+    band its levels and shifted positions in ``bands``; ``moves`` keeps
+    each move."""
 
     def __init__(self, width: int):
-        self.width, self.memo, self.moves = width, {}, {}
+        self.width, self.memo, self.bands, self.moves = width, {}, {}, {}
 
     def relative(self, piece: Piece, depth: int) -> Window:
         """The window of ``piece`` alone, kept for the build."""
         key = (id(piece), depth)
         if key not in self.memo:
             if isinstance(piece, (UnionPiece, StackPiece, ShiftPiece)):
-                self.emit(out := ([], []), piece, depth, (), None, ZERO, None)
+                self.emit(out := ([], []), piece, depth, (), None, None)
                 self.memo[key] = out
             else:
                 self.memo[key] = _walk(piece, depth, self.width)
         return self.memo[key]
 
-    def emit(self, out, piece, depth, prefix, parent, shift, move) -> None:
+    def emit(self, out, piece, depth, prefix, parent, move) -> None:
         hit = self.memo.get((id(piece), depth))
         if hit is None:
             if isinstance(piece, StackPiece):
                 return self.stack(out, piece.bands, len(piece.bands), piece.band_rank,
-                                  depth, prefix, parent, shift, move)
+                                  depth, prefix, parent, move)
             if isinstance(piece, ShiftPiece):
                 key = (id(move), piece.src._serial, piece.dst._serial)
                 if key not in self.moves:
                     self.moves[key] = _Move(piece.src, piece.dst, move)
-                return self.emit(out, piece.inner, depth, prefix, parent, shift, self.moves[key])
+                return self.emit(out, piece.inner, depth, prefix, parent, self.moves[key])
             if isinstance(piece, UnionPiece):
                 hit = piece.windows.pop((depth, self.width), None)
                 if hit is None:
-                    return self.union(out, piece, depth, prefix, parent, shift, move)
+                    return self.union(out, piece, depth, prefix, parent, move)
             else:
                 hit = self.relative(piece, depth)
         (parents, at), off = out, len(out[1])
         parents.extend([parent if p is None else p + off for p in hit[0]])
-        at.extend([(prefix + (node if move is None else move(node)),
-                    pos if shift is ZERO else add(shift, pos)) for node, pos in hit[1]])
+        at.extend([(prefix + (node if move is None else move(node)), pos) for node, pos in hit[1]])
 
-    def union(self, out, piece, depth, prefix, parent, shift, move) -> None:
+    def union(self, out, piece, depth, prefix, parent, move) -> None:
         """Compose a union's window: its parts' windows side by side."""
         for anchor, part in piece.parts:
             self.emit(out, part, depth, prefix + (anchor if move is None else move(anchor)),
-                      parent, shift, move)
+                      parent, move)
 
-    def stack(self, out, bands, n, band_rank, depth, prefix, parent, shift, move) -> None:
+    def band(self, piece: Piece, depth: int, shift: Ordinal) -> tuple:
+        """A stack band's window, the level of each of its nodes and their
+        positions shifted by ``shift``, once per build: a band's window is
+        the same below every leaf it hangs from."""
+        key = (id(piece), depth, shift._serial)
+        if key not in self.bands:
+            parents, at = self.relative(piece, depth)
+            levels: list[int] = []
+            for p in parents:  # every parent before its child
+                levels.append(1 if p is None else levels[p] + 1)
+            self.bands[key] = parents, at, levels, [add(shift, pos) for _, pos in at]
+        return self.bands[key]
+
+    def stack(self, out, bands, n, band_rank, depth, prefix, parent, move) -> None:
         """The stack of the first n bands: band n-1's window, positions
         shifted by band_rank * (n-1), with the stack of the n-1 bands below
         each band leaf (position 0) above the last level, that leaf as
         prefix.  A piece samples no child at position 0, so the leaf's
         subtree in the walk is exactly that stack, and follows the leaf."""
-        band_parents, band_at = self.relative(bands[n - 1][1], depth)
-        band_shift = add(shift, mul(band_rank, n - 1))
-        (parents, at), ids, levels = out, [], []
-        for p, (node, pos) in zip(band_parents, band_at):
-            me, level = len(at), 1 if p is None else levels[p] + 1
+        band_parents, band_at, levels, shifted = self.band(
+            bands[n - 1][1], depth, mul(band_rank, n - 1))
+        (parents, at), ids = out, []
+        for p, (node, pos), level, band_pos in zip(band_parents, band_at, levels, shifted):
+            me = len(at)
             ids.append(me)
-            levels.append(level)
             parents.append(parent if p is None else ids[p])
             node = prefix + (node if move is None else move(node))
-            at.append((node, pos if band_shift is ZERO else add(band_shift, pos)))
+            at.append((node, band_pos))
             if pos.is_zero and n > 1 and level < depth:
-                self.stack(out, bands, n - 1, band_rank, depth - level, node, me, shift, move)
+                self.stack(out, bands, n - 1, band_rank, depth - level, node, me, move)
 
 
 def _walk(piece: Piece, depth: int, width: int) -> Window:
@@ -590,14 +597,25 @@ def _audit_window(construction: str, piece: Piece, budget: Budget,
                   nonempty: bool = False) -> tuple[Audit, FiniteTree, dict[int, Positioned]]:
     """Open an audit with the window-rank check, after the window-nonempty
     check if asked; every audit starts here."""
-    report = Audit(construction=construction, budget=budget, declared_rank=piece.declared_rank)
+    report = Audit(construction, budget, piece.declared_rank)
     window, at = piece_window(piece, budget.depth, budget.width)
     if nonempty:
         report.add("window-nonempty", bool(window.ids))
-    ref = reference_window_rank(piece.declared_rank, budget)
-    report.add("window-rank-matches-declared", window.rank() == ref,
-               f"window rank {window.rank()} vs reference {ref}")
+    rank, ref = _window_rank(window), reference_window_rank(piece.declared_rank, budget)
+    report.add("window-rank-matches-declared", rank == ref,
+               f"window rank {rank} vs reference {ref}")
     return report, window, at
+
+
+def _window_rank(window: FiniteTree) -> int:
+    """The rank of a window, its largest depth, in one pass over the
+    parents; raises unless every parent id is smaller than its child's."""
+    depths: list[int] = []
+    for i, p in enumerate(window.parents):
+        if p is not None and p >= i:
+            raise TransfiniteError(f"window node {i} comes before its parent {p}")
+        depths.append(1 if p is None else depths[p] + 1)
+    return max(depths, default=0)
 
 
 def audit_declared_rank(piece: Piece, budget: Budget) -> Audit:
@@ -616,8 +634,7 @@ def _pair_text(at: dict[int, Positioned], i_s: int, i_t: int) -> str:
 # -- contractions -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ContractionSpec:
+class ContractionSpec(NamedTuple):
     """Layer subset A of an additively indecomposable rank, with the
     enumeration of A."""
 
@@ -689,8 +706,7 @@ def assemble_union(parts: Sequence[tuple[CanonicalNode, Piece]],
 # -- the budgeted stabilizer ---------------------------------------------------------
 
 
-@dataclass
-class TransfiniteResult:
+class TransfiniteResult(NamedTuple):
     subtree: Piece
     table: tuple[int, ...]
     report: Audit

@@ -16,10 +16,9 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 
 class TreeError(ValueError):
@@ -33,17 +32,28 @@ def exact_int(value) -> int:
     return value
 
 
-@dataclass(frozen=True)
 class FiniteTree:
-    """Sorted ids and, aligned with them, each node's parent (None at a root)."""
+    """Sorted ids and, aligned with them, each node's parent (None at a root).
 
-    ids: tuple[int, ...]
-    parents: tuple[int | None, ...]
+    A tree is its parent map: two trees are equal when their ids and
+    parents are, whatever each has cached."""
+
+    def __init__(self, ids: tuple[int, ...], parents: tuple[int | None, ...]):
+        self.ids, self.parents = ids, parents
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         """Nothing to check: the public constructors validate the parent map
         (``from_parents``), and a tree derived from a valid one is built
         from a parent map that is valid by construction (``_of_valid``)."""
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.ids == other.ids and self.parents == other.parents
+
+    def __hash__(self) -> int:
+        return hash((self.ids, self.parents))
 
     # -- construction --------------------------------------------------------
 
@@ -364,8 +374,7 @@ def graft(base: FiniteTree, attach: Mapping[int, FiniteTree]) -> FiniteTree:
     return FiniteTree.from_parents(parent)
 
 
-@dataclass(frozen=True)
-class LevelDecomposition:
+class LevelDecomposition(NamedTuple):
     """Partition of a tree into bands of consecutive tau values.
 
     boundaries[i] <= tau < boundaries[i+1] puts a node in block i; for the

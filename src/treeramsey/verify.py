@@ -17,7 +17,6 @@ ordinal or checking code is shared with the constructive modules.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Mapping
 
 from .ordinal import is_multiplicatively_indecomposable, ordinal
@@ -96,18 +95,16 @@ def _climb(tree: FiniteTree) -> tuple[dict[int, list[int]], dict[int, int]]:
 # -- search reports ------------------------------------------------------------
 
 
-@dataclass
 class ColorBest:
-    rank: int
-    witness: tuple[int, ...]
+    # a plain class: the search reads ``rank`` at every node it explores,
+    # and an instance attribute reads faster than a NamedTuple field
+    def __init__(self, rank: int, witness: tuple[int, ...]):
+        self.rank, self.witness = rank, witness
 
 
-@dataclass
 class SearchReport:
-    colors: dict[int, ColorBest] = field(default_factory=dict)
-    explored: int = 0
-    pruned: int = 0
-    exhaustive: bool = True
+    def __init__(self, colors: dict[int, ColorBest], explored: int = 0):
+        self.colors, self.explored, self.pruned, self.exhaustive = colors, explored, 0, True
 
     @property
     def best_rank(self) -> int:

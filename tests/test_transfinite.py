@@ -666,6 +666,26 @@ class TestReferenceWindowRank:
         with pytest.raises(TransfiniteError, match="depth and width must be at least 1"):
             Budget(*dims)
 
+    def test_budget_fields_by_keyword_and_default(self):
+        assert (Budget().depth, Budget().width, Budget().cap) == (3, 3, 4)
+        budget = Budget(depth=3, width=4, cap=4)
+        assert (budget.depth, budget.width, budget.cap) == (3, 4, 4)
+        assert Budget(width=2).depth == 3
+
+    def test_budget_error_names_the_budget(self):
+        with pytest.raises(TransfiniteError) as info:
+            Budget(depth=0, width=2, cap=5)
+        assert str(info.value) == ("budget depth and width must be at least 1: "
+                                   "Budget(depth=0, width=2, cap=5)")
+
+    def test_window_rank_is_the_largest_depth(self):
+        window, _ = piece_window(EntryPiece(ZERO, EntryMap.identity(w2)), 4, 3)
+        assert transfinite._window_rank(window) == window.rank() == 4
+        assert transfinite._window_rank(FiniteTree.empty()) == 0
+        # a window lists every parent before its child
+        with pytest.raises(TransfiniteError, match="node 0 comes before its parent 1"):
+            transfinite._window_rank(FiniteTree.from_parents({0: 1, 1: None}))
+
 
 def _walk_window(piece, depth, width):
     """Reference: the depth-first walk of a piece's own roots and children,

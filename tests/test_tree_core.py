@@ -63,6 +63,21 @@ def i03():
 
 
 class TestConstruction:
+    def test_equality_and_hash_read_the_parent_map_only(self):
+        a, b = FiniteTree.chain_tree(4), FiniteTree.chain_tree(4)
+        assert a.tau_map and "tau_map" in vars(a) and "tau_map" not in vars(b)
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        assert a != FiniteTree.chain_tree(4, start=1)
+        assert a != FiniteTree.antichain(4)
+        assert a != (a.ids, a.parents)
+
+    def test_every_construction_calls_post_init(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(FiniteTree, "__post_init__", lambda tree: built.append(len(tree)))
+        FiniteTree((0, 1), (None, 0))
+        FiniteTree.chain_tree(3).restrict([0, 2])
+        assert built == [2, 3, 2]
+
     def test_from_parents_rejects_cycles(self):
         with pytest.raises(TreeError):
             FiniteTree.from_parents({0: 1, 1: 0})
