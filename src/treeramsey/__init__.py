@@ -70,7 +70,6 @@ from .tree_core import (
 from .verify import (
     SearchReport,
     additive_obstruction,
-    check_R2_membership,
     cross_validate,
     max_monochromatic_rank,
     max_monochromatic_rank_nodes,
@@ -92,9 +91,8 @@ __all__ = [
     "RuleColoring", "parse_rule",
     "Budget", "ContractionSpec", "assemble_union", "audit_contraction",
     "audit_declared_rank", "contract", "stabilize_transfinite",
-    "SearchReport", "additive_obstruction", "check_R2_membership",
-    "cross_validate", "max_monochromatic_rank", "max_monochromatic_rank_nodes",
-    "multiplicative_obstruction",
+    "SearchReport", "additive_obstruction", "cross_validate",
+    "max_monochromatic_rank", "max_monochromatic_rank_nodes", "multiplicative_obstruction",
 ]
 
 __version__ = "0.1.0"

@@ -297,7 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="treeramsey",
         description="Ordinal arithmetic, tree derivatives, coloring stabilization, "
                     "and brute-force verification oracles.")
-    parser.add_argument("--seed", type=int, default=0, help="seed for randomized runs")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_ord = sub.add_parser("ord", help="ordinal arithmetic")
@@ -361,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_demo = sub.add_parser("demo", help="run the acceptance matrix")
     p_demo.add_argument("--quick", action="store_true")
     p_demo.add_argument("--only", help="comma-separated check names")
-    p_demo.add_argument("--seed", type=int, default=0)
+    p_demo.add_argument("--seed", type=int, default=0, help="seed for randomized runs")
     p_demo.add_argument("--out")
     p_demo.set_defaults(fn=_cmd_demo)
     return parser

@@ -82,17 +82,13 @@ class Coloring:
         try:
             k = None if data.get("k") is None else exact_int(data["k"])
             if arity in (1, "1", "nodes") or "nodes" in data:
-                arity, table = "nodes", _int_table(
-                    data["nodes"],
-                    lambda rows: {t: c for t, c in rows if type(t) is int and type(c) is int},
-                    lambda rows: {exact_int(t): exact_int(c) for t, c in rows})
+                arity, table = "nodes", {
+                    (t if type(t) is int else exact_int(t)):
+                    (c if type(c) is int else exact_int(c)) for t, c in data["nodes"]}
             elif arity in (2, "2", "pairs") or "pairs" in data:
-                arity, table = "pairs", _int_table(
-                    data["pairs"],
-                    lambda rows: {(s, t): c for s, t, c in rows
-                                  if type(s) is int and type(t) is int and type(c) is int},
-                    lambda rows: {(exact_int(s), exact_int(t)): exact_int(c)
-                                  for s, t, c in rows})
+                arity, table = "pairs", {
+                    (s if type(s) is int else exact_int(s), t if type(t) is int else exact_int(t)):
+                    (c if type(c) is int else exact_int(c)) for s, t, c in data["pairs"]}
             elif arity == "chains" or "chains" in data:
                 arity, n = "chains", exact_int(data["n"])
                 table = {tuple(exact_int(x) for x in row[:-1]): exact_int(row[-1])
@@ -107,20 +103,6 @@ class Coloring:
     def load(path: str) -> "Coloring":
         with open(path) as fh:
             return Coloring.from_json(json.load(fh))
-
-
-def _int_table(rows, fast: Callable[[list], dict], exact: Callable[[list], dict]) -> dict:
-    """``fast(rows)``, which keeps only the rows whose values are all ints, if
-    it kept every row; else (a bad value, a repeated key or a row that does
-    not unpack) ``exact(rows)``, which reads every value through
-    ``exact_int`` and so names the first bad one."""
-    try:
-        table = fast(rows)
-        if len(table) == len(rows):
-            return table
-    except (TypeError, ValueError):
-        pass
-    return exact(rows)
 
 
 def _palette(values: Iterable[int], k: int | None) -> int:
@@ -140,10 +122,9 @@ def _palette(values: Iterable[int], k: int | None) -> int:
 
 class StabilizationResult:
     def __init__(self, ambient: FiniteTree, subtree: FiniteTree, mode: str, reduced: object,
-                 coloring: Coloring, expected_rank: int, chain_length: int | None = None,
-                 extra: dict | None = None):
+                 coloring: Coloring, expected_rank: int, extra: dict | None = None):
         self.ambient, self.subtree, self.mode, self.reduced = ambient, subtree, mode, reduced
-        self.coloring, self.expected_rank, self.chain_length = coloring, expected_rank, chain_length
+        self.coloring, self.expected_rank = coloring, expected_rank
         self.extra = {} if extra is None else extra
         self.certificate = Report()
 
@@ -194,9 +175,8 @@ class StabilizationResult:
             expected_rank = exact_int(doc["expected_rank"])
         except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
             raise StabilizeError(f"malformed result document: {exc}") from exc
-        return StabilizationResult(
-            ambient, subtree, mode, reduced, coloring, expected_rank=expected_rank,
-            chain_length=coloring.n if mode == "leaf-chains" else None, extra=extra)
+        return StabilizationResult(ambient, subtree, mode, reduced, coloring,
+                                   expected_rank=expected_rank, extra=extra)
 
 
 def _to_rows(table: Mapping) -> list[list[int]]:
@@ -232,7 +212,7 @@ def _certify(result: StabilizationResult) -> Report:
         cert.add("pair-colors-by-level", not bad, f"disagrees at {bad[:5]}")
     elif result.mode == "leaf-chains":
         F = result.reduced
-        bad = [chain for chain in Q.leaf_chains(result.chain_length)
+        bad = [chain for chain in Q.leaf_chains(f.n)
                if F.get(chain[:-1]) != f.value(chain)]
         cert.add("chain-colors-agree", not bad, f"disagrees at {bad[:3]}")
     elif result.mode == "ramsey-reduce":
@@ -290,7 +270,7 @@ def stabilize_leaf_chains(tree: FiniteTree, n: int, coloring: Coloring) -> Stabi
     Q = tree.restrict(chain)
     F = {lam: coloring.value(lam + (chain[0],)) for lam in Q.chains(n)}
     result = StabilizationResult(tree, Q, "leaf-chains", F, coloring,
-                                 expected_rank=tree.rank(), chain_length=n)
+                                 expected_rank=tree.rank())
     return _finish(result)
 
 
@@ -424,25 +404,23 @@ def has_monochromatic_subset(coloring: Mapping[tuple[int, int], int],
 
 
 @cache
-def finite_ramsey(p: int, k: int,
-                  max_vertices: int = RAMSEY_MAX_VERTICES,
-                  max_colors: int = RAMSEY_MAX_COLORS) -> int:
+def finite_ramsey(p: int, k: int) -> int:
     """Least r such that every (k+1)-coloring of the pairs from any set of
     more than r points has a monochromatic subset of p+1 points.  Values
     are cached; an error is raised again on every call."""
     if p < 1 or k < 0:
         raise StabilizeError("need p >= 1 and k >= 0")
-    if k + 1 > max_colors:
+    if k + 1 > RAMSEY_MAX_COLORS:
         raise RamseyBudgetError(
-            f"{k + 1} colors exceed the search budget of {max_colors}",
+            f"{k + 1} colors exceed the search budget of {RAMSEY_MAX_COLORS}",
             lower_bound=p)
-    for m in range(2, max_vertices + 1):
+    for m in range(2, RAMSEY_MAX_VERTICES + 1):
         if find_clique_free_coloring(m, p + 1, k + 1) is None:
             return m - 1
     raise RamseyBudgetError(
-        f"no complete graph on <= {max_vertices} vertices forces a "
+        f"no complete graph on <= {RAMSEY_MAX_VERTICES} vertices forces a "
         f"monochromatic {p + 1}-set with {k + 1} colors",
-        lower_bound=max_vertices)
+        lower_bound=RAMSEY_MAX_VERTICES)
 
 
 def ramsey_reduce_levels(tree: FiniteTree, p: int, coloring: Coloring) -> StabilizationResult:

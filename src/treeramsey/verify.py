@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from typing import Mapping
 
-from .ordinal import is_multiplicatively_indecomposable, ordinal
 from .report import Report
 from .tree_core import FiniteTree
 
@@ -209,17 +208,10 @@ def additive_obstruction(tree: FiniteTree):
     return lambda t: taus[t]
 
 
-def check_R2_membership(g: "Ordinal | int") -> bool:
-    """Ranks on which every finite pair coloring admits a full-rank
-    monochromatic subtree are exactly the multiplicatively indecomposable
-    ones; this is the membership predicate."""
-    return is_multiplicatively_indecomposable(ordinal(g))
-
-
 # -- cross validation ----------------------------------------------------------
 
 
-def cross_validate(result, node_budget: int = DEFAULT_NODE_BUDGET) -> Report:
+def cross_validate(result) -> Report:
     """Re-derive every claim of a stabilization result with fresh scans.
 
     The first mismatch raises VerificationError naming the violated claim,
@@ -263,7 +255,7 @@ def cross_validate(result, node_budget: int = DEFAULT_NODE_BUDGET) -> Report:
         record("level-colors-constant", not bad,
                f"nodes {sorted(bad)[:5]} disagree with the level table")
         # monochromatic extraction can never beat the exhaustive optimum
-        if len(p_ids) <= 18 and node_budget:
+        if len(p_ids) <= 18:
             for j in sorted(set(table.values())):
                 picked = frozenset(t for t in q_ids if table[tau_q[t]] == j)
                 opt = max_monochromatic_rank_nodes(ambient, color, j)
@@ -285,7 +277,7 @@ def cross_validate(result, node_budget: int = DEFAULT_NODE_BUDGET) -> Report:
                f"pairs {bad[:5]} disagree with the level-pair table")
     elif result.mode == "leaf-chains":
         table = result.reduced
-        bad = [chain for chain in sub.leaf_chains(result.chain_length)
+        bad = [chain for chain in sub.leaf_chains(color.n)
                if table.get(chain[:-1]) != color.value(chain)]
         record("chain-colors-agree", not bad,
                f"chains {bad[:3]} disagree with the reduced function")

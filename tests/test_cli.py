@@ -475,6 +475,14 @@ class TestDemo:
         assert main(args + ["--out", str(second)]) == 0
         assert first.read_bytes() == second.read_bytes()
 
+    def test_seed_is_an_option_of_demo_only(self, tmp_path, capsys):
+        # a top-level --seed would be read by no command
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--seed", "5", "demo", "--quick", "--only", "ramsey-constant",
+                  "--out", str(tmp_path / "demo.json")])
+        assert exit_info.value.code == 2
+        assert not (tmp_path / "demo.json").exists()
+
 
 class TestExactIntegers:
     """Ids, parents, colors, k, n and the entries of reduced tables are JSON

@@ -72,8 +72,8 @@ class TestColoring:
 
 
 class TestColoringLoader:
-    """Tables of ints are read in one pass; any other table is read again
-    value by value, so a bad value is named as before."""
+    """Each table is read in one pass, key before value and row by row, so
+    the first bad value or short row is the one named."""
 
     @staticmethod
     def _rows(table, bad, row, column):

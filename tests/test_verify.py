@@ -1,11 +1,13 @@
+import ast
 import copy
 import random
+from pathlib import Path
 
 import pytest
 
+from treeramsey import verify
 from treeramsey.canonical import instantiate
 from treeramsey.generate import random_tree, random_tree_of_rank
-from treeramsey.ordinal import OMEGA, omega_pow
 from treeramsey.stabilize import (
     Coloring,
     ramsey_reduce_levels,
@@ -18,7 +20,6 @@ from treeramsey.verify import (
     _heights,
     _rank_of,
     additive_obstruction,
-    check_R2_membership,
     cross_validate,
     max_monochromatic_rank,
     max_monochromatic_rank_nodes,
@@ -198,18 +199,6 @@ class TestObstructions:
                 assert best <= max(alpha, beta) < n
 
 
-class TestR2Membership:
-    @pytest.mark.parametrize("value,expected", [
-        (2, True),
-        (3, False),
-        (omega_pow(OMEGA), True),
-        (omega_pow(2), False),
-        (OMEGA, True),
-    ])
-    def test_values(self, value, expected):
-        assert check_R2_membership(value) is expected
-
-
 class TestCrossValidation:
     def test_levels_pass(self, i03):
         taus = i03.tau_map
@@ -312,3 +301,17 @@ class TestCrossValidation:
         assert first.subtree.ids == second.subtree.ids
         assert first.reduced == second.reduced
         assert first.to_json() == second.to_json()
+
+
+def test_package_imports_are_the_tree_and_the_report_only():
+    # the oracles share no code with the constructive modules: from the
+    # package they take the tree's raw data and the report list, nothing else
+    source = ast.parse(Path(verify.__file__).read_text())
+    imported = set()
+    for node in ast.walk(source):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "treeramsey"):
+            imported |= {(node.level, node.module, alias.name) for alias in node.names}
+        elif isinstance(node, ast.Import):
+            assert all(alias.name.split(".")[0] != "treeramsey" for alias in node.names)
+    assert imported == {(1, "tree_core", "FiniteTree"), (1, "report", "Report")}
