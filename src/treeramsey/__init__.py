@@ -12,7 +12,6 @@ from .canonical import (
     Truncation,
     instantiate,
     node_tau,
-    node_tau_beta,
     pair_facts,
     rank_symbolic,
     separation,
@@ -83,7 +82,7 @@ __all__ = [
     "mul", "omega_pow", "ordinal", "parse_ordinal", "sum_decompose",
     "FiniteTree", "LevelDecomposition", "graft", "incomparable_union", "levels",
     "CanonicalNode", "CanonicalTree", "Truncation",
-    "instantiate", "node_tau", "node_tau_beta", "rank_symbolic", "separation",
+    "instantiate", "node_tau", "rank_symbolic", "separation",
     "pair_facts", "truncate",
     "Coloring", "StabilizationResult", "extract_monochromatic", "finite_ramsey",
     "ramsey_reduce_levels", "select_leafset", "select_levels",

@@ -100,12 +100,6 @@ def node_tau(tree: CanonicalTree, node: CanonicalNode) -> Ordinal:
     return left_subtract(tree.alpha, node[-1])
 
 
-def node_tau_beta(tree: CanonicalTree, beta: "Ordinal | int",
-                  node: CanonicalNode) -> Ordinal:
-    delta, _ = left_divide(ordinal(beta), node_tau(tree, node))
-    return delta
-
-
 def require_below(s: CanonicalNode, t: CanonicalNode) -> None:
     """Raise unless s < t, that is, s is a proper prefix of t."""
     if len(s) >= len(t) or tuple(t[: len(s)]) != tuple(s):

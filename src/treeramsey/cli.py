@@ -39,7 +39,7 @@ from .ordinal import (
 )
 from .report import Report
 from .rules import RuleError, parse_rule
-from .stabilize import Coloring, RamseyBudgetError, StabilizeError
+from .stabilize import Coloring, RamseyBudgetError, StabilizeError, check_coverage
 from .transfinite import AuditFailure, Budget, BudgetExhausted, ContractionSpec, TransfiniteError
 from .tree_core import FiniteTree, TreeError, levels
 from .verify import VerificationError
@@ -162,7 +162,7 @@ def _cmd_stab(args) -> int:
     tree = FiniteTree.load(args.tree)
     coloring = Coloring.load(args.coloring)
     wanted = {"levels": "nodes", "leafchains": "chains"}.get(args.mode, "pairs")
-    _check_coverage(tree, coloring, wanted)
+    check_coverage(tree, coloring, wanted)
     if args.mode == "levels":
         result = stabilize.stabilize_levels(tree, coloring)
     elif args.mode == "pairs":
@@ -183,23 +183,6 @@ def _cmd_stab(args) -> int:
 def _print_checks(report: Report) -> None:
     for check in report.checks:
         print(f"  [{'ok' if check.passed else 'FAIL'}] {check.name} {check.detail}")
-
-
-def _check_coverage(tree: FiniteTree, coloring: Coloring, *arities: str) -> None:
-    """The coloring must have one of the given arities.  A node coloring must
-    color every node, a pair coloring every pair (s, t) with s an ancestor of
-    t, a chain coloring every leaf chain."""
-    if coloring.arity not in arities:
-        raise StabilizeError(f"expected a {' or '.join(arities)} coloring, got {coloring.arity}")
-    if coloring.arity == "nodes":
-        keys = iter(tree.ids)
-    elif coloring.arity == "pairs":
-        keys = ((s, t) for t in tree.ids for s in sorted(tree.ancestors(t)))
-    else:
-        keys = tree.leaf_chains(coloring.n)
-    missing = next((key for key in keys if key not in coloring.table), None)
-    if missing is not None:
-        raise StabilizeError(f"coloring assigns no color to {missing}")
 
 
 def _cmd_transfinite(args) -> int:
@@ -259,7 +242,7 @@ def _cmd_verify(args) -> int:
         return 0
     if args.oracle == "mono-rank":
         coloring = Coloring.load(args.coloring)
-        _check_coverage(tree, coloring, "nodes", "pairs")
+        check_coverage(tree, coloring, "nodes", "pairs")
         search = verify.max_monochromatic_rank if coloring.arity == "pairs" \
             else verify.max_monochromatic_rank_nodes
         report = search(tree, coloring, args.color)

@@ -24,7 +24,6 @@ import re
 import weakref
 from functools import cached_property, wraps
 from itertools import count
-from typing import Iterator
 
 
 class OrdinalError(ValueError):
@@ -352,8 +351,8 @@ class IndecomposableFactorization:
     factors[i] * cofactors[i] = g for every i.
     """
 
-    def __init__(self, gamma: Ordinal, epsilons: tuple[Ordinal, ...]):
-        self.gamma, self.epsilons = gamma, epsilons
+    def __init__(self, epsilons: tuple[Ordinal, ...]):
+        self.epsilons = epsilons
 
     @property
     def lam(self) -> int:
@@ -392,35 +391,19 @@ def factorize(g: "Ordinal | int") -> IndecomposableFactorization:
     if not is_additively_indecomposable(g):
         raise OrdinalError(f"{g} is not additively indecomposable")
     xi = g.leading_exponent
-    fact = IndecomposableFactorization(
-        g, () if xi.is_zero else tuple(sum_decompose(xi).exponents))
+    fact = IndecomposableFactorization(() if xi.is_zero else sum_decompose(xi))
     if len(_FACTORIZED) >= MEMO_CAP:
         _FACTORIZED.clear()
     _FACTORIZED[g._serial] = fact
     return fact
 
 
-class SumDecomposition:
-    """g = w^e0 + ... + w^el with e0 >= ... >= el, plus the partial sums."""
-
-    def __init__(self, exponents: tuple[Ordinal, ...], partial_sums: tuple[Ordinal, ...]):
-        self.exponents, self.partial_sums = exponents, partial_sums
-
-    def __iter__(self) -> Iterator[Ordinal]:
-        return iter(self.exponents)
-
-
-def sum_decompose(g: "Ordinal | int") -> SumDecomposition:
+def sum_decompose(g: "Ordinal | int") -> tuple[Ordinal, ...]:
+    """The exponents e0 >= ... >= el of g = w^e0 + ... + w^el."""
     g = _coerce(g)
     if g.is_zero:
         raise OrdinalError("0 has no indecomposable sum decomposition")
-    exps: list[Ordinal] = []
-    for e, c in g.terms:
-        exps.extend([e] * c)
-    sums = [ZERO]
-    for e in exps:
-        sums.append(add(sums[-1], omega_pow(e)))
-    return SumDecomposition(tuple(exps), tuple(sums))
+    return tuple(e for e, c in g.terms for _ in range(c))
 
 
 def fundamental_sequence(o: "Ordinal | int", n: int) -> Ordinal:

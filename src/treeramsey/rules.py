@@ -33,23 +33,19 @@ PRIMITIVES = frozenset({"sep", "depth", "tau"})
 
 
 class RuleColoring:
-    """Pair coloring evaluated by a closure over the facts of s and t
-    (``canonical.pair_facts``), so a pair costs no membership check.
+    """Pair coloring evaluated by a closure ``fn(s, t, sep)`` over the facts
+    of s and t (``canonical.pair_facts``), so a pair costs no membership
+    check; ``sep`` is the pair's separation, None when the caller does not
+    have it.  ``reads`` names the primitives the closure reads."""
 
-    ``reads`` names the primitives the closure reads.  The rules built here
-    list them, and their closures take the pair's separation as a third
-    argument, None when the caller does not have it; a bare closure
-    ``fn(s, t)`` has ``reads`` None and may read anything."""
-
-    def __init__(self, k: int, fn: Callable[..., int], source: str = "",
-                 reads: frozenset[str] | None = None):
+    def __init__(self, k: int, fn: Callable[..., int], reads: frozenset[str]):
         if k < 0:
             raise RuleError(f"palette bound k must be at least 0, got {k}")
-        self.k, self.fn, self.source, self.reads = k, fn, source, reads
+        self.k, self.fn, self.reads = k, fn, reads
 
     def value(self, s: NodeFacts, t: NodeFacts, sep: int | None = None) -> int:
         """The color of s < t, given their separation ``sep`` if at hand."""
-        c = self.fn(s, t) if self.reads is None else self.fn(s, t, sep)
+        c = self.fn(s, t, sep)
         if not 0 <= c <= self.k:
             raise RuleError(f"rule produced color {c} outside palette 0..{self.k}")
         return c
@@ -59,16 +55,15 @@ class RuleColoring:
         """The separation-determined coloring with the given lookup table."""
         table = tuple(int(c) for c in table)
         kk = max(table) if k is None else k
-        text = f"F[sep] with F=({','.join(map(str, table))})"
 
-        def fn(s, t, sep=None):
+        def fn(s, t, sep):
             return table[separation_of_facts(s, t) if sep is None else sep]
 
-        return RuleColoring(kk, fn, text, frozenset({"sep"}))
+        return RuleColoring(kk, fn, frozenset({"sep"}))
 
     @staticmethod
     def constant(c: int, k: int | None = None) -> "RuleColoring":
-        return RuleColoring(c if k is None else k, lambda s, t, sep=None: c, str(c), frozenset())
+        return RuleColoring(c if k is None else k, lambda s, t, sep: c, frozenset())
 
 
 # -- tiny expression language -------------------------------------------------
@@ -97,10 +92,10 @@ def parse_rule(text: str, k: int | None = None) -> RuleColoring:
         raise RuleError("rule nested too deeply") from None
     kk = k if k is not None else max(colors, default=0)
 
-    def fn(s, t, sep=None):
+    def fn(s, t, sep):
         return _finite(expr((s, t, sep)))
 
-    return RuleColoring(kk, fn, text.strip(), frozenset(reads))
+    return RuleColoring(kk, fn, frozenset(reads))
 
 
 class _Parser:

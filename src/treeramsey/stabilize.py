@@ -117,6 +117,23 @@ def _palette(values: Iterable[int], k: int | None) -> int:
     return k
 
 
+def check_coverage(tree: FiniteTree, coloring: Coloring, *arities: str) -> None:
+    """The coloring must have one of the given arities.  A node coloring must
+    color every node, a pair coloring every pair (s, t) with s an ancestor of
+    t, a chain coloring every leaf chain."""
+    if coloring.arity not in arities:
+        raise StabilizeError(f"expected a {' or '.join(arities)} coloring, got {coloring.arity}")
+    if coloring.arity == "nodes":
+        keys = iter(tree.ids)
+    elif coloring.arity == "pairs":
+        keys = ((s, t) for t in tree.ids for s in sorted(tree.ancestors(t)))
+    else:
+        keys = tree.leaf_chains(coloring.n)
+    missing = next((key for key in keys if key not in coloring.table), None)
+    if missing is not None:
+        raise StabilizeError(f"coloring assigns no color to {missing}")
+
+
 # -- results -------------------------------------------------------------------
 
 
@@ -153,7 +170,8 @@ class StabilizationResult:
     @staticmethod
     def from_json(doc: dict) -> "StabilizationResult":
         """Read a document written by ``to_json``.  The certificate is not read
-        back: ``recheck()`` recomputes it from the data."""
+        back: ``recheck()`` recomputes it from the data.  The coloring must
+        be complete on the ambient tree, with the arity of the mode."""
         if not isinstance(doc, dict) or doc.get("schema_version", 1) != 1:
             raise StabilizeError("malformed result document: not an object with schema_version 1")
         try:
@@ -175,6 +193,8 @@ class StabilizationResult:
             expected_rank = exact_int(doc["expected_rank"])
         except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
             raise StabilizeError(f"malformed result document: {exc}") from exc
+        check_coverage(ambient, coloring,
+                       {"levels": "nodes", "leaf-chains": "chains"}.get(mode, "pairs"))
         return StabilizationResult(ambient, subtree, mode, reduced, coloring,
                                    expected_rank=expected_rank, extra=extra)
 

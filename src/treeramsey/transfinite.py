@@ -70,7 +70,7 @@ from .ordinal import (
     ordinal,
 )
 from .report import Check, Report
-from .rules import PRIMITIVES, RuleColoring
+from .rules import RuleColoring
 from .tree_core import FiniteTree
 
 
@@ -224,16 +224,6 @@ class Piece:
     ambient tree."""
 
     declared_rank: Ordinal
-
-    def __eq__(self, other) -> bool:
-        """Pieces of one kind built from equal parts are equal; the window a
-        union keeps for its next build is not one of its parts."""
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._parts() == other._parts()
-
-    def _parts(self) -> dict:
-        return {name: value for name, value in vars(self).items() if name != "windows"}
 
     def roots(self, width: int) -> list[Positioned]:
         raise NotImplementedError
@@ -691,16 +681,11 @@ def _grade(eps: Ordinal, q: int) -> Ordinal:
 
 
 def assemble_union(parts: Sequence[tuple[CanonicalNode, Piece]],
-                   declared_rank: "Ordinal | None" = None) -> UnionPiece:
-    """Incomparable union of pieces below pairwise incomparable anchors.
-    The declared rank defaults to the largest part rank; pass the intended
-    limit when the parts form a cofinal family."""
-    if declared_rank is None:
-        declared_rank = ZERO
-        for _, piece in parts:
-            if compare(declared_rank, piece.declared_rank) < 0:
-                declared_rank = piece.declared_rank
-    return UnionPiece(tuple((tuple(a), piece) for a, piece in parts), ordinal(declared_rank))
+                   declared_rank: Ordinal) -> UnionPiece:
+    """Incomparable union of pieces below pairwise incomparable anchors,
+    declared of the given rank: the intended limit when the parts form a
+    cofinal family."""
+    return UnionPiece(tuple((tuple(a), piece) for a, piece in parts), declared_rank)
 
 
 # -- the budgeted stabilizer ---------------------------------------------------------
@@ -806,9 +791,8 @@ def _view(rule: RuleColoring, base: Ordinal, prefix: CanonicalNode, rho: Ordinal
     its rank and cap, the prefix length if the rule reads depth, the base
     if it reads tau.  A base is a left multiple of the rank, so moving a
     segment to another base keeps every separation and depth."""
-    reads = PRIMITIVES if rule.reads is None else rule.reads
-    return (rho, cap, len(prefix) if "depth" in reads else None,
-            base if "tau" in reads else None)
+    return (rho, cap, len(prefix) if "depth" in rule.reads else None,
+            base if "tau" in rule.reads else None)
 
 
 def _stabilize_segment(tree: CanonicalTree, base: Ordinal, prefix: CanonicalNode,
@@ -930,7 +914,7 @@ def _cross_color(tree, union: Piece, prefix: CanonicalNode, gamma_p: Ordinal,
     window, at = piece_window(union, budget.depth, budget.width)
     facts = _facts(tree, prefix, window, at)
     level = [left_divide(gamma_p, pos)[0] for _, pos in at.values()]
-    reads_sep = rule.reads is not None and "sep" in rule.reads
+    reads_sep = "sep" in rule.reads
     cls, n = _classes([f.sig for f in facts])
     below, seps, seen = window._below, {}, None
     for s in window.ids:

@@ -9,7 +9,7 @@ longest chain and tau(t) the longest chain strictly above t, i.e. the
 height of t, found in one pass that pushes heights up the parents from
 the leaves; the z-th derivative P^z is {t : tau(t) >= z}.  Descendant
 lists come from climbing the parents; ancestor sets are a derived view,
-built only for ``ancestors`` and ``less``.
+built only for ``ancestors``.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from __future__ import annotations
 import json
 import warnings
 from functools import cached_property
-from itertools import accumulate
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 
@@ -146,7 +145,7 @@ class FiniteTree:
     @cached_property
     def anc(self) -> tuple[frozenset[int], ...]:
         """Strict ancestors of each node in id order (n * depth ints, built on
-        demand and read only by ``ancestors`` and ``less``)."""
+        demand and read only by ``ancestors``)."""
         above: dict[int, frozenset[int]] = dict.fromkeys(self.roots(), frozenset())
         for t in self._topdown:
             with_t = above[t] | {t}
@@ -163,9 +162,6 @@ class FiniteTree:
             return self._index[t]
         except KeyError:
             raise TreeError(f"node {t} is not in the tree") from None
-
-    def less(self, s: int, t: int) -> bool:
-        return s in self.anc[self._node(t)]
 
     @cached_property
     def _up(self) -> dict[int, int | None]:
@@ -235,11 +231,6 @@ class FiniteTree:
     def tau(self, t: int) -> int:
         self._node(t)
         return self.tau_map[t]
-
-    def tau_beta(self, beta: int, t: int) -> int:
-        if beta < 1:
-            raise TreeError("beta must be at least 1")
-        return self.tau(t) // beta
 
     # -- closures and local subtrees --------------------------------------------
 
@@ -375,37 +366,20 @@ def graft(base: FiniteTree, attach: Mapping[int, FiniteTree]) -> FiniteTree:
 
 
 class LevelDecomposition(NamedTuple):
-    """Partition of a tree into bands of consecutive tau values.
-
-    boundaries[i] <= tau < boundaries[i+1] puts a node in block i; for the
-    all-ones summand list the blocks are exactly the tau classes.
-    """
+    """Partition of a tree into its tau classes: block i holds the nodes
+    with tau i."""
 
     tree: FiniteTree
-    boundaries: tuple[int, ...]
     blocks: tuple[frozenset[int], ...]
 
-    @property
-    def count(self) -> int:
-        return len(self.blocks)
 
-
-def levels(tree: FiniteTree, summands: Sequence[int] | None = None) -> LevelDecomposition:
-    """Split ``tree`` into blocks whose ranks are the declared summands."""
-    r = tree.rank()
-    if summands is None:
-        summands = [1] * r
-    if any(s < 1 for s in summands):
-        raise TreeError("summands must be positive")
-    if sum(summands) != r:
-        raise TreeError(f"summands {list(summands)} do not add up to rank {r}")
-    bounds = (0, *accumulate(summands))
-    block_of = [i for i, s in enumerate(summands) for _ in range(s)]
-    blocks: list[list[int]] = [[] for _ in summands]
+def levels(tree: FiniteTree) -> LevelDecomposition:
+    """Split ``tree`` into its tau classes."""
+    blocks: list[list[int]] = [[] for _ in range(tree.rank())]
     taus = tree.tau_map
     for t in tree.ids:
-        blocks[block_of[taus[t]]].append(t)
-    return LevelDecomposition(tree, bounds, tuple(map(frozenset, blocks)))
+        blocks[taus[t]].append(t)
+    return LevelDecomposition(tree, tuple(map(frozenset, blocks)))
 
 
 def select_level_subset(tree: FiniteTree, picked: Iterable[int]) -> FiniteTree:

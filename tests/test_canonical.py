@@ -9,7 +9,6 @@ from treeramsey.canonical import (
     node_facts,
     node_from_text,
     node_tau,
-    node_tau_beta,
     node_to_text,
     pair_facts,
     rank_symbolic,
@@ -108,8 +107,11 @@ class TestNodeTau:
         ((mul(w, 2) + 3,), "w^2", 0),
     ])
     def test_tau_beta(self, square, node, beta, expected):
-        from treeramsey.ordinal import parse_ordinal
-        assert node_tau_beta(square, parse_ordinal(beta), node) == ordinal(expected)
+        # the block index of tau under left division by beta, as the rule
+        # primitive tau(beta, s) reads it
+        from treeramsey.rules import parse_rule
+        rule = parse_rule(f"F[tau({beta}, s)] with F=(0,1,2)")
+        assert rule.value(*pair_facts(square, node, node + (ONE,))) == expected
 
 
 class TestSeparation:

@@ -297,6 +297,33 @@ class TestLoaderBoundary:
         assert main(["verify", "--cross", str(path)]) == 1
         assert capsys.readouterr().err.startswith("error: malformed result document")
 
+    @pytest.mark.parametrize("fault", ["row-removed", "pairs-in-levels", "nodes-in-leaf-chains"])
+    def test_result_with_an_incomplete_coloring_exits_1(self, fault, i03_file, tmp_path, capsys):
+        tree, tree_path = i03_file
+        rng = random.Random(fault)
+        mode = "leafchains" if fault == "nodes-in-leaf-chains" else "levels"
+        col = Coloring.of_leaf_chains(tree, 1, lambda s, t: rng.randrange(2), k=1) \
+            if mode == "leafchains" else Coloring.of_nodes(tree, lambda t: rng.randrange(2), k=1)
+        col_path, emit = tmp_path / "col.json", tmp_path / "result.json"
+        col_path.write_text(json.dumps(col.to_json()))
+        assert main(["stab", "--mode", mode, "--tree", str(tree_path),
+                     "--coloring", str(col_path), "--emit", str(emit)]) == 0
+        doc = json.loads(emit.read_text())
+        if fault == "row-removed":
+            kept = rng.choice(doc["subtree_ids"])
+            doc["coloring"]["nodes"] = [row for row in doc["coloring"]["nodes"] if row[0] != kept]
+            error = f"coloring assigns no color to {kept}"
+        elif fault == "pairs-in-levels":
+            doc["coloring"] = Coloring.of_pairs(tree, lambda s, t: rng.randrange(2), k=1).to_json()
+            error = "expected a nodes coloring, got pairs"
+        else:
+            doc["coloring"] = Coloring.of_nodes(tree, lambda t: rng.randrange(2), k=1).to_json()
+            error = "expected a chains coloring, got nodes"
+        emit.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["verify", "--cross", str(emit)]) == 1
+        assert capsys.readouterr().err == f"error: {error}\n"
+
 
 _JUNK = [None, "x", -1, 0, 1, 2, 7, 1.5, True, [], {}, [0, 1], {"id": 0}]
 

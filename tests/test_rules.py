@@ -44,7 +44,7 @@ class TestSepTable:
         assert rule.value(*pair_facts(square, *pair_same_block)) == 2
 
     def test_palette_guard(self, square, pair_same_block):
-        rule = RuleColoring(0, lambda s, t: 1, "bad")
+        rule = RuleColoring(0, lambda s, t, sep: 1, frozenset())
         with pytest.raises(RuleError):
             rule.value(*pair_facts(square, *pair_same_block))
 
@@ -75,11 +75,6 @@ class TestParser:
     def test_nested_if(self, square, pair_cross_block):
         rule = parse_rule("if sep == 0 then 0 else if depth(t) > 5 then 1 else 2", k=2)
         assert rule.value(*pair_facts(square, *pair_cross_block)) == 2
-
-    def test_round_trips_spec_format(self):
-        rule = parse_rule("F[sep] with F=(2,1)")
-        assert rule.source.startswith("F[sep]")
-        assert rule.k == 2
 
     @pytest.mark.parametrize("bad", [
         "F[sep] with F=()",
@@ -166,25 +161,20 @@ class TestReads:
         for source, k in SWEEP_RULES:
             assert parse_rule(source, k=k).reads == expected[source], source
         assert parse_rule("if sep == 0 then depth(t) else tau(w, s)", k=9).reads == PRIMITIVES
-
-    def test_sep_table_reads_only_sep(self):
-        assert RuleColoring.sep_table((1, 0)).reads == {"sep"}
-
-    def test_constant_reads_nothing(self):
-        assert RuleColoring.constant(1).reads == frozenset()
-
-    def test_a_bare_closure_reads_everything(self):
-        bare = RuleColoring(1, lambda s, t: 0)
-        assert bare.reads is None
         w2 = omega_pow(2)
         base, prefix = mul(w2, 3), (mul(w2, 5),)
-        assert transfinite._view(bare, base, prefix, w2, 2) == (w2, 2, 1, base)
         assert transfinite._view(parse_rule("tau(w, s) mod 2"), base, prefix, w2, 2) == \
             (w2, 2, None, base)
         assert transfinite._view(parse_rule("depth(t) mod 2"), base, prefix, w2, 2) == \
             (w2, 2, 1, None)
         assert transfinite._view(RuleColoring.sep_table((1, 0)), base, prefix, w2, 2) == \
             (w2, 2, None, None)
+
+    def test_sep_table_reads_only_sep(self):
+        assert RuleColoring.sep_table((1, 0)).reads == {"sep"}
+
+    def test_constant_reads_nothing(self):
+        assert RuleColoring.constant(1).reads == frozenset()
 
     def test_a_given_separation_is_not_recomputed(self, square, pair_same_block):
         facts = pair_facts(square, *pair_same_block)

@@ -154,29 +154,22 @@ class TestAssembleUnion:
     def _segment(self, square, size):
         return EntryPiece(ZERO, EntryMap.identity(size))
 
-    def test_declared_defaults_to_max(self, square):
-        union = assemble_union([
-            ((w,), self._segment(square, w)),
-            ((mul(w, 2),), self._segment(square, mul(w, 2))),
-        ])
-        assert union.declared_rank == mul(w, 2)
-
     def test_declared_override(self, square):
         union = assemble_union([((w,), self._segment(square, w))],
                                declared_rank=w2)
         assert union.declared_rank == w2
 
     def test_empty(self, square):
-        union = assemble_union([])
+        union = assemble_union([], ZERO)
         assert union.declared_rank == ZERO
         assert union.roots(3) == []
 
     def test_rejects_comparable_anchors(self, square):
         seg = self._segment(square, w)
         with pytest.raises(TransfiniteError):
-            assemble_union([((w,), seg), ((w,), seg)])
+            assemble_union([((w,), seg), ((w,), seg)], w)
         with pytest.raises(TransfiniteError):
-            assemble_union([((mul(w, 2),), seg), ((mul(w, 2), w), seg)])
+            assemble_union([((mul(w, 2),), seg), ((mul(w, 2), w), seg)], w)
 
     def test_union_of_graded_segments_attains_reference(self, square):
         # mirror of the graded-roots wrapping: declared rank w^2 certified
@@ -238,7 +231,7 @@ class TestFilteredPiece:
             assert keep[sq] == sp
 
 
-def _same_block(s, t):
+def _same_block(s, t, sep):
     return 1 if left_divide(w, s.tau)[0] == left_divide(w, t.tau)[0] else 0
 
 
@@ -258,7 +251,8 @@ class TestBlockReduce:
 
     def test_blockwise_rule(self, square):
         # every block has table (1,): the first width blocks are kept
-        res = stabilize_transfinite(square, RuleColoring(1, _same_block, "same-block"), BUDGET)
+        rule = RuleColoring(1, _same_block, frozenset({"tau"}))
+        res = stabilize_transfinite(square, rule, BUDGET)
         assert res.table == (1, 0) and res.report.ok
         assert self._kept(res) == ([ZERO, w, mul(w, 2)], [(w,), (mul(w, 2),), (mul(w, 3),)])
 
@@ -529,7 +523,7 @@ class TestMisreportedPositions:
         # s < t is checked once per window edge, before any pair is read: a
         # union's _cross_color and its audit share one window, and both reject it
         cube, rule = CanonicalTree.of(0, omega_pow(3)), RuleColoring.sep_table((0, 0, 0))
-        union = assemble_union([((mul(w2, 5),), ChildrenBesideParent())])
+        union = assemble_union([((mul(w2, 5),), ChildrenBesideParent())], w2)
         with pytest.raises(CanonicalError, match="separation needs s < t"):
             transfinite._cross_color(cube, union, (), w, rule, BUDGET)
         assert union.windows.keys() == {(BUDGET.depth, BUDGET.width)}
@@ -788,7 +782,7 @@ class TestComposedWindows:
         w3 = omega_pow(3)
         moved = ShiftPiece(stack, ZERO, w3)
         for piece in (moved, ShiftPiece(moved, w3, mul(w3, 2)),
-                      assemble_union([((mul(w3, 5),), moved)])):
+                      assemble_union([((mul(w3, 5),), moved)], moved.declared_rank)):
             for depth in range(1, 5):
                 window, at = piece_window(piece, depth, 3)
                 ref, ref_at = _walk_window(piece, depth, 3)
@@ -815,9 +809,8 @@ class TestComposedWindows:
         first, at = piece_window(union, 3, 3)
         again, at_again = piece_window(union, 3, 3)
         assert again == first and at_again == at
-        assert union == assemble_union(parts, declared_rank=w2)
         # the first build that contains the union takes its window
-        outer = assemble_union([((mul(w2, 2),), union)])
+        outer = assemble_union([((mul(w2, 2),), union)], w2)
         window, at_outer = piece_window(outer, 3, 3)
         assert not union.windows and outer.windows.keys() == {(3, 3)}
         assert window == first
@@ -998,12 +991,12 @@ class TestSinglePass:
     def test_a_rule_error_within_levels_waits_for_the_cross_level_verdict(self, square):
         honest = stabilize_transfinite(square, RuleColoring.sep_table((1, 0)), BUDGET)
 
-        def fn(s, t):
+        def fn(s, t, sep):
             if separation_of_facts(s, t) == 0:
                 raise RuleError("no color within levels")
             return t.depth % 2
 
-        rule = RuleColoring(1, fn)
+        rule = RuleColoring(1, fn, frozenset({"sep", "depth"}))
         with pytest.raises(BudgetExhausted) as cross:
             transfinite._cross_color(square, honest.subtree, (), w, rule, BUDGET)
         with pytest.raises(BudgetExhausted) as single:
