@@ -5,11 +5,12 @@ data with its own helpers instead of calling the constructive modules, so
 a bug upstream cannot vouch for itself: ``_walk``, ``_settle`` and
 ``_climb`` walk the raw parents themselves, build no ancestor set, and read
 no ancestor set, height or index that ``tree_core`` built.  The pair oracle
-is a longest monochromatic chain search down descendant lists, exhaustive
-within a node budget and saying so.  ``cross_validate`` walks the ambient
-tree once: each node's nearest kept ancestor gives the pairs of the output
-to check, and the bottom-up ``_settle`` pass along the same walk gives the
-tau and rank it trusts.
+is a longest monochromatic chain search down descendant lists that carries
+each chain's candidates, exhaustive within a node budget and saying so.
+``cross_validate`` walks the ambient tree once: each node's nearest kept
+ancestor gives the pairs of the output to check, and the bottom-up
+``_settle`` pass along the same walk gives the tau and rank it trusts; leaf
+chains come from ``_climb``'s descendant lists.
 ``cross_validate`` records into the shared ``report.Report``, which is a
 bare list of named checks: every check is still computed here, so no tree,
 ordinal or checking code is shared with the constructive modules.
@@ -91,12 +92,25 @@ def _climb(tree: FiniteTree) -> tuple[dict[int, list[int]], dict[int, int]]:
     return _last_climb[1], _last_climb[2]
 
 
+def _leaf_chains(tree: FiniteTree, n: int):
+    """Tuples (t0 < ... < t(n-1) <= tn), tn a leaf, id-lexicographic, off
+    ``_climb``: a chain whose top is a leaf closes at it; n = 0 gives leaves."""
+    below = _climb(tree)[0]
+    stack: list[tuple[int, ...]] = [()]
+    while stack:
+        chain = stack.pop()
+        under = below[chain[-1]] if chain else tree.ids
+        if len(chain) < n:
+            stack.extend(chain + (u,) for u in reversed(under))
+        else:
+            leaves = [u for u in under if not below[u]] or chain[-1:]
+            yield from (chain + (leaf,) for leaf in leaves)
+
+
 # -- search reports ------------------------------------------------------------
 
 
 class ColorBest:
-    # a plain class: the search reads ``rank`` at every node it explores,
-    # and an instance attribute reads faster than a NamedTuple field
     def __init__(self, rank: int, witness: tuple[int, ...]):
         self.rank, self.witness = rank, witness
 
@@ -137,34 +151,41 @@ def max_monochromatic_rank(tree: FiniteTree, coloring, j: int,
 
     The rank of a finite tree is its longest chain, and every chain of a
     monochromatic subtree is monochromatic, so this is a depth-first search
-    down descendant lists for the longest chain of color j.  A candidate t
-    is pruned when the chain through it, at most len(chain) + 1 + height(t)
-    long, cannot beat the best found.
+    down descendant lists for the longest chain of color j, a clique of the
+    color-j comparability graph.  As in maximum-clique branch and bound,
+    each frame carries its candidates: the nodes below the chain that every
+    chain node colors j with (None at the roots: every node).  A chain whose
+    candidates cannot carry it past the best found pushes none of them, and
+    a popped t is pruned when the chain through it, at most
+    len(chain) + 1 + height(t) long, cannot beat it.
     """
     below, height = _climb(tree)
     pair_color = _color_fn(coloring, pairs=True)
-    report = SearchReport(colors={j: ColorBest(0, ())})
+    best, witness, explored, pruned, exhaustive = 0, (), 0, 0, True
     chain: list[int] = []
-    stack = [(0, t) for t in reversed(tree.ids)]  # (chain length below t, t)
+    stack = [(0, t, None) for t in reversed(tree.ids)]  # (len(chain), t, candidates)
     while stack:
-        depth, t = stack.pop()
-        del chain[depth:]
-        report.explored += 1
-        if report.explored > node_budget:
-            report.exhaustive = False
+        depth, t, allowed = stack.pop()
+        if explored == node_budget:
+            exhaustive = False
             break
-        if depth + 1 + height[t] <= report.colors[j].rank:
-            report.pruned += 1
+        explored += 1
+        if depth + 1 + height[t] <= best:
+            pruned += 1
             continue
-        if any(pair_color(s, t) != j for s in chain):
-            continue
+        del chain[depth:]
         chain.append(t)
-        if len(chain) > report.colors[j].rank:
-            report.colors[j] = ColorBest(len(chain), tuple(sorted(chain)))
-        stack.extend((depth + 1, u) for u in reversed(below[t]))
-    if report.colors[j].rank == 0 and tree.ids:
+        if depth >= best:
+            best, witness = depth + 1, tuple(sorted(chain))
+        nxt = [u for u in below[t] if (allowed is None or u in allowed) and pair_color(t, u) == j]
+        if depth + 1 + len(nxt) > best:
+            shared = frozenset(nxt)
+            stack.extend((depth + 1, u, shared) for u in reversed(nxt))
+    if best == 0 and tree.ids:
         # a single node is always monochromatic (no pairs)
-        report.colors[j] = ColorBest(1, (min(tree.ids),))
+        best, witness = 1, (min(tree.ids),)
+    report = SearchReport({j: ColorBest(best, witness)}, explored)
+    report.pruned, report.exhaustive = pruned, exhaustive
     return report
 
 
@@ -277,12 +298,11 @@ def cross_validate(result) -> Report:
                f"pairs {bad[:5]} disagree with the level-pair table")
     elif result.mode == "leaf-chains":
         table = result.reduced
-        bad = [chain for chain in sub.leaf_chains(color.n)
+        bad = [chain for chain in _leaf_chains(sub, color.n)
                if table.get(chain[:-1]) != color.value(chain)]
         record("chain-colors-agree", not bad,
                f"chains {bad[:3]} disagree with the reduced function")
-        record("leaves-survive",
-               {t for t in q_ids if tau_q[t] == 0} <= set(ambient.leaves()),
+        record("leaves-survive", all(tau_p[t] == 0 for t in q_ids if tau_q[t] == 0),
                "subtree leaves are not ambient leaves")
     elif result.mode == "ramsey-reduce":
         j = result.reduced["color"]

@@ -53,6 +53,8 @@ class TestMonochromaticSearch:
     def test_budget_flag(self, i03):
         report = max_monochromatic_rank(i03, lambda s, t: 0, 0, node_budget=3)
         assert not report.exhaustive
+        # the node popped when the budget ran out is not counted
+        assert report.explored == 3
 
     def test_witness_achieves_rank(self):
         rng = random.Random(3)
@@ -135,6 +137,82 @@ class TestChainOracle:
         assert max_monochromatic_rank(FiniteTree.empty(), lambda s, t: 0, 0).colors[0].rank == 0
         single = max_monochromatic_rank(FiniteTree.chain_tree(1, start=4), lambda s, t: 1, 0)
         assert (single.colors[0].rank, single.colors[0].witness) == (1, (4,))
+
+
+def _reference_search(tree, pair_color, j, node_budget=verify.DEFAULT_NODE_BUDGET):
+    """The chain search before candidate sets: every descendant of an
+    accepted node is pushed, and each popped node is checked against the
+    whole chain; returns (rank, witness, exhaustive, explored)."""
+    below, height = verify._climb(tree)
+    best, witness, explored, exhaustive = 0, (), 0, True
+    chain = []
+    stack = [(0, t) for t in reversed(tree.ids)]
+    while stack:
+        depth, t = stack.pop()
+        del chain[depth:]
+        explored += 1
+        if explored > node_budget:
+            exhaustive = False
+            break
+        if depth + 1 + height[t] <= best:
+            continue
+        if any(pair_color(s, t) != j for s in chain):
+            continue
+        chain.append(t)
+        if len(chain) > best:
+            best, witness = len(chain), tuple(sorted(chain))
+        stack.extend((depth + 1, u) for u in reversed(below[t]))
+    if best == 0 and tree.ids:
+        best, witness = 1, (min(tree.ids),)
+    return best, witness, exhaustive, explored
+
+
+def _grown(rng, rank, n):
+    """``n`` nodes in exactly ``rank`` levels: a spine of ``rank`` nodes, then
+    each further node below a random node with room, or a new root; the
+    ids are permuted, so the search meets the spine in no fixed order."""
+    parent, depth = [], []
+    for i in range(n):
+        p = (i - 1 if i else None) if i < rank else rng.choice(
+            [None] + [q for q in range(i) if depth[q] + 1 < rank])
+        parent.append(p)
+        depth.append(0 if p is None else depth[p] + 1)
+    label = rng.sample(range(n), n)
+    return FiniteTree.from_parents(
+        {label[i]: None if p is None else label[p] for i, p in enumerate(parent)})
+
+
+class TestCandidateSets:
+    def test_matches_the_reference_search(self):
+        rng = random.Random(24)
+        trees = [_grown(rng, rng.randint(1, 8), rng.randint(8, 16)) for _ in range(600)]
+        trees += [instantiate(4).tree, instantiate(5).tree]
+        searches = 0
+        for tree in trees:
+            colorings = [(multiplicative_obstruction(tree, 2), (0, 1))]
+            for k in (1, 2, 3):
+                table = {(s, t): rng.randrange(k) for s, t in tree.ordered_pairs()}
+                colorings.append((lambda s, t, table=table: table[(s, t)], range(k)))
+            for color, js in colorings:
+                for j in js:
+                    rank, witness, exhaustive, explored = _reference_search(tree, color, j)
+                    report = max_monochromatic_rank(tree, color, j)
+                    best = report.colors[j]
+                    if exhaustive:
+                        assert (best.rank, best.witness, report.exhaustive) == \
+                            (rank, witness, True)
+                    assert report.explored <= explored
+                    searches += 1
+        assert searches == 8 * len(trees)
+
+    def test_proves_the_optimum_on_a_chain(self):
+        chain = FiniteTree.chain_tree(24)
+        report = max_monochromatic_rank(chain, multiplicative_obstruction(chain, 2), 1,
+                                        node_budget=150_000)
+        assert report.exhaustive and report.colors[1].rank == 12
+        # the search without candidate sets needs 181,656 nodes here
+        assert _reference_search(chain, multiplicative_obstruction(chain, 2), 1,
+                                 node_budget=150_000)[2] is False
 
 
 class TestNodeSearch:
@@ -315,3 +393,29 @@ def test_package_imports_are_the_tree_and_the_report_only():
         elif isinstance(node, ast.Import):
             assert all(alias.name.split(".")[0] != "treeramsey" for alias in node.names)
     assert imported == {(1, "tree_core", "FiniteTree"), (1, "report", "Report")}
+
+
+def test_reads_only_the_raw_tree_data():
+    # of a FiniteTree, verify reads its ids and parents and nothing else: a
+    # name annotated FiniteTree, the tree attributes of a result, and the
+    # class itself are the tree expressions
+    source = ast.parse(Path(verify.__file__).read_text())
+    trees = {"FiniteTree"}
+    for node in ast.walk(source):
+        if isinstance(node, (ast.arg, ast.AnnAssign)) and \
+                ast.unparse(node.annotation or ast.Constant(None)) == "FiniteTree":
+            trees.add(node.arg if isinstance(node, ast.arg) else node.target.id)
+    read = {node.attr for node in ast.walk(source) if isinstance(node, ast.Attribute)
+            and (isinstance(node.value, ast.Name) and node.value.id in trees
+                 or isinstance(node.value, ast.Attribute)
+                 and node.value.attr in ("ambient", "subtree"))}
+    assert trees >= {"FiniteTree", "tree", "ambient", "sub"}
+    assert read == {"ids", "parents"}
+
+
+def test_own_leaf_chains_match_the_tree_methods():
+    rng = random.Random(50)
+    for _ in range(60):
+        tree = random_tree(rng, max_nodes=10, min_nodes=0)
+        for n in range(4):
+            assert list(verify._leaf_chains(tree, n)) == list(tree.leaf_chains(n))
