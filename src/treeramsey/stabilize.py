@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import json
 from functools import cache
-from itertools import combinations
-from typing import Callable, Iterable, Mapping, Sequence
+from itertools import combinations, repeat
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .report import Report
 from .tree_core import FiniteTree, exact_int, select_level_subset
@@ -126,12 +126,26 @@ def check_coverage(tree: FiniteTree, coloring: Coloring, *arities: str) -> None:
     if coloring.arity == "nodes":
         keys = iter(tree.ids)
     elif coloring.arity == "pairs":
-        keys = ((s, t) for t in tree.ids for s in sorted(tree.ancestors(t)))
+        keys = _pair_keys(tree, coloring.table)
     else:
         keys = tree.leaf_chains(coloring.n)
     missing = next((key for key in keys if key not in coloring.table), None)
     if missing is not None:
         raise StabilizeError(f"coloring assigns no color to {missing}")
+
+
+def _pair_keys(tree: FiniteTree, table: Mapping) -> Iterator[tuple[int, int]]:
+    """The pairs (s, t) of each node t in id order, s by id among the strict
+    ancestors climbed from t; a node all of whose pairs ``table`` holds
+    yields none, so only a node missing one pays for the ordered list."""
+    up = tree._up
+    for t in tree.ids:
+        above, s = [], up[t]
+        while s is not None:
+            above.append(s)
+            s = up[s]
+        if not all(map(table.__contains__, zip(above, repeat(t)))):
+            yield from ((s, t) for s in sorted(above))
 
 
 # -- results -------------------------------------------------------------------
@@ -375,49 +389,52 @@ def find_clique_free_coloring(m: int, target: int, colors: int) -> dict | None:
     """An edge coloring of the complete graph on m vertices with no
     monochromatic ``target``-clique, or None when every coloring has one.
 
-    Backtracking over edges in lexicographic order, with the assignment as
-    the stack; color symmetry is broken by only allowing one brand-new color
-    at each step.
+    Backtracking over edges in lexicographic order, with the colors assigned
+    so far as the stack; color symmetry is broken by only allowing one
+    brand-new color at each step.  Each vertex keeps a bit set of its
+    neighbours in each color: edge (a, b) closes a color-c clique when the
+    common color-c neighbours of a and b hold one of ``target - 2`` vertices.
     """
     edges = list(combinations(range(m), 2))
-    assignment: dict[tuple[int, int], int] = {}
+    near = [[0] * m for _ in range(colors)]  # near[c][v]: v's color-c neighbours
+    stack: list[int] = []  # the colors of edges[:len(stack)]
 
-    def completes_clique(edge: tuple[int, int], c: int) -> bool:
-        a, b = edge
-        partners = [v for v in range(m)
-                    if v not in edge
-                    and assignment.get(_e(a, v)) == c and assignment.get(_e(b, v)) == c]
-        if target == 2:
-            return True
-        for group in combinations(partners, target - 2):
-            if all(assignment.get(_e(u, v)) == c for u, v in combinations(group, 2)):
+    def has_clique(common: int, size: int, near_c: list[int]) -> bool:
+        while common.bit_count() >= size:
+            if size <= 1:
+                return True
+            low = common & -common
+            common ^= low
+            if has_clique(common & near_c[low.bit_length() - 1], size - 1, near_c):
                 return True
         return False
 
-    c = 0  # the next color to try on the first unassigned edge
-    while len(assignment) < len(edges):
-        edge = edges[len(assignment)]
-        allowed = min(max(assignment.values(), default=-1) + 2, colors)
-        while c < allowed and completes_clique(edge, c):
+    c = 0  # the next color to try on the first uncolored edge
+    while len(stack) < len(edges):
+        a, b = edges[len(stack)]
+        allowed = min(max(stack, default=-1) + 2, colors)
+        while c < allowed and has_clique(near[c][a] & near[c][b], target - 2, near[c]):
             c += 1
         if c < allowed:
-            assignment[edge], c = c, 0
-        elif assignment:
-            # backtrack: popitem() removes the last assigned edge (LIFO)
-            c = assignment.popitem()[1] + 1
+            near[c][a] |= 1 << b
+            near[c][b] |= 1 << a
+            stack.append(c)
+            c = 0
+        elif stack:
+            a, b = edges[len(stack) - 1]
+            c = stack.pop()
+            near[c][a] ^= 1 << b
+            near[c][b] ^= 1 << a
+            c += 1
         else:
             return None
-    return dict(assignment)
-
-
-def _e(u: int, v: int) -> tuple[int, int]:
-    return (u, v) if u < v else (v, u)
+    return dict(zip(edges, stack))
 
 
 def has_monochromatic_subset(coloring: Mapping[tuple[int, int], int],
                              m: int, target: int) -> bool:
     for group in combinations(range(m), target):
-        colors = {coloring[_e(u, v)] for u, v in combinations(group, 2)}
+        colors = {coloring[pair] for pair in combinations(group, 2)}  # u < v in each pair
         if len(colors) <= 1:
             return True
     return False

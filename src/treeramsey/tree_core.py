@@ -7,9 +7,11 @@ identities survive every selection and expressions like
 ``Q & (P^i \\ P^(i+1))`` are literal set intersections.  The rank is the
 longest chain and tau(t) the longest chain strictly above t, i.e. the
 height of t, found in one pass that pushes heights up the parents from
-the leaves; the z-th derivative P^z is {t : tau(t) >= z}.  Descendant
-lists come from climbing the parents; ancestor sets are a derived view,
-built only for ``ancestors``.
+the leaves; the z-th derivative P^z is {t : tau(t) >= z}.  The pass that
+validates a parent map also builds the children lists and the top-down
+order that this push reads; a restriction climbs from the kept nodes only.
+Descendant lists come from climbing the parents; ancestor sets are a
+derived view, built only for ``ancestors``.
 """
 
 from __future__ import annotations
@@ -58,22 +60,37 @@ class FiniteTree:
 
     @staticmethod
     def from_parents(parent: Mapping[int, int | None]) -> "FiniteTree":
-        """The tree of a parent map; an unknown parent or a cycle is an error."""
+        """The tree of a parent map; an unknown parent or a cycle is an error.
+
+        One pass hangs each node, in id order, below its parent and then
+        orders the nodes breadth first from the roots; a node left out of
+        that order has an unknown parent or sits on a cycle, and the error
+        names what the least such node meets as it climbs.  The children
+        lists, the order and the parent dict stay on the tree."""
         ids = tuple(sorted(parent))
-        checked: set[int] = set()
-        for s in ids:
-            # climb to a checked node or a root
-            path: set[int] = set()
-            while s is not None and s not in checked:
-                if s in path:
-                    raise TreeError(f"parent cycle through node {s}")
+        up = {t: parent[t] for t in ids}
+        kids: dict[int, list[int]] = {t: [] for t in ids}
+        order: list[int] = []
+        for t, p in up.items():
+            try:
+                (order if p is None else kids[p]).append(t)
+            except KeyError:
+                pass  # an unknown parent: t stays out of the order
+        for t in order:  # the list grows while it is read: breadth first
+            order.extend(kids[t])
+        if len(order) < len(ids):
+            # the least node left out climbs its unknown or repeating parents
+            reached = set(order)
+            s, path = next(t for t in ids if t not in reached), set()
+            while s not in path:
                 path.add(s)
-                p = parent[s]
-                if p is not None and p not in parent:
-                    raise TreeError(f"parent {p} of node {s} is not a node")
-                s = p
-            checked |= path
-        return FiniteTree(ids, tuple(parent[t] for t in ids))
+                if parent[s] not in parent:
+                    raise TreeError(f"parent {parent[s]} of node {s} is not a node")
+                s = parent[s]
+            raise TreeError(f"parent cycle through node {s}")
+        tree = FiniteTree(ids, tuple(up.values()))
+        tree.__dict__.update(_up=up, _kids=kids, _topdown=order)
+        return tree
 
     @staticmethod
     def _of_valid(ids: Sequence[int], parents: Sequence[int | None]) -> "FiniteTree":
@@ -97,18 +114,25 @@ class FiniteTree:
 
     def restrict(self, keep: Iterable[int]) -> "FiniteTree":
         """Subtree on an id subset with the induced order: a kept node's
-        parent is its nearest kept ancestor."""
-        keep_set = frozenset(keep)
-        extra = keep_set - self._index.keys()
+        parent is its nearest kept ancestor.  Each kept node climbs to it and
+        every node passed remembers it, so no node is passed twice."""
+        ids, up = sorted(set(keep)), self._up
+        extra = [t for t in ids if t not in up]
         if extra:
-            raise TreeError(f"unknown node ids {sorted(extra)}")
-        kept_above: dict[int, int | None] = dict.fromkeys(self.roots())
-        for t in self._topdown:
-            nearest = t if t in keep_set else kept_above[t]
-            for c in self._kids[t]:
-                kept_above[c] = nearest
-        ids = [t for t in self.ids if t in keep_set]
-        return FiniteTree._of_valid(ids, [kept_above[t] for t in ids])
+            raise TreeError(f"unknown node ids {extra}")
+        at: dict[int | None, int | None] = dict(zip(ids, ids))  # nearest kept node at or above
+        at[None] = None
+        parents = []
+        for t in ids:
+            s = up[t]
+            if s not in at:
+                passed = []
+                while s not in at:
+                    passed.append(s)
+                    s = up[s]
+                at.update(dict.fromkeys(passed, at[s]))
+            parents.append(at[s])
+        return FiniteTree._of_valid(ids, parents)
 
     # -- basic structure -------------------------------------------------------
 
@@ -169,9 +193,10 @@ class FiniteTree:
         return dict(zip(self.ids, self.parents))
 
     @cached_property
-    def _below(self) -> dict[int, tuple[int, ...]]:
+    def _below(self) -> dict[int, list[int]]:
         """Strict descendants of each node, in id order: each node, taken in
-        id order, climbs the parents and joins the list of every ancestor."""
+        id order, climbs the parents and joins the list of every ancestor.
+        The lists are shared with every reader, who must not change them."""
         up = self._up
         out: dict[int, list[int]] = {t: [] for t in self.ids}
         for t in self.ids:
@@ -179,7 +204,7 @@ class FiniteTree:
             while s is not None:
                 out[s].append(t)
                 s = up[s]
-        return {t: tuple(v) for t, v in out.items()}
+        return out
 
     def descendants(self, t: int) -> frozenset[int]:
         self._node(t)

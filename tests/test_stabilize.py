@@ -1,6 +1,7 @@
 import json
 import random
 import re
+from itertools import combinations
 
 import pytest
 
@@ -492,3 +493,91 @@ def test_greedy_chain_agrees_with_the_recursive_reference():
             tree, 0, lambda chain: min(i for i, m in enumerate(classes) if chain[0] in m))
         assert select_leafset(tree, classes) == (F[()], Q)
     assert 1 in ranks and max(ranks) >= 8
+
+
+# -- reference: the clique search before bit sets, and coverage off ancestor sets ---
+
+
+def _reference_clique_free_coloring(m, target, colors):
+    """The search before bit sets: each candidate color scans every vertex
+    for common neighbours in the assignment dict, then every group of them."""
+    def edge(u, v):
+        return (u, v) if u < v else (v, u)
+
+    edges = list(combinations(range(m), 2))
+    assignment = {}
+
+    def completes_clique(e, c):
+        a, b = e
+        partners = [v for v in range(m) if v not in e
+                    and assignment.get(edge(a, v)) == c and assignment.get(edge(b, v)) == c]
+        if target == 2:
+            return True
+        return any(all(assignment.get(edge(u, v)) == c for u, v in combinations(group, 2))
+                   for group in combinations(partners, target - 2))
+
+    c = 0
+    while len(assignment) < len(edges):
+        e = edges[len(assignment)]
+        allowed = min(max(assignment.values(), default=-1) + 2, colors)
+        while c < allowed and completes_clique(e, c):
+            c += 1
+        if c < allowed:
+            assignment[e], c = c, 0
+        elif assignment:
+            c = assignment.popitem()[1] + 1
+        else:
+            return None
+    return dict(assignment)
+
+
+def test_clique_free_coloring_matches_the_reference():
+    # m = 9 with 4-cliques is the first size at which two common neighbours
+    # of an edge can be joined by the other color
+    cases = [(m, target, colors) for m in range(9) for target in (2, 3, 4)
+             for colors in (1, 2, 3)] + [(9, 4, colors) for colors in (1, 2, 3)]
+    found = 0
+    for m, target, colors in cases:
+        expected = _reference_clique_free_coloring(m, target, colors)
+        got = find_clique_free_coloring(m, target, colors)
+        assert got == expected
+        if got:
+            found += 1
+            assert list(got) == list(expected)
+            assert not has_monochromatic_subset(got, m, target)
+    assert found > 20
+
+
+def _pairs_result(rng):
+    tree = _permuted_random_tree(rng)
+    return stabilize_pairs_by_level(tree, Coloring.of_pairs(tree, lambda s, t: rng.randrange(2)))
+
+
+def test_coverage_names_the_first_missing_pair_in_ancestor_order():
+    rng = random.Random(25)
+    missed = 0
+    for _ in range(100):
+        res = _pairs_result(rng)
+        tree, doc = res.ambient, res.to_json()
+        rows = doc["coloring"]["pairs"]
+        if not rows:
+            continue
+        for row in rng.sample(rows, min(len(rows), rng.randint(1, 2))):
+            rows.remove(row)
+        gone = {(s, t) for s, t, _ in res.coloring.to_json()["pairs"]} - \
+            {(s, t) for s, t, _ in rows}
+        # the key order of the parent: ids, then each node's sorted ancestor set
+        first = next((s, t) for t in tree.ids for s in sorted(tree.ancestors(t))
+                     if (s, t) in gone)
+        with pytest.raises(StabilizeError) as info:
+            StabilizationResult.from_json(doc)
+        assert str(info.value) == f"coloring assigns no color to {first}"
+        missed += 1
+    assert missed >= 50
+
+
+def test_reading_a_pairs_result_builds_no_ancestor_sets():
+    res = _pairs_result(random.Random(3))
+    back = StabilizationResult.from_json(json.loads(json.dumps(res.to_json())))
+    assert back.ambient == res.ambient and back.recheck().ok
+    assert "anc" not in vars(back.ambient) and "anc" not in vars(back.subtree)

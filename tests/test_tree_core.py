@@ -13,6 +13,7 @@ from treeramsey.tree_core import (
     levels,
     select_level_subset,
 )
+from treeramsey.stabilize import _greedy_chain
 from treeramsey.verify import _heights, _rank_of
 
 
@@ -497,3 +498,130 @@ class TestCalculusAgainstOracle:
             assert list(tree.ordered_pairs()) == pairs
             assert list(tree.chains(3)) == [(a, b, c) for a, b in pairs
                                             for c in tree.ids if b in anc[c]]
+
+
+def _reference_from_parents(parent):
+    """The constructor before the one-pass build: each node, in id order,
+    climbs with a fresh path set to a checked node or a root.  Returns the
+    error text, or the ids and parents with the children lists, top-down
+    order and tau that the lazy properties then built from them."""
+    ids = tuple(sorted(parent))
+    checked = set()
+    for s in ids:
+        path = set()
+        while s is not None and s not in checked:
+            if s in path:
+                return f"parent cycle through node {s}"
+            path.add(s)
+            p = parent[s]
+            if p is not None and p not in parent:
+                return f"parent {p} of node {s} is not a node"
+            s = p
+        checked |= path
+    parents = tuple(parent[t] for t in ids)
+    kids = {t: [] for t in ids}
+    for t, p in zip(ids, parents):
+        if p is not None:
+            kids[p].append(t)
+    order = [t for t, p in zip(ids, parents) if p is None]
+    for t in order:
+        order.extend(kids[t])
+    taus = dict.fromkeys(ids, 0)
+    for t in reversed(order):
+        p = parent[t]
+        if p is not None and taus[p] <= taus[t]:
+            taus[p] = taus[t] + 1
+    return ids, parents, kids, order, taus
+
+
+def _reference_restrict(tree, keep):
+    """Restriction before the climb from the kept nodes: a walk down the
+    whole tree hands each node the nearest kept node above it.  Returns the
+    error text, or the ids and parents of the subtree."""
+    keep = frozenset(keep)
+    extra = keep - set(tree.ids)
+    if extra:
+        return f"unknown node ids {sorted(extra)}"
+    kids = {t: [] for t in tree.ids}
+    for t, p in zip(tree.ids, tree.parents):
+        if p is not None:
+            kids[p].append(t)
+    order = [t for t, p in zip(tree.ids, tree.parents) if p is None]
+    kept_above = dict.fromkeys(order)
+    for t in order:
+        order.extend(kids[t])
+        nearest = t if t in keep else kept_above[t]
+        kept_above.update(dict.fromkeys(kids[t], nearest))
+    ids = tuple(t for t in tree.ids if t in keep)
+    return ids, tuple(kept_above[t] for t in ids)
+
+
+def _malformed(rng, parent):
+    """A valid parent map with a self-parent, a cycle of 2-4 nodes, an
+    unknown parent, or a cycle and an unknown parent, inserted in a random
+    order."""
+    bad, ids = dict(parent), list(parent)
+    fault = rng.choice(["self", "cycle", "unknown", "both"])
+    if fault == "self":
+        t = rng.choice(ids)
+        bad[t] = t
+    if fault in ("cycle", "both") and len(ids) >= 2:
+        ring = rng.sample(ids, rng.randint(2, min(4, len(ids))))
+        for a, b in zip(ring, ring[1:] + ring[:1]):
+            bad[a] = b
+    if fault in ("unknown", "both"):
+        bad[rng.choice(ids)] = max(ids) + rng.randint(1, 5)
+    items = list(bad.items())
+    rng.shuffle(items)
+    return dict(items)
+
+
+class TestAgainstTheClimbingBuild:
+    """The one-pass ``from_parents`` and the climbing ``restrict`` against
+    the constructions they replaced, kept here as references."""
+
+    def test_from_parents_matches_the_reference(self):
+        rng = random.Random(25)
+        malformed = 0
+        for _ in range(400):
+            tree = _relabelled(rng, random_tree(rng, max_nodes=30))
+            parent = dict(zip(tree.ids, tree.parents))
+            for candidate in (parent, _malformed(rng, parent)):
+                expected = _reference_from_parents(candidate)
+                if isinstance(expected, str):
+                    malformed += 1
+                    with pytest.raises(TreeError) as info:
+                        FiniteTree.from_parents(candidate)
+                    assert str(info.value) == expected
+                    continue
+                ids, parents, kids, order, taus = expected
+                built = FiniteTree.from_parents(candidate)
+                assert (built.ids, built.parents) == (ids, parents)
+                assert built._kids == kids and built._topdown == order
+                assert built.tau_map == taus
+                assert built == FiniteTree(ids, parents)
+        assert malformed >= 300
+
+    def test_restrict_matches_the_reference(self):
+        rng = random.Random(26)
+        for _ in range(300):
+            tree = _relabelled(rng, random_tree(rng, max_nodes=40))
+            ids = list(tree.ids)
+            chain = _greedy_chain(tree) if ids else []
+            fresh = [max(ids, default=0) + 1, -7]
+            keeps = [[], ids, chain, rng.sample(ids, len(ids) // 2),
+                     rng.sample(ids, (len(ids) + 1) // 2), list(tree.leaves()),
+                     rng.sample(ids, min(1, len(ids))), ids[:3] + fresh, fresh[:1]]
+            for keep in keeps:
+                expected = _reference_restrict(tree, keep)
+                if isinstance(expected, str):
+                    with pytest.raises(TreeError) as info:
+                        tree.restrict(keep)
+                    assert str(info.value) == expected
+                    continue
+                sub = tree.restrict(iter(keep))
+                assert (sub.ids, sub.parents) == expected
+                # a restriction of a restriction climbs the unchecked tree's parents
+                again = rng.sample(sub.ids, len(sub) // 2)
+                twice = sub.restrict(again)
+                assert (twice.ids, twice.parents) == _reference_restrict(sub, again)
