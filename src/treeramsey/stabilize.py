@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 from functools import cache
-from itertools import combinations, repeat
+from itertools import combinations
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .report import Report
@@ -126,7 +126,7 @@ def check_coverage(tree: FiniteTree, coloring: Coloring, *arities: str) -> None:
     if coloring.arity == "nodes":
         keys = iter(tree.ids)
     elif coloring.arity == "pairs":
-        keys = _pair_keys(tree, coloring.table)
+        keys = _pair_keys(tree)
     else:
         keys = tree.leaf_chains(coloring.n)
     missing = next((key for key in keys if key not in coloring.table), None)
@@ -134,18 +134,16 @@ def check_coverage(tree: FiniteTree, coloring: Coloring, *arities: str) -> None:
         raise StabilizeError(f"coloring assigns no color to {missing}")
 
 
-def _pair_keys(tree: FiniteTree, table: Mapping) -> Iterator[tuple[int, int]]:
+def _pair_keys(tree: FiniteTree) -> Iterator[tuple[int, int]]:
     """The pairs (s, t) of each node t in id order, s by id among the strict
-    ancestors climbed from t; a node all of whose pairs ``table`` holds
-    yields none, so only a node missing one pays for the ordered list."""
+    ancestors climbed from t."""
     up = tree._up
     for t in tree.ids:
         above, s = [], up[t]
         while s is not None:
             above.append(s)
             s = up[s]
-        if not all(map(table.__contains__, zip(above, repeat(t)))):
-            yield from ((s, t) for s in sorted(above))
+        yield from ((s, t) for s in sorted(above))
 
 
 # -- results -------------------------------------------------------------------

@@ -62,25 +62,14 @@ class FiniteTree:
     def from_parents(parent: Mapping[int, int | None]) -> "FiniteTree":
         """The tree of a parent map; an unknown parent or a cycle is an error.
 
-        One pass hangs each node, in id order, below its parent and then
-        orders the nodes breadth first from the roots; a node left out of
-        that order has an unknown parent or sits on a cycle, and the error
-        names what the least such node meets as it climbs.  The children
-        lists, the order and the parent dict stay on the tree."""
+        Building the children lists and the breadth-first order from the
+        roots is the check: a node left out of that order has an unknown
+        parent or sits on a cycle, and the error names what the least such
+        node meets as it climbs.  The lists and the order stay on the tree."""
         ids = tuple(sorted(parent))
-        up = {t: parent[t] for t in ids}
-        kids: dict[int, list[int]] = {t: [] for t in ids}
-        order: list[int] = []
-        for t, p in up.items():
-            try:
-                (order if p is None else kids[p]).append(t)
-            except KeyError:
-                pass  # an unknown parent: t stays out of the order
-        for t in order:  # the list grows while it is read: breadth first
-            order.extend(kids[t])
-        if len(order) < len(ids):
-            # the least node left out climbs its unknown or repeating parents
-            reached = set(order)
+        tree = FiniteTree(ids, tuple(map(parent.__getitem__, ids)))
+        if len(tree._topdown) < len(ids):
+            reached = set(tree._topdown)
             s, path = next(t for t in ids if t not in reached), set()
             while s not in path:
                 path.add(s)
@@ -88,8 +77,6 @@ class FiniteTree:
                     raise TreeError(f"parent {parent[s]} of node {s} is not a node")
                 s = parent[s]
             raise TreeError(f"parent cycle through node {s}")
-        tree = FiniteTree(ids, tuple(up.values()))
-        tree.__dict__.update(_up=up, _kids=kids, _topdown=order)
         return tree
 
     @staticmethod
@@ -151,19 +138,19 @@ class FiniteTree:
 
     @cached_property
     def _kids(self) -> dict[int, list[int]]:
-        """Children of each node, in id order."""
+        """Children of each node, in id order; a parent that is not a node is skipped."""
         kids: dict[int, list[int]] = {t: [] for t in self.ids}
         for t, p in zip(self.ids, self.parents):
-            if p is not None:
+            if p in kids:
                 kids[p].append(t)
         return kids
 
     @cached_property
     def _topdown(self) -> list[int]:
         """Every node after its parent (breadth first from the roots)."""
-        order = list(self.roots())
+        order, kids = list(self.roots()), self._kids
         for t in order:
-            order.extend(self._kids[t])
+            order.extend(kids[t])
         return order
 
     @cached_property

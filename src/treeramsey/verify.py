@@ -8,9 +8,9 @@ no ancestor set, height or index that ``tree_core`` built.  The pair oracle
 is a longest monochromatic chain search down descendant lists that carries
 each chain's candidates, exhaustive within a node budget and saying so.
 ``cross_validate`` walks the ambient tree once: each node's nearest kept
-ancestor gives the pairs of the output to check, and one settle walk back
-up the same order gives the ambient and the output heights together, the
-tau and rank it trusts; leaf chains come from ``_climb``'s descendant lists.
+ancestor gives the pairs of the output to check, and the bottom-up
+``_settle`` pass along the same walk gives the tau and rank it trusts; leaf
+chains come from ``_climb``'s descendant lists.
 ``cross_validate`` records into the shared ``report.Report``, which is a
 bare list of named checks: every check is still computed here, so no tree,
 ordinal or checking code is shared with the constructive modules.
@@ -255,17 +255,10 @@ def cross_validate(result) -> Report:
     record("subtree-containment", q_ids <= p_ids,
            f"{sorted(q_ids - p_ids)} outside the ambient tree")
 
-    # one walk down gives near, whose climbs stay inside Q, and one walk back
-    # up along its order settles the heights in P and in Q together
+    # one walk: near climbs inside Q, and both height maps settle along order
     near, order = _walk(ambient, q_ids)
-    up = dict(zip(ambient.ids, ambient.parents))
-    tau_p, tau_q = dict.fromkeys(p_ids, 0), dict.fromkeys(q_ids, 0)
-    for t in reversed(order):
-        p, h = up[t], tau_p[t]
-        if p is not None and tau_p[p] <= h:
-            tau_p[p] = h + 1
-        if t in tau_q and (u := near[t]) is not None and tau_q[u] <= tau_q[t]:
-            tau_q[u] = tau_q[t] + 1
+    tau_p = _settle(order, dict(zip(ambient.ids, ambient.parents)), p_ids)
+    tau_q = _settle(order, near, q_ids)
     rank_q = _rank_of(tau_q)
     record("rank-preserved", rank_q == result.expected_rank,
            f"rank {rank_q} != required {result.expected_rank}")
