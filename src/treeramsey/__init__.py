@@ -44,8 +44,6 @@ from .stabilize import (
     extract_monochromatic,
     finite_ramsey,
     ramsey_reduce_levels,
-    select_leafset,
-    select_levels,
     stabilize_leaf_chains,
     stabilize_levels,
     stabilize_pairs_by_level,
@@ -53,9 +51,7 @@ from .stabilize import (
 from .transfinite import (
     Budget,
     ContractionSpec,
-    assemble_union,
     audit_contraction,
-    audit_declared_rank,
     contract,
     stabilize_transfinite,
 )
@@ -65,6 +61,7 @@ from .tree_core import (
     graft,
     incomparable_union,
     levels,
+    select_levels,
 )
 from .verify import (
     SearchReport,
@@ -81,15 +78,16 @@ __all__ = [
     "is_multiplicatively_indecomposable", "left_divide", "left_subtract",
     "mul", "omega_pow", "ordinal", "parse_ordinal", "sum_decompose",
     "FiniteTree", "LevelDecomposition", "graft", "incomparable_union", "levels",
+    "select_levels",
     "CanonicalNode", "CanonicalTree", "Truncation",
     "instantiate", "node_tau", "rank_symbolic", "separation",
     "pair_facts", "truncate",
     "Coloring", "StabilizationResult", "extract_monochromatic", "finite_ramsey",
-    "ramsey_reduce_levels", "select_leafset", "select_levels",
-    "stabilize_leaf_chains", "stabilize_levels", "stabilize_pairs_by_level",
+    "ramsey_reduce_levels", "stabilize_leaf_chains", "stabilize_levels",
+    "stabilize_pairs_by_level",
     "RuleColoring", "parse_rule",
-    "Budget", "ContractionSpec", "assemble_union", "audit_contraction",
-    "audit_declared_rank", "contract", "stabilize_transfinite",
+    "Budget", "ContractionSpec", "audit_contraction", "contract",
+    "stabilize_transfinite",
     "SearchReport", "additive_obstruction", "cross_validate",
     "max_monochromatic_rank", "max_monochromatic_rank_nodes", "multiplicative_obstruction",
 ]

@@ -165,16 +165,22 @@ def window_facts(tree: CanonicalTree, nodes: Sequence[CanonicalNode],
     A node that extends its parent is checked on the entries it adds below
     it, any other node in full, so a membership error names the same first
     node; nodes with one last entry and depth share one record, and the
-    block signature is computed once per tau."""
+    block signature is computed once per tau.  After every membership check,
+    a node beside its parent raises ``require_below``'s error, so every
+    window pair s < t has s a proper prefix of t."""
     why = _separation_undefined(tree)
     alpha, beta = tree.alpha, tree.beta
     sigs: dict[int, tuple[Ordinal, ...] | str] = {}  # by tau serial
     records: dict[tuple[int, int], NodeFacts] = {}  # by (last entry serial, depth)
     out: list[NodeFacts] = []
+    beside = None  # the first (parent, node) where the node does not extend it
     for node, p in zip(nodes, parents):
         above = () if p is None else nodes[p]
         k = len(above)
-        tree._require(node, k if 0 < k < len(node) and node[:k] == above else 0)
+        extends = 0 < k < len(node) and node[:k] == above
+        if beside is None and p is not None and not extends:
+            beside = above, node
+        tree._require(node, k if extends else 0)
         key = (node[-1]._serial, len(node))
         if key not in records:
             tau = left_subtract(alpha, node[-1])
@@ -182,6 +188,8 @@ def window_facts(tree: CanonicalTree, nodes: Sequence[CanonicalNode],
                 sigs[tau._serial] = tau_facts(beta, tau, why=why).sig
             records[key] = NodeFacts(tau, len(node), beta, sigs[tau._serial])
         out.append(records[key])
+    if beside:
+        require_below(*beside)
     return out
 
 
@@ -233,14 +241,12 @@ def truncate(tree: CanonicalTree, depth: int, width: int) -> Truncation:
     descending walk (predecessors, with jumps into fundamental sequences)."""
     if depth < 1 or width < 1:
         raise CanonicalError("depth and width must be at least 1")
-    ids: list[CanonicalNode] = []
     parents: dict[int, int | None] = {}
     to_node: dict[int, CanonicalNode] = {}
     complete: dict[int, bool] = {}
 
     def emit(node: CanonicalNode, parent: int | None) -> int:
-        i = len(ids)
-        ids.append(node)
+        i = len(to_node)
         parents[i] = parent
         to_node[i] = node
         return i

@@ -14,12 +14,10 @@ from __future__ import annotations
 import json
 from functools import cache
 from itertools import combinations
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .report import Report
-from .tree_core import FiniteTree, exact_int, select_level_subset
-
-select_levels = select_level_subset
+from .tree_core import FiniteTree, exact_int, select_levels
 
 
 class StabilizeError(ValueError):
@@ -304,23 +302,6 @@ def stabilize_leaf_chains(tree: FiniteTree, n: int, coloring: Coloring) -> Stabi
     result = StabilizationResult(tree, Q, "leaf-chains", F, coloring,
                                  expected_rank=tree.rank())
     return _finish(result)
-
-
-def select_leafset(tree: FiniteTree, classes: Sequence[Iterable[int]]) -> tuple[int, FiniteTree]:
-    """Pick a class index i and an equal-rank subtree whose leaves all fall
-    in class i: the greedy chain, with i the smallest index containing its
-    bottom leaf."""
-    leaves = set(tree.leaves())
-    classes = [frozenset(m) for m in classes]
-    covered = frozenset().union(*classes) if classes else frozenset()
-    if not leaves <= covered:
-        raise StabilizeError(f"leaves {sorted(leaves - covered)[:5]} not covered")
-    chain = _greedy_chain(tree)
-    i = min(i for i, m in enumerate(classes) if chain[0] in m)
-    Q = tree.restrict(chain)
-    if not set(Q.leaves()) <= classes[i]:
-        raise StabilizeError("selected subtree leaves escape the chosen class")
-    return i, Q
 
 
 # -- node-coloring stabilization --------------------------------------------------

@@ -47,7 +47,6 @@ from .canonical import (
     NodeFacts,
     node_to_text,
     rank_symbolic,
-    require_below,
     separation_of_facts,
     tau_facts,
     window_facts,
@@ -258,13 +257,15 @@ class EntryPiece(Piece):
 
 
 class UnionPiece(Piece):
-    """Incomparable union of pieces hung below pairwise incomparable anchors.
+    """Incomparable union of pieces hung below pairwise incomparable anchors,
+    of the declared rank: the intended limit when the parts are cofinal.
 
     Its window is its parts' windows side by side.  ``piece_window`` keeps
     it in ``windows`` per (depth, width), and the first build that contains
     the union takes it from there: a kept window is read once."""
 
-    def __init__(self, parts: tuple[tuple[CanonicalNode, Piece], ...], rank: Ordinal):
+    def __init__(self, parts: Iterable[tuple[CanonicalNode, Piece]], rank: Ordinal):
+        parts = tuple((tuple(a), piece) for a, piece in parts)
         anchors = [a for a, _ in parts]
         for i, a in enumerate(anchors):
             for b in anchors[i + 1:]:
@@ -535,11 +536,9 @@ def _walk(piece: Piece, depth: int, width: int) -> Window:
 
 def _facts(tree: CanonicalTree, prefix: CanonicalNode, window: FiniteTree,
            at: dict[int, Positioned]) -> list[NodeFacts]:
-    """The window facts of the window nodes below ``prefix``, after which
-    every window node is required to extend its parent."""
-    facts = window_facts(tree, [prefix + node for node, _ in at.values()], window.parents)
-    _require_extensions(window, at)
-    return facts
+    """The window facts of the window nodes below ``prefix``; every window
+    node must extend its parent (``window_facts``)."""
+    return window_facts(tree, [prefix + node for node, _ in at.values()], window.parents)
 
 
 def _declared_facts(piece: Piece, at: dict[int, Positioned]) -> list[NodeFacts]:
@@ -556,14 +555,6 @@ def _classes(*records: Sequence) -> tuple[list[int], int]:
     numbers: dict[tuple[int, ...], int] = {}
     return [numbers.setdefault(key, len(numbers))
             for key in zip(*[map(id, per_node) for per_node in records])], len(numbers)
-
-
-def _require_extensions(window: FiniteTree, at: dict[int, Positioned]) -> None:
-    """Raise unless every window node extends its parent: prefix order is
-    transitive, so then every window pair s < t has s a proper prefix of t."""
-    for i, p in zip(window.ids, window.parents):
-        if p is not None:
-            require_below(at[p][0], at[i][0])
 
 
 def reference_window_rank(rank: Ordinal, budget: Budget) -> int:
@@ -585,8 +576,9 @@ def reference_window_rank(rank: Ordinal, budget: Budget) -> int:
 
 def _audit_window(construction: str, piece: Piece, budget: Budget,
                   nonempty: bool = False) -> tuple[Audit, FiniteTree, dict[int, Positioned]]:
-    """Open an audit with the window-rank check, after the window-nonempty
-    check if asked; every audit starts here."""
+    """Open an audit: the window-nonempty check if asked, then the window
+    rank against the equal-budget reference window.  Every audit starts
+    here; a shallow budget may not separate close claims of rank."""
     report = Audit(construction, budget, piece.declared_rank)
     window, at = piece_window(piece, budget.depth, budget.width)
     if nonempty:
@@ -606,15 +598,6 @@ def _window_rank(window: FiniteTree) -> int:
             raise TransfiniteError(f"window node {i} comes before its parent {p}")
         depths.append(1 if p is None else depths[p] + 1)
     return max(depths, default=0)
-
-
-def audit_declared_rank(piece: Piece, budget: Budget) -> Audit:
-    """Check a declared rank against its equal-budget reference window.
-
-    A declared rank is a claim, so shallow budgets may fail to separate
-    close claims; growing the budget only sharpens the comparison.
-    """
-    return _audit_window("declared-rank", piece, budget)[0]
 
 
 def _pair_text(at: dict[int, Positioned], i_s: int, i_t: int) -> str:
@@ -678,14 +661,6 @@ def _grade(eps: Ordinal, q: int) -> Ordinal:
     if eps.is_successor:
         return omega_pow(mul(omega_pow(eps.predecessor()), q))
     return omega_pow(omega_pow(fundamental_sequence(eps, q)))
-
-
-def assemble_union(parts: Sequence[tuple[CanonicalNode, Piece]],
-                   declared_rank: Ordinal) -> UnionPiece:
-    """Incomparable union of pieces below pairwise incomparable anchors,
-    declared of the given rank: the intended limit when the parts form a
-    cofinal family."""
-    return UnionPiece(tuple((tuple(a), piece) for a, piece in parts), declared_rank)
 
 
 # -- the budgeted stabilizer ---------------------------------------------------------
@@ -838,7 +813,7 @@ def _stabilize_layers(tree, base, prefix, rho, rule, budget, cap, memo, top):
 
     key, grades = _agreeing(grade, (rule.k + 1) ** lam_key, budget.width)
     if not eps.is_successor:
-        return assemble_union([(anchor, piece) for anchor, piece, _, _ in grades], rho), key
+        return UnionPiece([(anchor, piece) for anchor, piece, _, _ in grades], rho), key
     j = _upper_color([table for _, _, table, _ in grades], lam_key)
     parts = []
     for anchor, piece, table, sub_rho in grades:
@@ -849,7 +824,7 @@ def _stabilize_layers(tree, base, prefix, rho, rule, budget, cap, memo, top):
                 piece.windows.clear()
             piece = FilteredPiece(piece, sub_fact, keep)
         parts.append((anchor, piece))
-    return assemble_union(parts, rho), key + (j,)
+    return UnionPiece(parts, rho), key + (j,)
 
 
 def _agreeing(stabilize_one: Callable[[int], tuple[tuple[int, ...], object]],
@@ -900,9 +875,9 @@ def _segment_finite_top(tree, base, prefix, rho, gamma_p, rule, budget, cap, mem
 
     table, kept = _agreeing(block, keys, budget.width)
     bands = [(b_base, piece) for _, b_base, piece in kept]
-    union = assemble_union([((add(base, mul(gamma_p, delta + 1)),),
-                             StackPiece(tuple(bands[:q]), gamma_p))
-                            for q, (delta, _, _) in enumerate(kept, 1)], rho)
+    union = UnionPiece([((add(base, mul(gamma_p, delta + 1)),),
+                         StackPiece(tuple(bands[:q]), gamma_p))
+                        for q, (delta, _, _) in enumerate(kept, 1)], rho)
     if not top:
         table += (_cross_color(tree, union, prefix, gamma_p, rule, budget),)
     return union, table

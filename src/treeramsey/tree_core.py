@@ -46,7 +46,8 @@ class FiniteTree:
     def __post_init__(self) -> None:
         """Nothing to check: the public constructors validate the parent map
         (``from_parents``), and a tree derived from a valid one is built
-        from a parent map that is valid by construction (``_of_valid``)."""
+        from a parent map that is valid by construction (``_of_valid``).
+        ``bench/tracer.py`` hooks this method to count the trees built."""
 
     def __eq__(self, other) -> bool:
         if type(other) is not type(self):
@@ -156,7 +157,8 @@ class FiniteTree:
     @cached_property
     def anc(self) -> tuple[frozenset[int], ...]:
         """Strict ancestors of each node in id order (n * depth ints, built on
-        demand and read only by ``ancestors``)."""
+        demand; read by ``ancestors`` and by ``bench/tracer.py``, which
+        counts a window's pairs with it)."""
         above: dict[int, frozenset[int]] = dict.fromkeys(self.roots(), frozenset())
         for t in self._topdown:
             with_t = above[t] | {t}
@@ -394,7 +396,7 @@ def levels(tree: FiniteTree) -> LevelDecomposition:
     return LevelDecomposition(tree, tuple(map(frozenset, blocks)))
 
 
-def select_level_subset(tree: FiniteTree, picked: Iterable[int]) -> FiniteTree:
+def select_levels(tree: FiniteTree, picked: Iterable[int]) -> FiniteTree:
     """Union of the chosen tau classes; empty selection warns and yields the
     empty tree (the empty-sum convention)."""
     chosen = set(picked)

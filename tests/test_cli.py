@@ -178,6 +178,32 @@ class TestStab:
         assert all(len(row) == 2 for row in doc["extra"]["pair_stage_tau"])
         assert main(["verify", "--cross", str(emit)]) == 0
 
+    def test_leafchains_cross_checks(self, i03_file, tmp_path, capsys):
+        # tau-compatible already makes every kept leaf an ambient leaf, so
+        # no separate check for it runs
+        tree, tree_path = i03_file
+        col = Coloring.of_leaf_chains(tree, 1, lambda s, t: (s + t) % 2, k=1)
+        col_path, emit, out = (tmp_path / name for name in ("col.json", "result.json", "out.json"))
+        col_path.write_text(json.dumps(col.to_json()))
+        assert main(["stab", "--mode", "leafchains", "--tree", str(tree_path),
+                     "--coloring", str(col_path), "--emit", str(emit)]) == 0
+        capsys.readouterr()
+        assert main(["verify", "--cross", str(emit), "--out", str(out)]) == 0
+        names = ["subtree-nonempty", "subtree-containment", "rank-preserved", "tau-compatible",
+                 "chain-colors-agree"]
+        assert capsys.readouterr().out == "".join(f"  [ok] {name} \n" for name in names)
+        assert [c["name"] for c in json.loads(out.read_text())["checks"]] == names
+        # a kept leaf that is an inner ambient node, at the same rank
+        doc = json.loads(emit.read_text())
+        kept, taus = set(doc["subtree_ids"]), tree.tau_map
+        inner = next(t for t in tree.ids if t not in kept and taus[t] > 0
+                     and not kept & tree.descendants(t)
+                     and tree.restrict(kept | {t}).rank() == tree.rank())
+        doc["subtree_ids"] = sorted(kept | {inner})
+        emit.write_text(json.dumps(doc))
+        assert main(["verify", "--cross", str(emit)]) == 2
+        assert capsys.readouterr().err.startswith("audit failure: tau-compatible: ")
+
     def test_ramsey_reduce_too_small_exits_1(self, i03_file, tmp_path):
         tree, tree_path = i03_file
         col = Coloring.of_pairs(tree, lambda s, t: (s + t) % 2, k=1)

@@ -18,7 +18,6 @@ from treeramsey.stabilize import (
     finite_ramsey,
     has_monochromatic_subset,
     ramsey_reduce_levels,
-    select_leafset,
     select_levels,
     stabilize_leaf_chains,
     stabilize_levels,
@@ -149,29 +148,6 @@ class TestLeafChains:
         col = Coloring("chains", 0, {}, n=0)
         with pytest.raises(StabilizeError):
             stabilize_leaf_chains(FiniteTree.empty(), 0, col)
-
-
-class TestSelectLeafset:
-    def test_single_class(self, forked):
-        i, sub = select_leafset(forked, [forked.leaves()])
-        assert i == 0 and sub.rank() == forked.rank()
-
-    def test_two_classes(self, forked):
-        i, sub = select_leafset(forked, [{1}, {2}])
-        assert i == 0 and set(sub.ids) == {0, 1}
-
-    def test_star_minimum_index_wins(self):
-        star = FiniteTree.from_parents({0: None, 1: 0, 2: 0, 3: 0})
-        i, sub = select_leafset(star, [{1}, {2, 3}])
-        assert i == 0 and sub.rank() == 2
-
-    def test_rejects_uncovered(self, forked):
-        with pytest.raises(StabilizeError):
-            select_leafset(forked, [{1}])
-
-    def test_class_may_hold_inner_nodes(self, forked):
-        i, sub = select_leafset(forked, [set(forked.ids)])
-        assert i == 0 and set(sub.ids) == {0, 1}
 
 
 class TestStabilizeLevels:
@@ -484,14 +460,6 @@ def test_greedy_chain_agrees_with_the_recursive_reference():
             Q, F = _reference_chains(tree, n, chains.value)
             res = stabilize_leaf_chains(tree, n, chains)
             assert (res.subtree.ids, res.reduced) == (Q.ids, F)
-
-        classes = [set(), set(), set()]
-        for t in tree.ids:
-            for m in rng.sample(classes, rng.randint(1, 2)):
-                m.add(t)
-        Q, F = _reference_chains(
-            tree, 0, lambda chain: min(i for i, m in enumerate(classes) if chain[0] in m))
-        assert select_leafset(tree, classes) == (F[()], Q)
     assert 1 in ranks and max(ranks) >= 8
 
 

@@ -45,9 +45,9 @@ from treeramsey.transfinite import (
     TransfiniteError,
     UnionPiece,
     _audit_stabilization,
+    _audit_window,
     _grade,
     _upper_color,
-    assemble_union,
     audit_contraction,
     contract,
     digit_embedding,
@@ -151,32 +151,35 @@ class TestGradedRoots:
 
 
 class TestAssembleUnion:
+    """``UnionPiece`` built from any iterable of (anchor, piece) parts."""
+
     def _segment(self, square, size):
         return EntryPiece(ZERO, EntryMap.identity(size))
 
     def test_declared_override(self, square):
-        union = assemble_union([((w,), self._segment(square, w))],
-                               declared_rank=w2)
+        seg = self._segment(square, w)
+        union = UnionPiece(iter([([w], seg)]), w2)
         assert union.declared_rank == w2
+        assert union.parts == (((w,), seg),)  # anchors are stored as tuples
 
     def test_empty(self, square):
-        union = assemble_union([], ZERO)
+        union = UnionPiece([], ZERO)
         assert union.declared_rank == ZERO
         assert union.roots(3) == []
 
     def test_rejects_comparable_anchors(self, square):
         seg = self._segment(square, w)
         with pytest.raises(TransfiniteError):
-            assemble_union([((w,), seg), ((w,), seg)], w)
+            UnionPiece([((w,), seg), ((w,), seg)], w)
         with pytest.raises(TransfiniteError):
-            assemble_union([((mul(w, 2),), seg), ((mul(w, 2), w), seg)], w)
+            UnionPiece([((mul(w, 2),), seg), ((mul(w, 2), w), seg)], w)
 
     def test_union_of_graded_segments_attains_reference(self, square):
         # mirror of the graded-roots wrapping: declared rank w^2 certified
         from treeramsey.transfinite import reference_window_rank
         parts = [((mul(w, q),), EntryPiece(ZERO, EntryMap.identity(mul(w, q))))
                  for q in (1, 2, 3)]
-        union = assemble_union(parts, declared_rank=w2)
+        union = UnionPiece(parts, w2)
         window, _ = piece_window(union, 3, 3)
         assert window.rank() == reference_window_rank(w2, Budget(3, 3, 4))
 
@@ -426,28 +429,30 @@ class TestStabilizeTransfinite:
         assert doc["audit"]["ok"] is True
 
 
+def _declared_rank_audit(piece, budget):
+    """The window-rank check that every audit opens with, on its own."""
+    return _audit_window("declared-rank", piece, budget)[0]
+
+
 class TestDeclaredRankAudits:
     def test_honest_claims_pass(self, square):
-        from treeramsey.transfinite import audit_declared_rank
         seg = EntryPiece(ZERO, EntryMap.identity(w))
         for budget in (Budget(2, 2, 4), Budget(3, 3, 4), Budget(4, 3, 4)):
-            assert audit_declared_rank(seg, budget).ok
+            assert _declared_rank_audit(seg, budget).ok
 
     def test_inflated_claim_caught_at_deeper_budgets(self, square):
-        from treeramsey.transfinite import audit_declared_rank
         # a one-layer segment passed off as the two-layer tree: the shallow
         # window cannot tell the claims apart, the deeper one can
         seg = EntryPiece(ZERO, EntryMap.identity(w))
-        liar = assemble_union([((mul(w, 3),), seg)], declared_rank=w2)
-        assert audit_declared_rank(liar, Budget(3, 3, 4)).ok  # depth saturates
-        assert not audit_declared_rank(liar, Budget(4, 3, 4)).ok
+        liar = UnionPiece([((mul(w, 3),), seg)], w2)
+        assert _declared_rank_audit(liar, Budget(3, 3, 4)).ok  # depth saturates
+        assert not _declared_rank_audit(liar, Budget(4, 3, 4)).ok
 
     def test_require_names_the_failed_check(self, square):
-        from treeramsey.transfinite import audit_declared_rank
         seg = EntryPiece(ZERO, EntryMap.identity(w))
-        liar = assemble_union([((mul(w, 3),), seg)], declared_rank=w2)
+        liar = UnionPiece([((mul(w, 3),), seg)], w2)
         with pytest.raises(AuditFailure) as info:
-            audit_declared_rank(liar, Budget(4, 3, 4)).require()
+            _declared_rank_audit(liar, Budget(4, 3, 4)).require()
         assert str(info.value) == \
             "declared-rank: window-rank-matches-declared: window rank 3 vs reference 4"
         assert info.value.step == "window-rank-matches-declared"
@@ -523,7 +528,7 @@ class TestMisreportedPositions:
         # s < t is checked once per window edge, before any pair is read: a
         # union's _cross_color and its audit share one window, and both reject it
         cube, rule = CanonicalTree.of(0, omega_pow(3)), RuleColoring.sep_table((0, 0, 0))
-        union = assemble_union([((mul(w2, 5),), ChildrenBesideParent())], w2)
+        union = UnionPiece([((mul(w2, 5),), ChildrenBesideParent())], w2)
         with pytest.raises(CanonicalError, match="separation needs s < t"):
             transfinite._cross_color(cube, union, (), w, rule, BUDGET)
         assert union.windows.keys() == {(BUDGET.depth, BUDGET.width)}
@@ -552,10 +557,9 @@ class TestNodeFactsOncePerNode:
     membership check runs once per node and still runs."""
 
     def test_membership_checked_once_per_window_node(self, monkeypatch):
-        # and s < t once per window edge
-        counts = {"contains": 0, "nodes": 0, "evals": 0, "below": 0, "edges": 0}
-        contains, window, value, below = (CanonicalTree.__contains__, transfinite.piece_window,
-                                          RuleColoring.value, transfinite.require_below)
+        counts = {"contains": 0, "nodes": 0, "evals": 0}
+        contains, window, value = (CanonicalTree.__contains__, transfinite.piece_window,
+                                   RuleColoring.value)
 
         def counted_contains(tree, node):
             counts["contains"] += 1
@@ -564,12 +568,7 @@ class TestNodeFactsOncePerNode:
         def counted_window(piece, depth, width):
             out = window(piece, depth, width)
             counts["nodes"] += len(out[1])
-            counts["edges"] += sum(p is not None for p in out[0].parents)
             return out
-
-        def counted_below(s, t):
-            counts["below"] += 1
-            return below(s, t)
 
         def counted_value(rule, s, t, sep=None):
             counts["evals"] += 1
@@ -578,13 +577,11 @@ class TestNodeFactsOncePerNode:
         monkeypatch.setattr(CanonicalTree, "__contains__", counted_contains)
         monkeypatch.setattr(transfinite, "piece_window", counted_window)
         monkeypatch.setattr(RuleColoring, "value", counted_value)
-        monkeypatch.setattr(transfinite, "require_below", counted_below)
         res = stabilize_transfinite(CanonicalTree.of(0, omega_pow(3)),
                                     RuleColoring.sep_table((2, 0, 1)), Budget(4, 3, 6))
         assert res.table == (2, 0, 1) and res.report.ok
         assert counts["evals"] > counts["nodes"] > 0
         assert 0 < counts["contains"] <= counts["nodes"]
-        assert 0 < counts["below"] <= counts["edges"]
 
     def test_node_outside_the_tree_still_raises(self, square):
         rule = RuleColoring.sep_table((1, 0))
@@ -782,7 +779,7 @@ class TestComposedWindows:
         w3 = omega_pow(3)
         moved = ShiftPiece(stack, ZERO, w3)
         for piece in (moved, ShiftPiece(moved, w3, mul(w3, 2)),
-                      assemble_union([((mul(w3, 5),), moved)], moved.declared_rank)):
+                      UnionPiece([((mul(w3, 5),), moved)], moved.declared_rank)):
             for depth in range(1, 5):
                 window, at = piece_window(piece, depth, 3)
                 ref, ref_at = _walk_window(piece, depth, 3)
@@ -805,12 +802,12 @@ class TestComposedWindows:
 
     def test_union_window_is_built_once_per_budget(self):
         parts = [((mul(w, q),), EntryPiece(ZERO, EntryMap.identity(mul(w, q)))) for q in (1, 2)]
-        union = assemble_union(parts, declared_rank=w2)
+        union = UnionPiece(parts, w2)
         first, at = piece_window(union, 3, 3)
         again, at_again = piece_window(union, 3, 3)
         assert again == first and at_again == at
         # the first build that contains the union takes its window
-        outer = assemble_union([((mul(w2, 2),), union)], w2)
+        outer = UnionPiece([((mul(w2, 2),), union)], w2)
         window, at_outer = piece_window(outer, 3, 3)
         assert not union.windows and outer.windows.keys() == {(3, 3)}
         assert window == first
@@ -892,24 +889,63 @@ def _facts_or_error(facts, *args):
         return str(err)
 
 
+BESIDE = "separation needs s < t (s a proper prefix of t)"
+
+
+class BesideThenOutside(Piece):
+    """Samples the root (w,) of I(0, w^2) with two children: (1,) beside
+    it, then (w, w + 1), which extends it but does not decrease."""
+
+    declared_rank = w2
+
+    def roots(self, width):
+        return [((w,), w)]
+
+    def children(self, node, pos, width):
+        return [((ONE,), ONE), ((w, add(w, 1)), pos)] if node == (w,) else []
+
+
 class TestWindowFactsErrors:
     """window_facts checks a child only on the entries it adds below its
-    parent, and raises the error node_facts raises, at the same node."""
+    parent, and raises the error node_facts raises, at the same node.  Only
+    after every membership check does a node beside its parent raise the
+    s < t error, which node_facts does not check."""
 
     @pytest.mark.parametrize("piece", [RootAtBeta(), ChildrenBesideParent(), ChildAboveParent()],
                              ids=lambda p: type(p).__name__)
     def test_same_first_error_as_node_facts(self, square, piece):
         window, at = piece_window(piece, BUDGET.depth, BUDGET.width)
         nodes = [node for node, _ in at.values()]
-        got = _facts_or_error(window_facts, square, nodes, window.parents)
-        assert got == _facts_or_error(node_facts, square, nodes)
-        # nodes beside their parents are members: the pair check rejects them
-        assert isinstance(got, list) == isinstance(piece, ChildrenBesideParent)
+        # nodes beside their parents are members: only the edge check rejects them
+        beside = isinstance(piece, ChildrenBesideParent)
+        expected = _facts_or_error(node_facts, square, nodes)
+        assert isinstance(expected, list) == beside
+        assert _facts_or_error(window_facts, square, nodes, window.parents) == \
+            (BESIDE if beside else expected)
         # below a prefix, as _cross_color reads a segment's window
         cube, prefix = CanonicalTree.of(0, omega_pow(3)), (mul(w2, 5),)
         nodes = [prefix + node for node in nodes]
+        expected = _facts_or_error(node_facts, cube, nodes)
         assert _facts_or_error(window_facts, cube, nodes, window.parents) == \
-            _facts_or_error(node_facts, cube, nodes)
+            (BESIDE if beside else expected)
+
+    def test_membership_error_before_the_edge_error(self, square):
+        # the node beside its parent comes first, the non-member after it
+        piece = BesideThenOutside()
+        window, at = piece_window(piece, BUDGET.depth, BUDGET.width)
+        assert window.parents == (None, 0, 0)
+        nodes = [node for node, _ in at.values()]
+        outside = r"node \(w, w \+ 1\) is not in I\(0, w\^2\)"
+        with pytest.raises(CanonicalError, match=outside):
+            window_facts(square, nodes, window.parents)
+        with pytest.raises(CanonicalError, match=outside):
+            audit_contraction(square, ContractionSpec.of(w2, {0, 1}), piece, BUDGET)
+        with pytest.raises(CanonicalError, match=outside):
+            _audit_stabilization(square, piece, (0, 0), RuleColoring.sep_table((0, 0)), BUDGET)
+        cube, rule = CanonicalTree.of(0, omega_pow(3)), RuleColoring.sep_table((0, 0, 0))
+        union = UnionPiece([((mul(w2, 5),), piece)], w2)
+        with pytest.raises(CanonicalError, match=r"node \(w\^2\*5, w, w \+ 1\) is not in"):
+            transfinite._cross_color(cube, union, (), w, rule, BUDGET)
 
 
 # the four benchmark trees at their benchmark budgets

@@ -11,7 +11,7 @@ from treeramsey.tree_core import (
     graft,
     incomparable_union,
     levels,
-    select_level_subset,
+    select_levels,
 )
 from treeramsey.stabilize import _greedy_chain
 from treeramsey.verify import _heights, _rank_of
@@ -312,20 +312,20 @@ class TestLevels:
         assert decomposition.blocks == (frozenset({1}), frozenset({0}))
 
     def test_select_levels(self, i03):
-        sel = select_level_subset(i03, [0, 2])
+        sel = select_levels(i03, [0, 2])
         assert sel.rank() == 2
         taus = i03.tau_map
         assert set(sel.ids) == {t for t in i03.ids if taus[t] in (0, 2)}
 
     def test_select_middle_level_is_antichain(self, i03):
-        sel = select_level_subset(i03, [1])
+        sel = select_levels(i03, [1])
         assert sel.rank() == 1
         taus = i03.tau_map
         assert set(sel.ids) == {t for t in i03.ids if taus[t] == 1}
 
     def test_select_empty_warns(self, chain3):
         with pytest.warns(UserWarning):
-            assert select_level_subset(chain3, []).rank() == 0
+            assert select_levels(chain3, []).rank() == 0
 
 
 class TestCalculusProperties:
