@@ -9,12 +9,13 @@ last entry and no finite materialization is ever required for exactness.
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence, TypeVar
 
 from .ordinal import (
     ONE,
     ZERO,
     Ordinal,
+    add,
     compare,
     descend_below,
     factorize,
@@ -32,6 +33,7 @@ class CanonicalError(ValueError):
 
 
 CanonicalNode = tuple[Ordinal, ...]
+T = TypeVar("T")
 
 
 def node_from_text(text: str) -> CanonicalNode:
@@ -228,46 +230,50 @@ class Truncation(NamedTuple):
         return self.to_node[i]
 
 
-def _full_child_count(bound: Ordinal, floor: Ordinal) -> int | None:
-    """Size of [floor, bound) when finite, else None."""
-    if compare(bound, floor) <= 0:
-        return 0
-    gap = left_subtract(floor, bound)
-    return gap.as_int() if gap.is_finite else None
+def walk(roots: Sequence[T], children: Callable[[T], Sequence[T]],
+         depth: int) -> tuple[list[int | None], list[T]]:
+    """Walk a sampled forest depth first, ``depth`` levels down from its
+    roots: each item's parent index, and the items in preorder, every
+    parent before its child.  ``children(item)`` is asked when the walk
+    reaches the item, above the last level; the walk keeps its own stack,
+    so a deep window does not reach the recursion limit."""
+    parents: list[int | None] = []
+    items: list[T] = []
+    stack = [(item, None, 1) for item in reversed(roots)]
+    while stack:
+        item, parent, level = stack.pop()
+        parents.append(parent)
+        items.append(item)
+        if level < depth:
+            me = len(items) - 1
+            stack.extend((child, me, level + 1) for child in reversed(children(item)))
+    return parents, items
 
 
 def truncate(tree: CanonicalTree, depth: int, width: int) -> Truncation:
     """Materialize a finite window, sampling children along the canonical
-    descending walk (predecessors, with jumps into fundamental sequences)."""
+    descending walk (predecessors, with jumps into fundamental sequences).
+
+    I(alpha, beta) is alpha plus the window of I(0, rho), rho = -alpha +
+    beta: adding alpha to every entry maps one tree onto the other.  Each
+    node carries its tau, the sampled entry below rho, down the walk."""
     if depth < 1 or width < 1:
         raise CanonicalError("depth and width must be at least 1")
-    parents: dict[int, int | None] = {}
-    to_node: dict[int, CanonicalNode] = {}
-    complete: dict[int, bool] = {}
+    alpha = tree.alpha
 
-    def emit(node: CanonicalNode, parent: int | None) -> int:
-        i = len(to_node)
-        parents[i] = parent
-        to_node[i] = node
-        return i
+    def sample(node: CanonicalNode, bound: Ordinal) -> list[tuple[CanonicalNode, Ordinal]]:
+        return [(node + (add(alpha, y),), y) for y in descend_below(bound, width)]
 
-    def expand(node: CanonicalNode, me: int, level: int) -> None:
-        bound = node[-1]
-        count = _full_child_count(bound, tree.alpha)
-        if level >= depth:
-            complete[me] = count == 0
-            return
-        kids = descend_below(bound, width, tree.alpha)
-        complete[me] = count is not None and count <= width
-        for z in kids:
-            child = node + (z,)
-            expand(child, emit(child, me), level + 1)
-
-    for x in descend_below(tree.beta, width, tree.alpha):
-        node = (x,)
-        expand(node, emit(node, None), 1)
-    finite = FiniteTree.from_parents(parents)
-    return Truncation(finite, tree, to_node, complete)
+    parents, items = walk(sample((), rank_symbolic(tree)), lambda item: sample(*item), depth)
+    kids = [0] * len(items)
+    for p in parents:
+        if p is not None:
+            kids[p] += 1
+    # a node's whole child set is in the window when its tau is its child count
+    complete = {i: tau.is_finite and tau.as_int() == kids[i]
+                for i, (_, tau) in enumerate(items)}
+    return Truncation(FiniteTree._of_valid(range(len(items)), parents), tree,
+                      {i: node for i, (node, _) in enumerate(items)}, complete)
 
 
 def instantiate(n: int) -> Truncation:

@@ -14,7 +14,7 @@ Python compares in the order of the normal forms.  ``add``, ``mul``,
 ``left_subtract`` and ``left_divide`` remember their results in tables
 keyed on the interned operands, ``factorize`` in one keyed on its
 interned argument, and ``descend_below`` in one keyed on its interned
-bounds and width; each table holds at most ``MEMO_CAP`` entries and is
+bound and width; each table holds at most ``MEMO_CAP`` entries and is
 emptied when it fills.
 """
 
@@ -420,30 +420,28 @@ def fundamental_sequence(o: "Ordinal | int", n: int) -> Ordinal:
     return add(base, omega_pow(fundamental_sequence(e, n)))
 
 
-# (serial of bound, width, serial of floor) -> descend_below's values, at most MEMO_CAP entries
-_DESCENDED: dict[tuple[int, int, int], tuple[Ordinal, ...]] = {}
+# (serial of bound, width) -> descend_below's values, at most MEMO_CAP entries
+_DESCENDED: dict[tuple[int, int], tuple[Ordinal, ...]] = {}
 
 
-def descend_below(bound: "Ordinal | int", width: int,
-                  floor: "Ordinal | int" = ZERO) -> list[Ordinal]:
-    """Up to ``width`` strictly decreasing ordinals in [floor, bound).
+def descend_below(bound: "Ordinal | int", width: int) -> list[Ordinal]:
+    """Up to ``width`` strictly decreasing ordinals below ``bound``.
 
     Successors step down by one; at a limit the walk jumps into the
     fundamental sequence at index ``width`` without emitting, so the
     emitted values sit just below canonical limit points.
     """
-    bound, floor = _coerce(bound), _coerce(floor)
-    key = (bound._serial, width, floor._serial)
+    bound = _coerce(bound)
+    key = (bound._serial, width)
     hit = _DESCENDED.get(key)
     if hit is not None:
         return list(hit)
     out: list[Ordinal] = []
     cur = bound
-    while len(out) < width and _less(floor, cur):
+    while len(out) < width and not cur.is_zero:
         if cur.is_successor:
             cur = cur.predecessor()
-            if not _less(cur, floor):
-                out.append(cur)
+            out.append(cur)
         else:
             cur = fundamental_sequence(cur, width)
     if len(_DESCENDED) >= MEMO_CAP:

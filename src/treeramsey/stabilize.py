@@ -368,13 +368,15 @@ def find_clique_free_coloring(m: int, target: int, colors: int) -> dict | None:
     """An edge coloring of the complete graph on m vertices with no
     monochromatic ``target``-clique, or None when every coloring has one.
 
-    Backtracking over edges in lexicographic order, with the colors assigned
-    so far as the stack; color symmetry is broken by only allowing one
-    brand-new color at each step.  Each vertex keeps a bit set of its
-    neighbours in each color: edge (a, b) closes a color-c clique when the
-    common color-c neighbours of a and b hold one of ``target - 2`` vertices.
+    Backtracking over edges in colex order, by larger endpoint and then
+    smaller, so the search grows the complete graph one vertex at a time;
+    the colors assigned so far are the stack, and color symmetry is broken
+    by only allowing one brand-new color at each step.  Each vertex keeps a
+    bit set of its neighbours in each color: edge (a, b) closes a color-c
+    clique when the common color-c neighbours of a and b hold one of
+    ``target - 2`` vertices.
     """
-    edges = list(combinations(range(m), 2))
+    edges = [(a, b) for b in range(m) for a in range(b)]
     near = [[0] * m for _ in range(colors)]  # near[c][v]: v's color-c neighbours
     stack: list[int] = []  # the colors of edges[:len(stack)]
 

@@ -8,7 +8,8 @@ window, each node with the declared position its sampler handed down the
 walk.  Windows are emitted, not composed: each node is appended once,
 under the prefix, parent and entry move that the unions, stacks and
 shifted pieces around it hand down, a stack band's positions shifted
-once per build; only entry and filtered pieces are walked.  A union
+once per build; only entry and filtered pieces are walked, by
+``canonical.walk``, which also samples ``truncate``'s windows.  A union
 keeps the window ``piece_window`` built for it, and the first build that
 contains it takes it.  A contraction keeps the entries whose digits lie
 on chosen layers.  The stabilizer recurses on
@@ -49,6 +50,7 @@ from .canonical import (
     rank_symbolic,
     separation_of_facts,
     tau_facts,
+    walk,
     window_facts,
 )
 from .ordinal import (
@@ -443,7 +445,8 @@ class _Emitter:
                 self.emit(out := ([], []), piece, depth, (), None, None)
                 self.memo[key] = out
             else:
-                self.memo[key] = _walk(piece, depth, self.width)
+                self.memo[key] = walk(piece.roots(self.width),
+                                      lambda item: piece.children(*item, self.width), depth)
         return self.memo[key]
 
     def emit(self, out, piece, depth, prefix, parent, move) -> None:
@@ -503,35 +506,6 @@ class _Emitter:
             at.append((node, band_pos))
             if pos.is_zero and n > 1 and level < depth:
                 self.stack(out, bands, n - 1, band_rank, depth - level, node, me, move)
-
-
-def _walk(piece: Piece, depth: int, width: int) -> Window:
-    """Walk a piece depth first from its roots, each node once."""
-    parents: list[int | None] = []
-    at: list[Positioned] = []
-    seen: set[CanonicalNode] = set()
-
-    def emit(node: CanonicalNode, pos: Ordinal, parent: int | None) -> int | None:
-        if node in seen:
-            return None
-        seen.add(node)
-        parents.append(parent)
-        at.append((node, pos))
-        return len(at) - 1
-
-    def expand(node: CanonicalNode, pos: Ordinal, me: int, level: int) -> None:
-        if level >= depth:
-            return
-        for child, cpos in piece.children(node, pos, width):
-            ci = emit(child, cpos, me)
-            if ci is not None:
-                expand(child, cpos, ci, level + 1)
-
-    for root, pos in piece.roots(width):
-        ri = emit(root, pos, None)
-        if ri is not None:
-            expand(root, pos, ri, 1)
-    return parents, at
 
 
 def _facts(tree: CanonicalTree, prefix: CanonicalNode, window: FiniteTree,

@@ -33,6 +33,13 @@ from treeramsey.ordinal import (
     ordinal,
     parse_ordinal,
 )
+from treeramsey.transfinite import (
+    Budget,
+    EntryMap,
+    EntryPiece,
+    piece_window,
+    reference_window_rank,
+)
 
 w = OMEGA
 w2 = omega_pow(2)
@@ -296,6 +303,28 @@ class TestTruncation:
         for i in window.tree.ids:
             node = window.node_of(i)
             assert all(entry >= w for entry in node)
+
+    def test_deep_window_is_a_chain(self):
+        window = truncate(CanonicalTree.of(0, 3000), 3000, 1)
+        assert window.tree.parents == (None, *range(2999))
+        assert window.node_of(2999) == tuple(map(ordinal, range(2999, -1, -1)))
+
+    @pytest.mark.parametrize("text", [
+        "w + 5, w*2", "2, w^(w + 1)", "3, w*2 + 1", "w, w^2 + 3", "w^2, w^3*2"])
+    @pytest.mark.parametrize("depth,width", [(1, 1), (3, 3), (4, 2), (2, 5)])
+    def test_window_is_alpha_plus_the_window_of_its_rank(self, text, depth, width):
+        # adding alpha to every entry maps I(0, rho) onto I(alpha, alpha + rho)
+        alpha, beta = map(parse_ordinal, text.split(","))
+        rho = rank_symbolic(CanonicalTree(alpha, beta))
+        window = truncate(CanonicalTree(alpha, beta), depth, width)
+        base = truncate(CanonicalTree(ZERO, rho), depth, width)
+        assert len(window.tree) > 0
+        assert (window.tree, window.complete) == (base.tree, base.complete)
+        nodes = [window.node_of(i) for i in window.tree.ids]
+        assert nodes == [tuple(add(alpha, x) for x in base.node_of(i)) for i in base.tree.ids]
+        assert window.tree.rank() == reference_window_rank(rho, Budget(depth, width))
+        _, at = piece_window(EntryPiece(alpha, EntryMap.identity(rho)), depth, width)
+        assert [node for node, _ in at.values()] == nodes
 
     def test_rejects_degenerate_budgets(self):
         with pytest.raises(CanonicalError):

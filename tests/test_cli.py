@@ -1,6 +1,7 @@
 import copy
 import json
 import random
+import time
 
 import pytest
 
@@ -130,6 +131,10 @@ class TestCanon:
         assert len(doc["nodes"]) == 7
         assert doc["node_labels"]["0"]
 
+    def test_deep_truncate_exits_0(self, capsys):
+        assert main(["canon", "--tree", "I(0, 3000)", "--truncate", "3000", "1"]) == 0
+        assert "window: 3000 nodes, rank 3000\n" in capsys.readouterr().out
+
     def test_bad_literal_exits_1(self):
         assert main(["canon", "--tree", "J(0,3)"]) == 1
 
@@ -212,6 +217,19 @@ class TestStab:
         assert main(["stab", "--mode", "ramsey-reduce", "-p", "2",
                      "--tree", str(tree_path), "--coloring", str(col_path)]) == 1
 
+    def test_ramsey_reduce_past_the_search_cap_fails_fast(self, i03_file, tmp_path, capsys):
+        # no complete graph within the cap forces a monochromatic triangle
+        # in 3 colors; the search grows one vertex at a time, so it says so
+        # without first searching the largest graph from scratch
+        tree, tree_path = i03_file
+        col = Coloring.of_pairs(tree, lambda s, t: (s + t) % 3, k=2)
+        col_path = tmp_path / "pairs.json"
+        col_path.write_text(json.dumps(col.to_json()))
+        start = time.perf_counter()
+        assert main(["stab", "--mode", "ramsey-reduce", "-p", "2",
+                     "--tree", str(tree_path), "--coloring", str(col_path)]) == 1
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr().err.startswith("error: no complete graph on <= 9 vertices")
 
     def test_color_outside_palette_exits_1(self, i03_file, tmp_path, capsys):
         tree, tree_path = i03_file

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from treeramsey.canonical import CanonicalTree, truncate
 from treeramsey.ordinal import (
     _DESCENDED,
     _FACTORIZED,
@@ -245,7 +246,11 @@ class TestFundamentalSequences:
         assert descend_below(w2, 2) == [w + 1, w]
         assert descend_below(w, 4) == [ordinal(3), ordinal(2), ONE, ZERO]
         assert descend_below(mul(w, 2), 3) == [w + 2, w + 1, w]
-        assert descend_below(w, 3, floor=ONE) == [ordinal(2), ONE]
+        # the window of I(1, w) is 1 plus the window of I(0, w), which
+        # samples descend_below(w, 3) = [2, 1, 0]
+        window = truncate(CanonicalTree.of(1, w), 1, 3)
+        assert [window.node_of(i) for i in window.tree.ids] == [
+            (ordinal(3),), (ordinal(2),), (ONE,)]
 
 
 class TestLaws:

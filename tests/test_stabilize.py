@@ -468,11 +468,12 @@ def test_greedy_chain_agrees_with_the_recursive_reference():
 
 def _reference_clique_free_coloring(m, target, colors):
     """The search before bit sets: each candidate color scans every vertex
-    for common neighbours in the assignment dict, then every group of them."""
+    for common neighbours in the assignment dict, then every group of them.
+    Edges come in the search's colex order, by larger endpoint."""
     def edge(u, v):
         return (u, v) if u < v else (v, u)
 
-    edges = list(combinations(range(m), 2))
+    edges = [(a, b) for b in range(m) for a in range(b)]
     assignment = {}
 
     def completes_clique(e, c):

@@ -41,19 +41,24 @@ sys.path.insert(0, str(ROOT / "bench"))
 
 def defined_functions() -> dict[tuple[str, int, str], str]:
     """Every function code object of the package's modules but lambdas and
-    comprehensions, keyed as a running frame's code is, with its
-    ``module.qualname``."""
+    comprehensions, keyed by file, first line and name as a running
+    frame's code is, with its ``module.qualname``.  The qualname is built
+    from the nesting (``co_qualname`` is newer than Python 3.10): a
+    function's own definitions sit under ``<locals>``, a class body's
+    under the class."""
     out: dict[tuple[str, int, str], str] = {}
     for path in sorted(PACKAGE.glob("*.py")):
-        stack = [compile(path.read_text(), str(path), "exec")]
+        stack = [(compile(path.read_text(), str(path), "exec"), "")]
         while stack:
-            code = stack.pop()
+            code, prefix = stack.pop()
             for const in code.co_consts:
                 if isinstance(const, CodeType):
-                    stack.append(const)
+                    qualname = prefix + const.co_name
+                    inner = qualname + (".<locals>." if const.co_flags & CO_OPTIMIZED else ".")
+                    stack.append((const, inner))
                     if const.co_flags & CO_OPTIMIZED and not const.co_name.startswith("<"):
-                        out[str(path), const.co_firstlineno, const.co_qualname] = \
-                            f"{path.stem}.{const.co_qualname}"
+                        out[str(path), const.co_firstlineno, const.co_name] = \
+                            f"{path.stem}.{qualname}"
     return out
 
 
@@ -166,7 +171,7 @@ def main() -> int:
         finally:
             os.chdir(cwd)
     for code in entered:
-        defined.pop((code.co_filename, code.co_firstlineno, code.co_qualname), None)
+        defined.pop((code.co_filename, code.co_firstlineno, code.co_name), None)
     for name in sorted(defined.values()):
         print(name)
     return 0
