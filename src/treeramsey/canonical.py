@@ -9,6 +9,7 @@ last entry and no finite materialization is ever required for exactness.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Callable, Iterable, NamedTuple, Sequence, TypeVar
 
 from .ordinal import (
@@ -215,16 +216,16 @@ def separation(tree: CanonicalTree, s: CanonicalNode, t: CanonicalNode) -> int:
 
 
 class Truncation(NamedTuple):
-    """Finite window onto a canonical tree.
-
+    """Finite window onto a canonical tree, its node lists indexed by
+    window id: ``to_node[i]`` is the canonical node of window node i, and
     ``complete[i]`` marks nodes whose full child set made it into the
     window, so derivative-style checks know where the boundary distorts.
     """
 
     tree: FiniteTree
     source: CanonicalTree
-    to_node: dict[int, CanonicalNode]
-    complete: dict[int, bool]
+    to_node: list[CanonicalNode]
+    complete: list[bool]
 
     def node_of(self, i: int) -> CanonicalNode:
         return self.to_node[i]
@@ -265,15 +266,11 @@ def truncate(tree: CanonicalTree, depth: int, width: int) -> Truncation:
         return [(node + (add(alpha, y),), y) for y in descend_below(bound, width)]
 
     parents, items = walk(sample((), rank_symbolic(tree)), lambda item: sample(*item), depth)
-    kids = [0] * len(items)
-    for p in parents:
-        if p is not None:
-            kids[p] += 1
+    kids = Counter(parents)  # child counts by parent id
     # a node's whole child set is in the window when its tau is its child count
-    complete = {i: tau.is_finite and tau.as_int() == kids[i]
-                for i, (_, tau) in enumerate(items)}
+    complete = [tau.is_finite and tau.as_int() == kids[i] for i, (_, tau) in enumerate(items)]
     return Truncation(FiniteTree._of_valid(range(len(items)), parents), tree,
-                      {i: node for i, (node, _) in enumerate(items)}, complete)
+                      [node for node, _ in items], complete)
 
 
 def instantiate(n: int) -> Truncation:

@@ -258,8 +258,12 @@ def _cmd_verify(args) -> int:
 def _cmd_demo(args) -> int:
     from . import demo  # only this command compiles the acceptance matrix
 
-    outcomes = demo.run_all(seed=args.seed, quick=args.quick,
-                            names=args.only.split(",") if args.only else None)
+    names = args.only.split(",") if args.only else None
+    valid = [name for name, _ in demo.CHECKS]
+    unknown = [name for name in names or () if name not in valid]
+    if unknown:
+        raise UsageError(f"unknown demo checks {', '.join(unknown)}; valid: {', '.join(valid)}")
+    outcomes = demo.run_all(seed=args.seed, quick=args.quick, names=names)
     print(demo.scoreboard(outcomes))
     if args.out:
         # timings stay on the console so artifacts are byte-identical per seed

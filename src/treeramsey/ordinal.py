@@ -22,8 +22,9 @@ from __future__ import annotations
 
 import re
 import weakref
-from functools import cached_property, wraps
-from itertools import count
+from functools import wraps
+from itertools import accumulate, count
+from typing import NamedTuple
 
 
 class OrdinalError(ValueError):
@@ -343,34 +344,24 @@ def is_multiplicatively_indecomposable(g: "Ordinal | int") -> bool:
     return is_additively_indecomposable(g.leading_exponent) and not g.leading_exponent.is_zero
 
 
-class IndecomposableFactorization:
+class IndecomposableFactorization(NamedTuple):
     """g = w^(w^e0) * ... * w^(w^el) with e0 >= ... >= el; empty for g = 1.
 
-    ``factors[i]`` is the prefix product through index i and
-    ``cofactors[i]`` the complementary suffix product, so
-    factors[i] * cofactors[i] = g for every i.
+    ``factors[i]`` is the prefix product through index i, built once by
+    ``factorize``; ``cofactors[i]`` is the complementary suffix product,
+    computed on each read, so factors[i] * cofactors[i] = g for every i.
     """
 
-    def __init__(self, epsilons: tuple[Ordinal, ...]):
-        self.epsilons = epsilons
+    epsilons: tuple[Ordinal, ...]
+    factors: tuple[Ordinal, ...]
 
     @property
     def lam(self) -> int:
         return len(self.epsilons)
 
-    @cached_property
-    def factors(self) -> tuple[Ordinal, ...]:
-        out = []
-        acc = ONE
-        for e in self.epsilons:
-            acc = mul(acc, omega_pow(omega_pow(e)))
-            out.append(acc)
-        return tuple(out)
-
-    @cached_property
+    @property
     def cofactors(self) -> tuple[Ordinal, ...]:
-        out = []
-        acc = ONE
+        out, acc = [], ONE
         for e in reversed(self.epsilons):
             out.append(acc)
             acc = mul(omega_pow(omega_pow(e)), acc)
@@ -391,7 +382,9 @@ def factorize(g: "Ordinal | int") -> IndecomposableFactorization:
     if not is_additively_indecomposable(g):
         raise OrdinalError(f"{g} is not additively indecomposable")
     xi = g.leading_exponent
-    fact = IndecomposableFactorization(() if xi.is_zero else sum_decompose(xi))
+    epsilons = () if xi.is_zero else sum_decompose(xi)
+    fact = IndecomposableFactorization(
+        epsilons, tuple(accumulate((omega_pow(omega_pow(e)) for e in epsilons), mul)))
     if len(_FACTORIZED) >= MEMO_CAP:
         _FACTORIZED.clear()
     _FACTORIZED[g._serial] = fact

@@ -57,7 +57,11 @@ class RuleColoring:
         kk = max(table) if k is None else k
 
         def fn(s, t, sep):
-            return table[separation_of_facts(s, t) if sep is None else sep]
+            i = separation_of_facts(s, t) if sep is None else sep
+            try:
+                return table[i]
+            except IndexError:  # the parsed form F[sep] raises the same error
+                raise RuleError(f"table index {i} outside 0..{len(table) - 1}") from None
 
         return RuleColoring(kk, fn, frozenset({"sep"}))
 

@@ -179,7 +179,6 @@ def digit_embedding(fact: IndecomposableFactorization, keep: Sequence[int]) -> E
     keep = tuple(sorted(keep))
     if any(i < 0 or i >= fact.lam for i in keep):
         raise TransfiniteError(f"layers {keep} outside 0..{fact.lam - 1}")
-    full = fact.factors
     sub_rank = ONE
     for i in keep:
         sub_rank = mul(sub_rank, omega_pow(omega_pow(fact.epsilons[i])))
@@ -192,10 +191,10 @@ def digit_embedding(fact: IndecomposableFactorization, keep: Sequence[int]) -> E
         digits = [ZERO] * fact.lam
         for pos, d in zip(keep, ys):
             digits[pos] = d
-        return _mixed_value(digits, full)
+        return _mixed_value(digits, fact.factors)
 
     def unapply(x: Ordinal) -> Ordinal | None:
-        digits = _mixed_digits(x, full)
+        digits = _mixed_digits(x, fact.factors)
         if digits is None:
             return None
         if any(not digits[i].is_zero for i in range(fact.lam) if i not in keep):
@@ -215,7 +214,7 @@ def digit_embedding(fact: IndecomposableFactorization, keep: Sequence[int]) -> E
 # a node with its declared position
 Positioned = tuple[CanonicalNode, Ordinal]
 # a window by id: each node's parent id, and each node with its declared position
-Window = tuple[Sequence[int | None], Iterable[Positioned]]
+Window = tuple[Sequence[int | None], Sequence[Positioned]]
 
 
 class Piece:
@@ -242,11 +241,7 @@ class EntryPiece(Piece):
     """All decreasing sequences over an embedded entry set, shifted by base."""
 
     def __init__(self, base: Ordinal, emap: EntryMap):
-        self.base, self.emap = base, emap
-
-    @property
-    def declared_rank(self) -> Ordinal:
-        return self.emap.size
+        self.base, self.emap, self.declared_rank = base, emap, emap.size
 
     def _entry(self, y: Ordinal) -> Ordinal:
         return add(self.base, self.emap.apply(y))
@@ -268,35 +263,23 @@ class UnionPiece(Piece):
 
     def __init__(self, parts: Iterable[tuple[CanonicalNode, Piece]], rank: Ordinal):
         parts = tuple((tuple(a), piece) for a, piece in parts)
-        anchors = [a for a, _ in parts]
-        for i, a in enumerate(anchors):
-            for b in anchors[i + 1:]:
+        for i, (a, _) in enumerate(parts):
+            for b, _ in parts[i + 1:]:
                 la = min(len(a), len(b))
                 if a[:la] == b[:la]:
                     raise TransfiniteError(f"anchors {a} and {b} are comparable")
-        self.parts, self.rank = parts, rank
+        self.parts, self.declared_rank = parts, rank
         self.windows: dict[tuple[int, int], Window] = {}
-
-    @property
-    def declared_rank(self) -> Ordinal:
-        return self.rank
-
-    def _match(self, node: CanonicalNode):
-        for anchor, piece in self.parts:
-            la = len(anchor)
-            if len(node) > la and tuple(node[:la]) == tuple(anchor):
-                return anchor, piece
-        return None
 
     def roots(self, width: int) -> list[Positioned]:
         return [(anchor + r, pos) for anchor, piece in self.parts for r, pos in piece.roots(width)]
 
     def children(self, node: CanonicalNode, pos: Ordinal, width: int) -> list[Positioned]:
-        hit = self._match(node)
-        if hit is None:
-            raise TransfiniteError("node lies in no part of the union")
-        anchor, piece = hit
-        return [(anchor + c, p) for c, p in piece.children(node[len(anchor):], pos, width)]
+        for anchor, piece in self.parts:
+            la = len(anchor)
+            if len(node) > la and tuple(node[:la]) == anchor:
+                return [(anchor + c, p) for c, p in piece.children(node[la:], pos, width)]
+        raise TransfiniteError("node lies in no part of the union")
 
 
 class StackPiece(Piece):
@@ -305,11 +288,7 @@ class StackPiece(Piece):
 
     def __init__(self, bands: tuple[tuple[Ordinal, Piece], ...], band_rank: Ordinal):
         self.bands = bands  # (entry range base, piece), low to high
-        self.band_rank = band_rank
-
-    @property
-    def declared_rank(self) -> Ordinal:
-        return mul(self.band_rank, len(self.bands))
+        self.band_rank, self.declared_rank = band_rank, mul(band_rank, len(bands))
 
     def roots(self, width: int) -> list[Positioned]:
         return self._in_band(len(self.bands) - 1, (), self.bands[-1][1].roots(width))
@@ -342,20 +321,15 @@ class ShiftPiece(Piece):
     every separation (see ``_view``)."""
 
     def __init__(self, inner: Piece, src: Ordinal, dst: Ordinal):
-        self.inner, self.src, self.dst = inner, src, dst
-
-    @property
-    def declared_rank(self) -> Ordinal:
-        return self.inner.declared_rank
+        self.inner, self.src, self.dst, self.declared_rank = inner, src, dst, inner.declared_rank
+        self.forward, self.backward = _Move(src, dst, None), _Move(dst, src, None)
 
     def roots(self, width: int) -> list[Positioned]:
-        move = _Move(self.src, self.dst, None)
-        return [(move(node), pos) for node, pos in self.inner.roots(width)]
+        return [(self.forward(node), pos) for node, pos in self.inner.roots(width)]
 
     def children(self, node: CanonicalNode, pos: Ordinal, width: int) -> list[Positioned]:
-        move = _Move(self.src, self.dst, None)
-        kids = self.inner.children(_Move(self.dst, self.src, None)(node), pos, width)
-        return [(move(c), p) for c, p in kids]
+        kids = self.inner.children(self.backward(node), pos, width)
+        return [(self.forward(c), p) for c, p in kids]
 
 
 class _Move:
@@ -384,10 +358,7 @@ class FilteredPiece(Piece):
 
     def __init__(self, inner: Piece, fact: IndecomposableFactorization, keep: tuple[int, ...]):
         self.inner, self.emap = inner, digit_embedding(fact, keep)
-
-    @property
-    def declared_rank(self) -> Ordinal:
-        return self.emap.size
+        self.declared_rank = self.emap.size
 
     def _frontier(self, seeds: Iterable[Positioned], width: int) -> list[Positioned]:
         """Walk inner samples (with inner positions) down to the first
@@ -413,16 +384,16 @@ class FilteredPiece(Piece):
         return self._frontier(self.inner.children(node, self.emap.apply(pos), width), width)
 
 
-def piece_window(piece: Piece, depth: int, width: int) -> tuple[FiniteTree, dict[int, Positioned]]:
-    """Materialize the sampled window as a finite tree plus the node map
-    window id -> (node, declared position), each position as the piece's
-    sampler handed it down.  A union keeps this window for the next build
-    that contains it, which takes it (``_Emitter.emit``)."""
+def piece_window(piece: Piece, depth: int, width: int) -> tuple[FiniteTree, list[Positioned]]:
+    """Materialize the sampled window as a finite tree plus the emitted
+    list, by window id, of (node, declared position), each position as
+    the piece's sampler handed it down.  A union keeps this window for the
+    next build that contains it, which takes it (``_Emitter.emit``)."""
     parents, at = _Emitter(width).relative(piece, depth)
     # every parent id is smaller than its child's: a forest by construction
-    window, at = FiniteTree._of_valid(range(len(parents)), parents), dict(enumerate(at))
+    window = FiniteTree._of_valid(range(len(parents)), parents)
     if isinstance(piece, UnionPiece):  # kept without a copy of its own
-        piece.windows[depth, width] = window.parents, at.values()
+        piece.windows[depth, width] = window.parents, at
     return window, at
 
 
@@ -509,18 +480,18 @@ class _Emitter:
 
 
 def _facts(tree: CanonicalTree, prefix: CanonicalNode, window: FiniteTree,
-           at: dict[int, Positioned]) -> list[NodeFacts]:
+           at: list[Positioned]) -> list[NodeFacts]:
     """The window facts of the window nodes below ``prefix``; every window
     node must extend its parent (``window_facts``)."""
-    return window_facts(tree, [prefix + node for node, _ in at.values()], window.parents)
+    return window_facts(tree, [prefix + node for node, _ in at], window.parents)
 
 
-def _declared_facts(piece: Piece, at: dict[int, Positioned]) -> list[NodeFacts]:
+def _declared_facts(piece: Piece, at: list[Positioned]) -> list[NodeFacts]:
     """The facts of each window node's declared position, one record per
     position."""
     rank, records = piece.declared_rank, {}  # records by position serial
     return [records.get(pos._serial) or records.setdefault(pos._serial, tau_facts(rank, pos))
-            for _, pos in at.values()]
+            for _, pos in at]
 
 
 def _classes(*records: Sequence) -> tuple[list[int], int]:
@@ -549,7 +520,7 @@ def reference_window_rank(rank: Ordinal, budget: Budget) -> int:
 
 
 def _audit_window(construction: str, piece: Piece, budget: Budget,
-                  nonempty: bool = False) -> tuple[Audit, FiniteTree, dict[int, Positioned]]:
+                  nonempty: bool = False) -> tuple[Audit, FiniteTree, list[Positioned]]:
     """Open an audit: the window-nonempty check if asked, then the window
     rank against the equal-budget reference window.  Every audit starts
     here; a shallow budget may not separate close claims of rank."""
@@ -574,7 +545,7 @@ def _window_rank(window: FiniteTree) -> int:
     return max(depths, default=0)
 
 
-def _pair_text(at: dict[int, Positioned], i_s: int, i_t: int) -> str:
+def _pair_text(at: list[Positioned], i_s: int, i_t: int) -> str:
     return f"pair (({node_to_text(at[i_s][0])}), ({node_to_text(at[i_t][0])}))"
 
 
@@ -700,7 +671,7 @@ def _audit_stabilization(tree: CanonicalTree, sub: Piece, table: tuple[int, ...]
     size = len(table) + (gamma_p is not None)
     report.add("table-spans-layers", size == lam, f"table size {size} vs {lam} layers")
     facts, declared = _facts(tree, (), window, at), _declared_facts(sub, at)
-    level = [None if gamma_p is None else left_divide(gamma_p, pos)[0] for _, pos in at.values()]
+    level = [None if gamma_p is None else left_divide(gamma_p, pos)[0] for _, pos in at]
     cls, n = _classes([f.sig for f in facts], declared)
     below, seps = window._below, {}  # (ambient, declared) separation by class pair
     seen = sep_failed = color_failed = None
@@ -862,7 +833,7 @@ def _cross_color(tree, union: Piece, prefix: CanonicalNode, gamma_p: Ordinal,
     """The one color of the window pairs across gamma_p-levels."""
     window, at = piece_window(union, budget.depth, budget.width)
     facts = _facts(tree, prefix, window, at)
-    level = [left_divide(gamma_p, pos)[0] for _, pos in at.values()]
+    level = [left_divide(gamma_p, pos)[0] for _, pos in at]
     reads_sep = "sep" in rule.reads
     cls, n = _classes([f.sig for f in facts])
     below, seps, seen = window._below, {}, None

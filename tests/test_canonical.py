@@ -266,11 +266,11 @@ class TestTruncation:
         window = truncate(CanonicalTree.of(0, 3), 3, 3)
         assert len(window.tree) == 7
         assert window.tree.rank() == 3
-        assert all(window.complete.values())
+        assert all(window.complete)
 
     def test_complete_marks_exactly_the_window_nodes(self):
         window = truncate(CanonicalTree.of(0, w2), 3, 3)
-        assert set(window.complete) == set(window.tree.ids)
+        assert set(range(len(window.complete))) == set(window.tree.ids)
 
     def test_depth_one(self):
         window = truncate(CanonicalTree.of(0, w), 1, 4)
@@ -324,7 +324,7 @@ class TestTruncation:
         assert nodes == [tuple(add(alpha, x) for x in base.node_of(i)) for i in base.tree.ids]
         assert window.tree.rank() == reference_window_rank(rho, Budget(depth, width))
         _, at = piece_window(EntryPiece(alpha, EntryMap.identity(rho)), depth, width)
-        assert [node for node, _ in at.values()] == nodes
+        assert [node for node, _ in at] == nodes
 
     def test_rejects_degenerate_budgets(self):
         with pytest.raises(CanonicalError):

@@ -546,6 +546,15 @@ class TestDemo:
         assert main(args + ["--out", str(second)]) == 0
         assert first.read_bytes() == second.read_bytes()
 
+    def test_unknown_check_names_are_an_error(self, tmp_path, capsys):
+        out = tmp_path / "demo.json"
+        code = main(["demo", "--quick", "--only", "ordinal-lawz,ramsey-constant,nope",
+                     "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1 and not out.exists()
+        assert err.startswith("error: ") and "ordinal-lawz, nope" in err
+        assert "ordinal-laws" in err and "budgeted-stabilizer" in err
+
     def test_seed_is_an_option_of_demo_only(self, tmp_path, capsys):
         # a top-level --seed would be read by no command
         with pytest.raises(SystemExit) as exit_info:

@@ -158,6 +158,7 @@ class TestFactorize:
     def test_one(self):
         fact = factorize(ONE)
         assert fact.epsilons == () and fact.lam == 0
+        assert fact.factors == () and fact.cofactors == ()
 
     def test_omega_cubed(self):
         fact = factorize(omega_pow(3))

@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -27,3 +28,21 @@ def test_import_loads_neither_dataclasses_nor_the_demo(module, absent):
     out = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": str(SRC)})
     assert out.stdout.strip() == "[]"
+
+
+def test_the_package_imports_only_the_standard_library():
+    # every top-level module a package module imports is stdlib or the package itself
+    foreign = {}
+    for path in sorted((SRC / "treeramsey").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.split(".")[0]
+                if top != "treeramsey" and top not in sys.stdlib_module_names:
+                    foreign.setdefault(path.name, []).append(name)
+    assert foreign == {}

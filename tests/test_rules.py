@@ -48,6 +48,13 @@ class TestSepTable:
         with pytest.raises(RuleError):
             rule.value(*pair_facts(square, *pair_same_block))
 
+    def test_short_table_raises_the_parsed_forms_error(self, square):
+        # a table shorter than the layers ends in the RuleError of F[sep], not an IndexError
+        budget = transfinite.Budget(3, 3, 4)
+        for rule in (RuleColoring.sep_table((1,)), parse_rule("F[sep] with F=(1)")):
+            with pytest.raises(RuleError, match=r"^table index 1 outside 0\.\.0$"):
+                transfinite.stabilize_transfinite(square, rule, budget)
+
 
 class TestParser:
     def test_table_form(self, square, pair_same_block, pair_cross_block):

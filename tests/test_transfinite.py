@@ -112,13 +112,13 @@ class TestContract:
     def test_low_layer_keeps_small_entries(self, square):
         sub = contract(square, ContractionSpec.of(w2, {0}))
         window, mapping = piece_window(sub, 3, 4)
-        for node, _ in mapping.values():
+        for node, _ in mapping:
             assert all(e < w for e in node)
 
     def test_high_layer_keeps_multiples(self, square):
         sub = contract(square, ContractionSpec.of(w2, {1}))
         window, mapping = piece_window(sub, 3, 4)
-        for node, _ in mapping.values():
+        for node, _ in mapping:
             for e in node:
                 assert left_divide(w, e)[1] == ZERO
 
@@ -218,7 +218,7 @@ class TestFilteredPiece:
         ambient = CanonicalTree.of(0, gamma)
         _, mapping = piece_window(filtered, 3, 3)
         assert len(mapping) > 3
-        for node, pos in mapping.values():
+        for node, pos in mapping:
             assert pos is filtered.emap.unapply(node_tau(ambient, node))
 
     @pytest.mark.parametrize("keep", [(0,), (1,)])
@@ -789,7 +789,7 @@ class TestComposedWindows:
     def test_window_facts_equal_node_facts(self, certified_pieces):
         for name, tree, piece, budget in certified_pieces:
             window, at = piece_window(piece, budget.depth, budget.width)
-            nodes = [node for node, _ in at.values()]
+            nodes = [node for node, _ in at]
             assert window_facts(tree, nodes, window.parents) == node_facts(tree, nodes), name
 
     def test_union_part_ranks_strictly_increase(self, certified_pieces):
@@ -811,7 +811,7 @@ class TestComposedWindows:
         window, at_outer = piece_window(outer, 3, 3)
         assert not union.windows and outer.windows.keys() == {(3, 3)}
         assert window == first
-        assert at_outer == {i: ((mul(w2, 2),) + node, pos) for i, (node, pos) in at.items()}
+        assert at_outer == [((mul(w2, 2),) + node, pos) for node, pos in at]
 
     def test_union_rejects_comparable_anchors(self):
         seg = EntryPiece(ZERO, EntryMap.identity(w))
@@ -915,7 +915,7 @@ class TestWindowFactsErrors:
                              ids=lambda p: type(p).__name__)
     def test_same_first_error_as_node_facts(self, square, piece):
         window, at = piece_window(piece, BUDGET.depth, BUDGET.width)
-        nodes = [node for node, _ in at.values()]
+        nodes = [node for node, _ in at]
         # nodes beside their parents are members: only the edge check rejects them
         beside = isinstance(piece, ChildrenBesideParent)
         expected = _facts_or_error(node_facts, square, nodes)
@@ -934,7 +934,7 @@ class TestWindowFactsErrors:
         piece = BesideThenOutside()
         window, at = piece_window(piece, BUDGET.depth, BUDGET.width)
         assert window.parents == (None, 0, 0)
-        nodes = [node for node, _ in at.values()]
+        nodes = [node for node, _ in at]
         outside = r"node \(w, w \+ 1\) is not in I\(0, w\^2\)"
         with pytest.raises(CanonicalError, match=outside):
             window_facts(square, nodes, window.parents)
@@ -1079,7 +1079,7 @@ def _reference_stabilization(tree, sub, table, rule, budget, gamma_p=None):
     size = len(table) + (gamma_p is not None)
     report.add("table-spans-layers", size == lam, f"table size {size} vs {lam} layers")
     facts, declared = transfinite._facts(tree, (), window, at), transfinite._declared_facts(sub, at)
-    level = None if gamma_p is None else [left_divide(gamma_p, pos)[0] for _, pos in at.values()]
+    level = None if gamma_p is None else [left_divide(gamma_p, pos)[0] for _, pos in at]
     seen = sep_failed = color_failed = None
     count = 0
     for count, (i_s, i_t) in enumerate(window.ordered_pairs(), 1):
@@ -1112,7 +1112,7 @@ def _reference_cross_color(tree, union, prefix, gamma_p, rule, budget):
     """``_cross_color`` reading every cross-level pair on its own."""
     window, at = piece_window(union, budget.depth, budget.width)
     facts = transfinite._facts(tree, prefix, window, at)
-    level = [left_divide(gamma_p, pos)[0] for _, pos in at.values()]
+    level = [left_divide(gamma_p, pos)[0] for _, pos in at]
     seen = None
     for i_s, i_t in window.ordered_pairs():
         if level[i_s] is not level[i_t]:
